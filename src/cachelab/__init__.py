@@ -24,8 +24,6 @@ from .policies import (
     ArcState,
     CacheConfig,
     CacheState,
-    access,
-    arc_access,
     make_cache,
     snapshot_lru_order,
     victim_fifo,
@@ -33,7 +31,7 @@ from .policies import (
     victim_lru,
     victim_mru,
 )
-from .preevict import PreEvictConfig, PreEvictingCache, halfway_filter, tick_timers, wrap
+from .preevict import PreEvictConfig, PreEvictingCache, wrap
 from .prefetch import (
     MarkovPredictor,
     PredictorConfig,

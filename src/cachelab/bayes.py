@@ -8,6 +8,7 @@ as "F".
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ class CPT:
             if len(row) != cards[self.child]:
                 raise InvalidNet(
                     f"cpt {self.child!r} row {i}: expected {cards[self.child]} values")
-            if any(v < 0 for v in row):
-                raise InvalidNet(f"cpt {self.child!r} row {i}: negative probability")
+            if not all(0 <= v < math.inf for v in row):
+                raise InvalidNet(f"cpt {self.child!r} row {i}: negative or non-finite probability")
             if abs(sum(row) - 1.0) > ROW_SUM_TOL:
                 raise InvalidNet(f"cpt {self.child!r} row {i}: sums to {sum(row)!r}, not 1")
 
@@ -376,8 +377,12 @@ def parse_net(text: str) -> BayesNet:
 
 
 def load_net(path) -> BayesNet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_net(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_net(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidNet(f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
 
 
 def value_label(variable: Variable, value: int) -> str:

@@ -36,14 +36,17 @@ def _positive_int(text):
     return value
 
 
-def _fraction(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
+def _finite_float(high):
+    """argparse type: a finite number in [0, high]."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (0.0 <= value <= high and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be finite and in [0, {high:g}], got {value}")
+        return value
+    return parse
 
 
 def _add_policy_flags(sub, many=False):
@@ -66,8 +69,8 @@ def _add_policy_flags(sub, many=False):
     sub.add_argument("--prefetch", choices=("pgm",), default=None)
     sub.add_argument("--order", type=int, choices=(1, 2), default=1)
     sub.add_argument("--top-k", type=_positive_int, default=1)
-    sub.add_argument("--p-min", type=_fraction, default=0.1)
-    sub.add_argument("--alpha", type=float, default=1.0)
+    sub.add_argument("--p-min", type=_finite_float(1.0), default=0.1)
+    sub.add_argument("--alpha", type=_finite_float(math.inf), default=1.0)
     sub.add_argument("--min-support", type=int, default=2)
     sub.add_argument("--out", choices=("json", "csv", "table"), default="table")
 
@@ -87,7 +90,7 @@ def build_parser():
     gen.add_argument("--model", choices=("markov",), required=True)
     gen.add_argument("--states", type=_positive_int, required=True)
     gen.add_argument("--length", type=_positive_int, required=True)
-    gen.add_argument("--determinism", type=_fraction, required=True)
+    gen.add_argument("--determinism", type=_finite_float(1.0), required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True, help="output path")
 
@@ -108,11 +111,11 @@ def _fail(message):
 
 
 def _load_trace(args):
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.trace, "rb") as fh:
+        data = fh.read()
     if args.format == "smpc":
-        return parse_smpc(text)
-    return parse_plain(text)
+        return parse_smpc(data)
+    return parse_plain(data)
 
 
 def _pre_config(parser, args):
@@ -134,8 +137,6 @@ def _pre_config(parser, args):
 def _prefetch_config(parser, args):
     if args.prefetch is None:
         return None, None
-    if args.alpha < 0:
-        parser.error(f"--alpha must be >= 0, got {args.alpha}")
     if args.min_support < 0:
         parser.error(f"--min-support must be >= 0, got {args.min_support}")
     return (PrefetchConfig(top_k=args.top_k, p_min=args.p_min),
@@ -237,8 +238,9 @@ def cmd_gen_trace(parser, args):
 
 def cmd_lru_sim(parser, args):
     try:
-        cases = parse_lru_problem(sys.stdin.read())
-    except MalformedCase as exc:
+        # bytes where the stream has them, so that undecodable input names its line
+        cases = parse_lru_problem(getattr(sys.stdin, "buffer", sys.stdin).read())
+    except (MalformedCase, MalformedLine) as exc:
         return _fail(f"stdin: {exc}")
     out = sys.stdout
     for number, case in enumerate(cases, start=1):

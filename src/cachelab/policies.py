@@ -32,18 +32,6 @@ class CacheConfig:
             raise InvalidParam(f"unknown arc_adaptation {self.arc_adaptation!r}")
 
 
-class EntryMeta:
-    __slots__ = ("key", "inserted_at", "last_used_at", "use_count", "timer", "prefetched")
-
-    def __init__(self, key, seq, prefetched=False):
-        self.key = key
-        self.inserted_at = seq
-        self.last_used_at = seq
-        self.use_count = 0 if prefetched else 1
-        self.timer = 0
-        self.prefetched = prefetched
-
-
 class AccessOutcome(NamedTuple):
     hit: bool
     evicted: tuple = ()
@@ -56,15 +44,15 @@ _new_tuple = tuple.__new__  # builds an AccessOutcome without its Python-level _
 
 
 class CacheState:
-    """Resident entries plus one ordered book of their keys: insertion order for
-    fifo and lifo, recency order (least recent first) for lru and mru."""
+    """Resident keys in one ordered book, each mapped to its prefetched flag (true
+    until the first demand hit): insertion order for fifo and lifo, recency order
+    (least recent first) for lru and mru."""
 
     def __init__(self, config: CacheConfig):
         if config.policy == ARC:
             raise InvalidParam("use ArcState for the arc policy")
         self.capacity = config.capacity
-        self.entries = {}           # key -> EntryMeta
-        self.order = OrderedDict()  # resident keys, oldest or least recent first
+        self.entries = OrderedDict()  # key -> prefetched, oldest or least recent first
         self._by_recency = config.policy in (LRU, MRU)
         self._victim_last = config.policy in (LIFO, MRU)
 
@@ -78,48 +66,36 @@ class CacheState:
         return list(self.entries)
 
     def access(self, key, seq) -> AccessOutcome:
-        meta = self.entries.get(key)
-        if meta is None:
+        prefetched = self.entries.get(key)
+        if prefetched is None:
             return _new_tuple(AccessOutcome, (False, self.insert(key, seq), False))
-        meta.last_used_at = seq
-        meta.use_count += 1
         if self._by_recency:
-            self.order.move_to_end(key)
-        if meta.prefetched:
-            meta.prefetched = False
+            self.entries.move_to_end(key)
+        if prefetched:
+            self.entries[key] = False
             return PREFETCHED_HIT
         return HIT
 
     def insert(self, key, seq, prefetched=False) -> tuple:
         """Insertion path shared by demand misses and prefetches; returns evicted keys."""
-        entries, order = self.entries, self.order
+        entries = self.entries
         if len(entries) < self.capacity:
-            entries[key] = EntryMeta(key, seq, prefetched)
-            order[key] = None
+            entries[key] = prefetched
             return ()
-        victim = order.popitem(self._victim_last)[0]
-        meta = entries.pop(victim)
-        # reuse the victim's EntryMeta, so a full cache allocates none per insertion
-        meta.key = key
-        meta.inserted_at = meta.last_used_at = seq
-        meta.use_count = 0 if prefetched else 1
-        meta.timer = 0
-        meta.prefetched = prefetched
-        entries[key] = meta
-        order[key] = None
+        victim = entries.popitem(self._victim_last)[0]
+        entries[key] = prefetched
         return (victim,)
 
     def evict_key(self, key):
         del self.entries[key]
-        del self.order[key]
 
 
 def victim_fifo(state: CacheState):
-    return next(iter(state.order))
+    return next(iter(state.entries))
 
 
 def victim_lifo(state: CacheState):
-    return next(reversed(state.order))
+    return next(reversed(state.entries))
 
 
 # one book per cache: its head is the fifo or lru victim, its tail the lifo or mru one
@@ -127,14 +103,10 @@ victim_lru = victim_fifo
 victim_mru = victim_lifo
 
 
-def access(state, key, seq) -> AccessOutcome:
-    return state.access(key, seq)
-
-
 def snapshot_lru_order(state: CacheState) -> list:
     """Resident keys in book order: least recently used first for lru and mru, oldest
     insertion first for fifo and lifo. Does not mutate the state."""
-    return list(state.order)
+    return list(state.entries)
 
 
 class ArcState:
@@ -144,7 +116,7 @@ class ArcState:
     def __init__(self, config: CacheConfig):
         self.capacity = config.capacity
         self.unit_adaptation = config.arc_adaptation == UNIT
-        self.entries = {}           # resident key -> EntryMeta
+        self.entries = {}           # resident key -> prefetched flag
         self.t1 = OrderedDict()     # seen once recently, LRU -> MRU
         self.t2 = OrderedDict()     # seen at least twice, LRU -> MRU
         self.b1 = OrderedDict()     # ghosts of t1
@@ -161,18 +133,16 @@ class ArcState:
         return list(self.entries)
 
     def access(self, key, seq) -> AccessOutcome:
-        meta = self.entries.get(key)
-        if meta is None:
+        prefetched = self.entries.get(key)
+        if prefetched is None:
             return _new_tuple(AccessOutcome, (False, self.insert(key, seq), False))
         if key in self.t1:
             del self.t1[key]
             self.t2[key] = None
         else:
             self.t2.move_to_end(key)
-        meta.last_used_at = seq
-        meta.use_count += 1
-        if meta.prefetched:
-            meta.prefetched = False
+        if prefetched:
+            self.entries[key] = False
             return PREFETCHED_HIT
         return HIT
 
@@ -215,7 +185,7 @@ class ArcState:
                     if full:
                         evicted = (self._replace(),)
             t1[key] = None
-        self.entries[key] = EntryMeta(key, seq, prefetched)
+        self.entries[key] = prefetched
         return evicted
 
     def _replace(self):
@@ -236,10 +206,6 @@ class ArcState:
             del self.t1[key]
         else:
             del self.t2[key]
-
-
-def arc_access(state: ArcState, key, seq) -> AccessOutcome:
-    return state.access(key, seq)
 
 
 def make_cache(config: CacheConfig):

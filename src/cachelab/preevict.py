@@ -1,8 +1,9 @@
 """Pre-eviction wrappers: halfway address-range clearing and per-entry expiry timers."""
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
-from .policies import AccessOutcome
+from .policies import AccessOutcome, _new_tuple, make_cache
 from .trace import InvalidParam
 
 
@@ -24,36 +25,27 @@ class PreEvictConfig:
         return self.halfway_enabled or self.timer_enabled
 
 
-def halfway_filter(state, requested_key, config: PreEvictConfig) -> set:
-    """Keys to evict on a demand miss: when the request lands at or above halfway,
-    every resident below halfway goes. Pure; the caller performs the evictions."""
-    halfway = config.address_space_size // 2
-    if requested_key < halfway:
-        return set()
-    return {key for key in state.entries if key < halfway}
-
-
-def tick_timers(state, config: PreEvictConfig) -> set:
-    """Decrement every resident timer by one; return the keys that expired.
-    The caller evicts them before serving the access."""
-    expired = set()
-    for key, meta in state.entries.items():
-        meta.timer -= 1
-        if meta.timer <= 0:
-            expired.add(key)
-    return expired
-
-
 class PreEvictingCache:
-    """Per access: expire timers, serve the hit, else halfway-filter then the base
-    policy's insertion. With both axes disabled this is an identity wrapper."""
+    """Per access: expire timers, serve the hit, else apply the halfway rule then
+    the base policy's insertion. With both axes disabled this is an identity wrapper.
+
+    Timers tick once per access call; an access or insert sets its key's timer to
+    timer_init. One period for all timers means keys expire in touch order, so
+    `deadlines` is a queue and each access pops its due prefix; base-policy victims
+    leave it at once, other keys that left are skipped when due. The residents below
+    halfway are among `low`, the keys below halfway inserted since the last clearing.
+    Both cost O(1) amortized per access, plus sorting the victims. The base cache
+    must start empty and take every insertion through the wrapper."""
 
     def __init__(self, base, config: PreEvictConfig):
         self.base = base
-        self.pre = config
-        self.capacity = base.capacity
-        self.timer_evictions = 0
-        self.halfway_evictions = 0
+        self.timer_evictions = self.halfway_evictions = 0
+        self.ticks = 0
+        self.deadlines = OrderedDict()  # key -> tick its timer runs out, in touch order
+        self.low = set()
+        self._timer_init = config.timer_init if config.timer_enabled else 0
+        self._halfway = config.address_space_size // 2 if config.halfway_enabled else None
+        self._due = self._timer_init  # never above the earliest deadline in the book
 
     def __contains__(self, key):
         return key in self.base
@@ -69,38 +61,70 @@ class PreEvictingCache:
         return self.base.resident_keys()
 
     def access(self, key, seq) -> AccessOutcome:
-        pre = self.pre
-        removed = []
-        if pre.timer_enabled:
-            for expired in sorted(tick_timers(self.base, pre)):
-                self.base.evict_key(expired)
-                removed.append(expired)
-            self.timer_evictions += len(removed)
-        if pre.halfway_enabled and key not in self.base:
-            cleared = sorted(halfway_filter(self.base, key, pre))
-            for low in cleared:
-                self.base.evict_key(low)
-            self.halfway_evictions += len(cleared)
-            removed.extend(cleared)
-        outcome = self.base.access(key, seq)
-        if pre.timer_enabled:
-            self.base.entries[key].timer = pre.timer_init
+        base = self.base
+        removed = ()
+        timer_init = self._timer_init
+        if timer_init:
+            self.ticks = tick = self.ticks + 1
+            if tick >= self._due:
+                removed = self._expire(tick)
+        if self._halfway is not None and key not in base.entries:
+            if key < self._halfway:
+                self.low.add(key)
+            elif self.low:
+                cleared = sorted(k for k in self.low if k in base.entries)
+                self.low.clear()
+                for low in cleared:
+                    base.evict_key(low)
+                self.halfway_evictions += len(cleared)
+                removed = [*removed, *cleared]
+        outcome = base.access(key, seq)
+        if timer_init:
+            deadlines = self.deadlines
+            for victim in outcome.evicted:
+                deadlines.pop(victim, None)
+            deadlines[key] = tick + timer_init
+            deadlines.move_to_end(key)
         if not removed:
             return outcome
-        removed.extend(outcome.evicted)
-        return AccessOutcome(outcome.hit, tuple(removed), outcome.was_prefetched_hit)
+        hit, evicted, prefetched_hit = outcome
+        return _new_tuple(AccessOutcome, (hit, (*removed, *evicted), prefetched_hit))
+
+    def _expire(self, tick):
+        """Pop the book's due prefix; evict its resident keys in ascending order."""
+        deadlines = self.deadlines
+        resident = self.base.entries
+        expired = []
+        while deadlines:
+            key = next(iter(deadlines))
+            deadline = deadlines[key]
+            if deadline > tick:
+                self._due = deadline
+                break
+            del deadlines[key]
+            if key in resident:
+                expired.append(key)
+        else:
+            # every later touch runs out at tick + timer_init or after
+            self._due = tick + self._timer_init
+        expired.sort()
+        for key in expired:
+            self.base.evict_key(key)
+        self.timer_evictions += len(expired)
+        return expired
 
     def insert(self, key, seq, prefetched=False) -> tuple:
         evicted = self.base.insert(key, seq, prefetched)
-        if self.pre.timer_enabled:
-            self.base.entries[key].timer = self.pre.timer_init
+        if self._timer_init:
+            deadlines = self.deadlines
+            for victim in evicted:
+                deadlines.pop(victim, None)
+            deadlines[key] = self.ticks + self._timer_init
+            deadlines.move_to_end(key)
+        if self._halfway is not None and key < self._halfway:
+            self.low.add(key)
         return evicted
-
-    def evict_key(self, key):
-        self.base.evict_key(key)
 
 
 def wrap(base_config, pre: PreEvictConfig) -> PreEvictingCache:
-    from .policies import make_cache
-
     return PreEvictingCache(make_cache(base_config), pre)

@@ -1,5 +1,6 @@
 """Markov next-key prediction, prefetch decisions, and outcome bookkeeping."""
 
+import math
 from dataclasses import dataclass
 
 from .trace import InvalidParam
@@ -11,6 +12,15 @@ PENDING = "pending"
 USEFUL = "useful"
 USELESS = "useless"
 HARMFUL = "harmful"
+
+
+def _check_predictor_params(order, alpha, min_support):
+    if order not in (1, 2):
+        raise InvalidParam(f"order must be 1 or 2, got {order}")
+    if not 0 <= alpha < math.inf:
+        raise InvalidParam(f"alpha must be finite and >= 0, got {alpha}")
+    if min_support < 0:
+        raise InvalidParam(f"min_support must be >= 0, got {min_support}")
 
 
 class _Successors(dict):
@@ -30,12 +40,7 @@ class MarkovPredictor:
     smoothing. Purely a function of the observed key sequence."""
 
     def __init__(self, order=1, alpha=1.0, min_support=2):
-        if order not in (1, 2):
-            raise InvalidParam(f"order must be 1 or 2, got {order}")
-        if alpha < 0:
-            raise InvalidParam(f"alpha must be >= 0, got {alpha}")
-        if min_support < 0:
-            raise InvalidParam(f"min_support must be >= 0, got {min_support}")
+        _check_predictor_params(order, alpha, min_support)
         self.order = order
         self.alpha = alpha
         self.min_support = min_support
@@ -73,14 +78,6 @@ class MarkovPredictor:
         return [(key, (count + alpha) / denom) for key, count in ranked[:top_k]]
 
 
-def observe(pred: MarkovPredictor, key):
-    pred.observe(key)
-
-
-def predict_next(pred: MarkovPredictor, context, top_k):
-    return pred.predict_next(context, top_k)
-
-
 @dataclass(frozen=True)
 class PrefetchConfig:
     top_k: int = 1
@@ -101,6 +98,9 @@ class PredictorConfig:
     order: int = 1
     alpha: float = 1.0
     min_support: int = 2
+
+    def __post_init__(self):
+        _check_predictor_params(self.order, self.alpha, self.min_support)
 
 
 def decide_prefetch(predictions, config: PrefetchConfig, resident) -> list:

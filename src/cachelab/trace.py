@@ -62,7 +62,11 @@ _SMPC_OPS = {"0": Op.INSTR_FETCH, "2": Op.DATA_READ, "3": Op.DATA_WRITE}
 
 def _as_text(data: Union[str, bytes]) -> str:
     if isinstance(data, bytes):
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(data.count(b"\n", 0, exc.start) + 1,
+                                f"not UTF-8: byte {data[exc.start]:#04x}") from None
     return data
 
 

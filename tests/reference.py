@@ -127,6 +127,148 @@ def ref_arc_run(keys, capacity, adaptation="unit"):
     return hits, misses, outcomes, (t1, t2, b1, b2, p)
 
 
+def ref_preevict_run(steps, capacity, policy, adaptation="unit",
+                     address_space=None, timer_init=None):
+    """Step a base policy under the pre-eviction rules, one step at a time.
+
+    steps: ("access", key) for a demand access, or ("insert", key) for a
+    prefetch insertion (skipped while the key is resident). address_space turns
+    the halfway rule on; timer_init turns the expiry timers on.
+
+    Before each access every resident timer drops by one and those at zero or
+    below are evicted in ascending key order. A demand miss at or above halfway
+    then evicts every resident below halfway, in ascending key order. Each
+    access and each insertion sets its key's timer to timer_init; inserts do not
+    tick. Returns one record per step:
+    (hit or None for an insert, evicted keys in order, prefetched hit,
+    resident set, timer evictions so far, halfway evictions so far).
+    """
+    resident = []    # classical policies: resident keys
+    stamp = {}       # key -> time of insertion (fifo, lifo) or last use (lru, mru)
+    t1, t2, b1, b2 = [], [], [], []
+    p = 0
+    prefetched = set()
+    timers = {}
+    timer_evictions = halfway_evictions = 0
+    clock = 0
+    records = []
+
+    def residents():
+        return t1 + t2 if policy == "arc" else list(resident)
+
+    def remove(key):
+        if key in t1:
+            t1.remove(key)
+        elif key in t2:
+            t2.remove(key)
+        else:
+            resident.remove(key)
+        prefetched.discard(key)
+
+    def replace():
+        if len(t1) >= max(1, p):
+            victim = t1.pop(0)
+            b1.append(victim)
+        else:
+            victim = t2.pop(0)
+            b2.append(victim)
+        return victim
+
+    def insert(key):
+        nonlocal clock, p
+        clock += 1
+        victims = []
+        if policy != "arc":
+            if len(resident) == capacity:
+                pick = min if policy in ("fifo", "lru") else max
+                victims.append(pick(resident, key=lambda k: stamp[k]))
+                resident.remove(victims[0])
+            resident.append(key)
+            stamp[key] = clock
+        else:
+            full = len(t1) + len(t2) >= capacity
+            if key in b1 or key in b2:
+                if key in b1:
+                    delta = 1 if adaptation == "unit" else max(1, len(b2) // len(b1))
+                    p = min(p + delta, capacity)
+                else:
+                    delta = 1 if adaptation == "unit" else max(1, len(b1) // len(b2))
+                    p = max(p - delta, 0)
+                if full:
+                    victims.append(replace())
+                (b1 if key in b1 else b2).remove(key)
+                t2.append(key)
+            else:
+                if len(t1) + len(b1) == capacity:
+                    if len(t1) < capacity:
+                        b1.pop(0)
+                        if full:
+                            victims.append(replace())
+                    else:
+                        victims.append(t1.pop(0))
+                else:
+                    total = len(t1) + len(t2) + len(b1) + len(b2)
+                    if total >= capacity:
+                        if total >= 2 * capacity:
+                            b2.pop(0)
+                        if full:
+                            victims.append(replace())
+                t1.append(key)
+        for victim in victims:
+            prefetched.discard(victim)
+        return victims
+
+    def hit(key):
+        nonlocal clock
+        clock += 1
+        was_prefetched = key in prefetched
+        prefetched.discard(key)
+        if key in t1 or key in t2:
+            (t1 if key in t1 else t2).remove(key)
+            t2.append(key)
+        elif policy in ("lru", "mru"):
+            stamp[key] = clock
+        return was_prefetched
+
+    for op, key in steps:
+        if op == "insert":
+            evicted = []
+            if key not in residents():
+                evicted = insert(key)
+                prefetched.add(key)
+                timers[key] = timer_init
+            records.append((None, tuple(evicted), False, set(residents()),
+                            timer_evictions, halfway_evictions))
+            continue
+        evicted = []
+        if timer_init is not None:
+            expired = []
+            for k in residents():
+                timers[k] -= 1
+                if timers[k] <= 0:
+                    expired.append(k)
+            for k in sorted(expired):
+                remove(k)
+                evicted.append(k)
+            timer_evictions += len(expired)
+        is_hit = key in residents()
+        if address_space is not None and not is_hit and key >= address_space // 2:
+            low = sorted(k for k in residents() if k < address_space // 2)
+            for k in low:
+                remove(k)
+                evicted.append(k)
+            halfway_evictions += len(low)
+        if is_hit:
+            was_prefetched = hit(key)
+        else:
+            was_prefetched = False
+            evicted += insert(key)
+        timers[key] = timer_init
+        records.append((is_hit, tuple(evicted), was_prefetched, set(residents()),
+                        timer_evictions, halfway_evictions))
+    return records
+
+
 def ref_joint(variables, parents, cpts, assignment):
     """Joint probability from raw CPT tables.
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -120,6 +121,15 @@ def test_net_rejects_bad_row_sum():
 def test_net_rejects_negative_probability():
     with pytest.raises(InvalidNet):
         BayesNet([Variable("A", 2)], [CPT("A", [], [[1.2, -0.2]])])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_net_rejects_non_finite_probability(bad):
+    with pytest.raises(InvalidNet, match="non-finite"):
+        BayesNet([Variable("A", 2)], [CPT("A", [], [[bad, 1.0]])])
+    with pytest.raises(InvalidNet, match="non-finite"):
+        parse_net(json.dumps({"variables": [{"name": "A", "cardinality": 2}],
+                              "cpts": [{"child": "A", "parents": [], "rows": [[bad, 1.0]]}]}))
 
 
 def test_net_rejects_wrong_row_count():

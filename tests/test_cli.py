@@ -73,6 +73,43 @@ def test_run_malformed_trace_names_file_and_line(tmp_path, capsys):
     assert f"{path}:2" in err
 
 
+NOT_UTF8 = b"1\n\xff\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--policy", "lru", "--capacity", "4"],
+    ["compare", "--policies", "lru,fifo", "--capacities", "2,4"],
+])
+def test_non_utf8_trace_names_file_and_line(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(argv + ["--trace", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{path}:2: ") and "0xff" in err
+    assert err.count("\n") == 1
+
+
+def test_lru_sim_non_utf8_input(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NOT_UTF8)
+    with open(path, encoding="utf-8") as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(["lru-sim"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("stdin: line 2: ") and "0xff" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+def test_run_alpha_not_finite_nonnegative_usage_error(tmp_path, capsys, alpha):
+    trace = write_trace(tmp_path, [1, 2, 1])
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--trace", trace, "--policy", "lru", "--capacity", "2",
+              "--prefetch", "pgm", f"--alpha={alpha}"])
+    assert err.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_run_unknown_flag_rejected(tmp_path):
     trace = write_trace(tmp_path, [1])
     with pytest.raises(SystemExit) as err:
@@ -314,6 +351,26 @@ def test_bayes_invalid_net_file(tmp_path, capsys):
     net.write_text("{")
     code, _, err = run_cli(["bayes", "--net", str(net), "--query", "A"], capsys)
     assert code == 1 and str(net) in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_bayes_non_finite_cpt_rejected(tmp_path, capsys, value):
+    net = tmp_path / "net.json"
+    net.write_text('{"variables": [{"name": "A", "cardinality": 2}], '
+                   f'"cpts": [{{"child": "A", "parents": [], "rows": [[{value}, 1.0]]}}]}}')
+    code, out, err = run_cli(["bayes", "--net", str(net), "--query", "A"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{net}: ") and "non-finite" in err
+    assert err.count("\n") == 1
+
+
+def test_bayes_non_utf8_net_file(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_bytes(b'{"variables": []\xff}')
+    code, out, err = run_cli(["bayes", "--net", str(net), "--query", "A"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{net}: ") and "0xff" in err
+    assert err.count("\n") == 1
 
 
 def test_bayes_missing_net_file(capsys):

@@ -8,8 +8,6 @@ from cachelab.policies import (
     ArcState,
     CacheConfig,
     CacheState,
-    access,
-    arc_access,
     make_cache,
     snapshot_lru_order,
     victim_fifo,
@@ -161,8 +159,8 @@ def test_snapshot_does_not_mutate():
 
 def test_module_level_access_function():
     cache = CacheState(CacheConfig(2, "lru"))
-    assert access(cache, 5, 0) == AccessOutcome(False, ())
-    assert access(cache, 5, 1).hit
+    assert cache.access(5, 0) == AccessOutcome(False, ())
+    assert cache.access(5, 1).hit
 
 
 def test_classical_policies_match_reference_oracle():
@@ -281,7 +279,7 @@ def test_arc_ghost_hit_unit_adaptation():
         cache.access(key, seq)
     assert list(cache.b1) == ["B"]
     assert cache.p == 0
-    out = arc_access(cache, "B", 4)
+    out = cache.access("B", 4)
     assert not out.hit
     assert cache.p == 1
     assert "B" in cache.t2
@@ -331,15 +329,14 @@ def test_make_cache_dispatch():
         CacheState(CacheConfig(2, "arc"))
 
 
-def test_entry_metadata_tracks_usage():
-    cache = CacheState(CacheConfig(2, "lru"))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_prefetched_flag_clears_on_first_demand_hit(policy):
+    cache = make_cache(CacheConfig(3, policy))
     cache.access(1, 0)
-    cache.access(1, 1)
-    meta = cache.entries[1]
-    assert meta.inserted_at == 0
-    assert meta.last_used_at == 1
-    assert meta.use_count == 2
-    assert meta.last_used_at >= meta.inserted_at
+    assert cache.insert(2, 0, True) == ()
+    assert cache.access(2, 1) == AccessOutcome(True, (), True)
+    assert cache.access(2, 2) == AccessOutcome(True, (), False)
+    assert cache.access(1, 3) == AccessOutcome(True, (), False)
 
 
 def test_lru_inclusion_after_every_prefix_vs_reference():

@@ -1,17 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cachelab.policies import POLICIES, CacheConfig, CacheState, make_cache
-from cachelab.preevict import PreEvictConfig, halfway_filter, tick_timers, wrap
+from cachelab.policies import POLICIES, CacheConfig, make_cache
+from cachelab.preevict import PreEvictConfig, wrap
 from cachelab.trace import InvalidParam
 
+from reference import ref_preevict_run
 
-def filled(capacity, keys, policy="lru"):
-    cache = CacheState(CacheConfig(capacity, policy))
+HALFWAY_1000 = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
+
+
+def holding(keys, config=HALFWAY_1000, capacity=5):
+    """A wrapped lru cache with keys placed by prefetch insertion, which never
+    applies the halfway rule."""
+    wrapped = wrap(CacheConfig(capacity, "lru"), config)
     for seq, key in enumerate(keys):
-        cache.access(key, seq)
-    return cache
+        wrapped.insert(key, seq, True)
+    return wrapped
 
 
 def test_config_validation():
@@ -24,42 +31,102 @@ def test_config_validation():
 
 
 def test_halfway_filter_clears_low_block():
-    cache = filled(5, [10, 200, 900])
-    cfg = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
-    assert halfway_filter(cache, 700, cfg) == {10, 200}
+    wrapped = holding([10, 200, 900])
+    out = wrapped.access(700, 3)
+    assert out.evicted == (10, 200)
+    assert set(wrapped.resident_keys()) == {700, 900}
+    assert wrapped.halfway_evictions == 2
 
 
 def test_halfway_filter_below_threshold_is_noop():
-    cache = filled(5, [10, 200, 900])
-    cfg = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
-    assert halfway_filter(cache, 300, cfg) == set()
+    wrapped = holding([10, 200, 900])
+    out = wrapped.access(300, 3)
+    assert not out.hit and out.evicted == ()
+    assert set(wrapped.resident_keys()) == {10, 200, 300, 900}
+    assert wrapped.halfway_evictions == 0
 
 
 def test_halfway_filter_empty_low_block():
-    cache = filled(5, [500, 600, 900])
-    cfg = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
-    assert halfway_filter(cache, 700, cfg) == set()
+    wrapped = holding([500, 600, 900])
+    out = wrapped.access(700, 3)
+    assert out.evicted == ()
+    assert wrapped.halfway_evictions == 0
 
 
 def test_halfway_filter_is_pure():
-    cache = filled(5, [10, 900])
-    cfg = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
-    halfway_filter(cache, 700, cfg)
-    assert set(cache.resident_keys()) == {10, 900}
+    # the rule only acts on a demand miss: a hit at or above halfway leaves the
+    # low block resident, and the next miss up there still clears it
+    wrapped = holding([10, 900])
+    out = wrapped.access(900, 2)
+    assert out.hit and out.evicted == ()
+    assert set(wrapped.resident_keys()) == {10, 900}
+    assert wrapped.access(700, 3).evicted == (10,)
 
 
 def test_tick_timers_decrements_and_reports_expiry():
-    cfg = PreEvictConfig(timer_enabled=True, timer_init=2)
-    cache = filled(4, [1, 2])
-    cache.entries[1].timer = 2
-    cache.entries[2].timer = 1
-    assert tick_timers(cache, cfg) == {2}
-    assert cache.entries[1].timer == 1
+    # T=2: 2 is touched one access before 1, so it runs out one access sooner
+    steps = [("access", 2), ("access", 1), ("access", 9), ("access", 9)]
+    wrapped = wrap(CacheConfig(4, "lru"), PreEvictConfig(timer_enabled=True, timer_init=2))
+    outs = [wrapped.access(key, seq) for seq, (_, key) in enumerate(steps)]
+    assert [out.evicted for out in outs] == [(), (), (2,), (1,)]
+    assert wrapped.timer_evictions == 2
+    records = ref_preevict_run(steps, 4, "lru", timer_init=2)
+    assert [r[1] for r in records] == [(), (), (2,), (1,)]
 
 
 def test_tick_timers_empty_cache():
-    cfg = PreEvictConfig(timer_enabled=True, timer_init=3)
-    assert tick_timers(CacheState(CacheConfig(2, "lru")), cfg) == set()
+    wrapped = wrap(CacheConfig(2, "lru"), PreEvictConfig(timer_enabled=True, timer_init=3))
+    out = wrapped.access(1, 0)
+    assert not out.hit and out.evicted == ()
+    assert wrapped.timer_evictions == 0
+    assert ref_preevict_run([("access", 1)], 2, "lru", timer_init=3)[0][1] == ()
+
+
+def test_timer_skips_keys_that_already_left():
+    # T=2: 1 leaves through the base policy before its timer runs out
+    wrapped = wrap(CacheConfig(1, "lru"), PreEvictConfig(timer_enabled=True, timer_init=2))
+    wrapped.access(1, 0)
+    assert wrapped.access(2, 1).evicted == (1,)
+    assert wrapped.access(3, 2).evicted == (2,)
+    assert wrapped.timer_evictions == 0
+    # T=2: the halfway rule clears 1 at tick 2; its timer would have run out at tick 3
+    both = PreEvictConfig(halfway_enabled=True, address_space_size=10,
+                          timer_enabled=True, timer_init=2)
+    wrapped = wrap(CacheConfig(4, "lru"), both)
+    wrapped.access(1, 0)
+    assert wrapped.access(7, 1).evicted == (1,)
+    assert wrapped.access(8, 2).evicted == ()
+    assert (wrapped.timer_evictions, wrapped.halfway_evictions) == (0, 1)
+
+
+def test_timer_ticks_count_accesses_not_seq():
+    # T=3 with seq jumping by 100: the timer still runs out on the third access
+    wrapped = wrap(CacheConfig(4, "lru"), PreEvictConfig(timer_enabled=True, timer_init=3))
+    wrapped.access(7, 0)
+    wrapped.access(1, 100)
+    wrapped.access(2, 200)
+    assert 7 in wrapped
+    assert 7 in wrapped.access(3, 300).evicted
+
+
+def test_prefetch_insert_sets_timer_without_ticking():
+    # T=2: inserts after the first access neither tick nor outlive its timer
+    wrapped = wrap(CacheConfig(8, "lru"), PreEvictConfig(timer_enabled=True, timer_init=2))
+    wrapped.access(1, 0)
+    for key in (15, 12, 14, 11, 13):
+        wrapped.insert(key, 0, True)
+    assert wrapped.access(2, 1).evicted == ()
+    assert wrapped.access(3, 2).evicted == (1, 11, 12, 13, 14, 15)
+    assert wrapped.timer_evictions == 6
+
+
+def test_timer_hit_requeues_key_behind_later_touches():
+    # T=3: the hit on 1 at tick 3 moves its deadline past 2's, which comes due first
+    wrapped = wrap(CacheConfig(5, "lru"), PreEvictConfig(timer_enabled=True, timer_init=3))
+    for seq, key in enumerate([1, 2, 1, 3]):
+        assert wrapped.access(key, seq).evicted == ()
+    assert wrapped.access(4, 4).evicted == (2,)
+    assert wrapped.access(5, 5).evicted == (1,)
 
 
 def test_timer_expiry_step_count():
@@ -207,3 +274,43 @@ def test_wrap_composes_with_arc():
         assert len(wrapped) <= 3
         if not out.hit and key >= 5:
             assert all(k >= 5 for k in wrapped.resident_keys())
+
+
+@st.composite
+def preevict_cases(draw):
+    """A base policy, both, one or neither pre-eviction axis, and a run of demand
+    accesses with prefetch insertions between them, at non-consecutive seqs."""
+    policy = draw(st.sampled_from(POLICIES))
+    adaptation = draw(st.sampled_from(("unit", "ratio")))
+    capacity = draw(st.integers(1, 8))
+    address_space = draw(st.none() | st.integers(2, 40))
+    timer_init = draw(st.none() | st.integers(1, 6) | st.integers(1, 40))
+    ops = st.sampled_from(("access", "access", "insert"))
+    keys = st.integers(0, draw(st.integers(1, 39)))  # a narrow range brings reuse
+    steps = draw(st.lists(st.tuples(ops, keys), max_size=150))
+    gaps = draw(st.lists(st.integers(0, 50), min_size=len(steps), max_size=len(steps)))
+    seqs = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    return policy, adaptation, capacity, address_space, timer_init, steps, seqs
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(preevict_cases())
+def test_wrapper_matches_naive_oracle_on_every_event(case):
+    policy, adaptation, capacity, address_space, timer_init, steps, seqs = case
+    config = PreEvictConfig(halfway_enabled=address_space is not None,
+                            address_space_size=address_space or 0,
+                            timer_enabled=timer_init is not None,
+                            timer_init=timer_init or 2048)
+    wrapped = wrap(CacheConfig(capacity, policy, adaptation), config)
+    records = ref_preevict_run(steps, capacity, policy, adaptation, address_space, timer_init)
+    for (op, key), seq, record in zip(steps, seqs, records):
+        hit, evicted, prefetched_hit, resident, timer_evictions, halfway_evictions = record
+        if op == "insert":
+            got = (None, () if key in wrapped else wrapped.insert(key, seq, True), False)
+        else:
+            out = wrapped.access(key, seq)
+            got = (out.hit, out.evicted, out.was_prefetched_hit)
+        assert got == (hit, evicted, prefetched_hit), (op, key, seq)
+        assert set(wrapped.resident_keys()) == resident
+        assert wrapped.timer_evictions == timer_evictions
+        assert wrapped.halfway_evictions == halfway_evictions

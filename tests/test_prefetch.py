@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,13 +9,12 @@ from cachelab.prefetch import (
     USEFUL,
     USELESS,
     MarkovPredictor,
+    PredictorConfig,
     PrefetchConfig,
     PrefetchLog,
     PrefetchStats,
     coverage,
     decide_prefetch,
-    observe,
-    predict_next,
 )
 from cachelab.trace import InvalidParam, gen_markov_trace
 
@@ -119,9 +119,17 @@ def test_predictor_is_pure_function_of_stream():
 
 def test_module_level_wrappers():
     pred = MarkovPredictor(order=1, alpha=0, min_support=0)
-    observe(pred, "A")
-    observe(pred, "B")
-    assert predict_next(pred, ("A",), 1) == [("B", 1.0)]
+    pred.observe("A")
+    pred.observe("B")
+    assert pred.predict_next(("A",), 1) == [("B", 1.0)]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": -1.0}, {"order": 3}, {"min_support": -1},
+])
+def test_predictor_config_rejects_bad_params(kwargs):
+    with pytest.raises(InvalidParam):
+        PredictorConfig(**kwargs)
 
 
 def test_predictor_param_validation():
@@ -131,6 +139,9 @@ def test_predictor_param_validation():
         MarkovPredictor(alpha=-1)
     with pytest.raises(InvalidParam):
         MarkovPredictor(min_support=-1)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(InvalidParam):
+            MarkovPredictor(alpha=alpha)
     with pytest.raises(InvalidParam):
         PrefetchConfig(top_k=0)
     with pytest.raises(InvalidParam):

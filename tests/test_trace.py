@@ -42,6 +42,14 @@ def test_parse_plain_accepts_bytes():
     assert parse_plain(b"3\n4\n").keys() == [3, 4]
 
 
+@pytest.mark.parametrize("parse", [parse_plain, parse_smpc, parse_lru_problem])
+def test_parsers_reject_non_utf8_bytes_with_line(parse):
+    with pytest.raises(MalformedLine) as err:
+        parse(b"1\n\xff\n")
+    assert err.value.line_no == 2
+    assert "0xff" in str(err.value)
+
+
 def test_parse_plain_64bit_bounds():
     top = 2**64 - 1
     assert parse_plain(f"{top}\n").keys() == [top]
