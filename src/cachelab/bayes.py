@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+ENUM_BLOCK = 4096  # most hidden completions infer_enumeration holds at once
 
 
 class BayesError(ValueError):
@@ -211,22 +212,37 @@ def _check_query(net, query_var, evidence):
     net._check_values(evidence)
     if query_var in evidence:
         raise InvalidQuery(f"query variable {query_var!r} appears in the evidence")
+    for name, value in evidence.items():  # numpy indexing would truncate 0.5 to 0
+        if not isinstance(value, (int, np.integer)):
+            raise BayesError(f"{name!r}: value {value} is not an int")
 
 
 def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarray:
-    """Sum the joint over all completions consistent with the evidence; normalize."""
+    """Sum the joint over all completions consistent with the evidence; normalize.
+    Completions go in lexicographic order, ENUM_BLOCK or fewer at a time, each the
+    product of the factors in cpt order, added one by one as a plain loop would."""
     _check_query(net, query_var, evidence)
-    hidden = [n for n in net.variables if n != query_var and n not in evidence]
-    card = net.variables[query_var].cardinality
-    totals = np.zeros(card)
-    for value in range(card):
-        assignment = dict(evidence)
-        assignment[query_var] = value
-        acc = 0.0
-        for combo in itertools.product(*(range(net.variables[h].cardinality) for h in hidden)):
-            assignment.update(zip(hidden, combo))
-            acc += joint_probability(net, assignment)
-        totals[value] = acc
+    hidden = [v for n, v in net.variables.items() if n != query_var and n not in evidence]
+    split = len(hidden)
+    while split and math.prod(v.cardinality for v in hidden[split - 1:]) <= ENUM_BLOCK:
+        split -= 1
+    outer, block_scope = hidden[:split], [net.variables[query_var]] + hidden[split:]
+    factors = []
+    for name in net.cpts:
+        f = net.factor(name)
+        for ev_name, ev_value in evidence.items():
+            f = f.restrict(ev_name, ev_value)
+        pos = [i for i, v in enumerate(outer) if v.name in f.names()]
+        factors.append((_aligned(f, [outer[i] for i in pos] + block_scope), pos))
+    shape = tuple(v.cardinality for v in block_scope)
+    totals = np.zeros(shape[0])
+    for combo in itertools.product(*(range(v.cardinality) for v in outer)):
+        block = np.ones(shape)
+        for values, pos in factors:
+            block *= values[tuple([combo[i] for i in pos])]
+        block = block.reshape(shape[0], -1)
+        block[:, 0] += totals  # carry the running total
+        totals = np.add.accumulate(block, axis=1, out=block)[:, -1]  # in order, unlike np.sum
     denom = totals.sum()
     if denom <= 0.0:
         raise ZeroEvidence("evidence has probability zero")
@@ -318,7 +334,8 @@ def markov_blanket(net: BayesNet, var: str) -> set:
 
 def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> BayesNet:
     """Count-based CPT estimation over complete assignments:
-    P(v | u) = (count(v, u) + a) / (count(u) + a * cardinality(child))."""
+    P(v | u) = (count(v, u) + a) / (count(u) + a * cardinality(child)).
+    Every data value must be an int in 0..cardinality-1."""
     if pseudocount < 0:
         raise BayesError(f"pseudocount must be >= 0, got {pseudocount}")
     variables = list(variables)
@@ -330,23 +347,29 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     for i, row in enumerate(data):
         if set(row) != names:
             raise IncompleteAssignment(f"data row {i} does not assign every variable")
+    columns = {}
+    for name, card in cards.items():
+        values = [row[name] for row in data]
+        if not set(map(type, values)) <= {int} or not all(0 <= x < card for x in set(values)):
+            for i, x in enumerate(values):  # before the cast: np.intp turns 0.5 into 0
+                if not (isinstance(x, (int, np.integer)) and 0 <= x < card):
+                    raise BayesError(
+                        f"data row {i}: {name!r} has value {x!r}, not an int in 0..{card - 1}")
+        columns[name] = np.fromiter(values, np.intp, len(values))
     cpts = []
     for v in variables:
         parents = list(structure.get(v.name, []))
-        joint = {}
-        context = {}
-        for row in data:
-            u = tuple(row[p] for p in parents)
-            joint[(u, row[v.name])] = joint.get((u, row[v.name]), 0) + 1
-            context[u] = context.get(u, 0) + 1
+        card, n_rows, cell = v.cardinality, 1, np.zeros(len(data), np.intp)
+        for p in parents:
+            cell = cell * cards[p] + columns[p]
+            n_rows *= cards[p]
+        counts = np.bincount(cell * card + columns[v.name], minlength=n_rows * card)
+        counts = counts.reshape(n_rows, card)
         rows = []
-        for u in itertools.product(*(range(cards[p]) for p in parents)):
-            denom = context.get(u, 0) + pseudocount * cards[v.name]
-            if denom == 0:
-                rows.append([1.0 / cards[v.name]] * cards[v.name])
-            else:
-                rows.append([(joint.get((u, val), 0) + pseudocount) / denom
-                             for val in range(cards[v.name])])
+        for row_counts, n in zip(counts.tolist(), counts.sum(axis=1).tolist()):
+            denom = n + pseudocount * card
+            rows.append([(c + pseudocount) / denom for c in row_counts] if denom != 0
+                        else [1.0 / card] * card)
         cpts.append(CPT(v.name, parents, rows))
     return BayesNet(variables, cpts)
 
@@ -356,22 +379,26 @@ def parse_net(text: str) -> BayesNet:
     "cpts": [{"child", "parents", "rows"}]} with rows in lexicographic parent order."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidNet(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidNet("top level must be an object")
+    for key in ("variables", "cpts"):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise InvalidNet(f"{key!r} must be a list of objects")
     variables = []
     for i, entry in enumerate(doc.get("variables", [])):
         try:
             variables.append(Variable(str(entry["name"]), int(entry["cardinality"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidNet(f"variables[{i}]: {exc}") from None
     cpts = []
     for i, entry in enumerate(doc.get("cpts", [])):
         try:
             rows = [[float(x) for x in row] for row in entry["rows"]]
             cpts.append(CPT(str(entry["child"]), [str(p) for p in entry["parents"]], rows))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidNet(f"cpts[{i}]: {exc}") from None
     return BayesNet(variables, cpts)
 

@@ -115,13 +115,10 @@ def decide_prefetch(predictions, config: PrefetchConfig, resident) -> list:
 
 
 class PrefetchRecord:
-    __slots__ = ("prefetch_id", "key", "issued_at", "victim", "outcome")
+    __slots__ = ("key", "outcome")
 
-    def __init__(self, prefetch_id, key, issued_at, victim=None):
-        self.prefetch_id = prefetch_id
+    def __init__(self, key):
         self.key = key
-        self.issued_at = issued_at
-        self.victim = victim
         self.outcome = PENDING
 
 
@@ -155,8 +152,8 @@ class PrefetchLog:
         self._pending_by_key = {}
         self._pending_by_victim = {}
 
-    def issue(self, key, seq, victim=None) -> PrefetchRecord:
-        record = PrefetchRecord(self.stats.issued, key, seq, victim)
+    def issue(self, key, victim=None) -> PrefetchRecord:
+        record = PrefetchRecord(key)
         self.stats.issued += 1
         self._pending_by_key[key] = record
         if victim is not None:

@@ -116,7 +116,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
             if prefetch_always or not hit:
                 for pk in decide_prefetch(predict(None, pcfg.top_k), pcfg, cache.entries):
                     victims = insert(pk, seq, True)
-                    issue(pk, seq, victims[0] if victims else None)
+                    issue(pk, victims[0] if victims else None)
                     evictions += len(victims)
                     for victim in victims:
                         resolve_evicted(victim)

@@ -295,3 +295,31 @@ def ref_posterior(variables, parents, cpts, query, evidence):
         totals[assignment[query]] += ref_joint(variables, parents, cpts, assignment)
     denom = sum(totals)
     return [t / denom for t in totals]
+
+
+def ref_learn_rows(variables, parents, data, pseudocount):
+    """CPT rows by counting with dicts: (count(v, u) + a) / (count(u) + a * card),
+    or the uniform row when that denominator is 0; rows in lexicographic order of
+    the parent values u.
+
+    variables: {name: cardinality}; parents: {name: [parent names]};
+    data: complete assignments as dicts. Returns {name: rows}.
+    """
+    learned = {}
+    for name, card in variables.items():
+        joint = {}
+        context = {}
+        for row in data:
+            u = tuple(row[p] for p in parents[name])
+            joint[u, row[name]] = joint.get((u, row[name]), 0) + 1
+            context[u] = context.get(u, 0) + 1
+        rows = []
+        for u in itertools.product(*(range(variables[p]) for p in parents[name])):
+            denom = context.get(u, 0) + pseudocount * card
+            if denom == 0:
+                rows.append([1.0 / card] * card)
+            else:
+                rows.append([(joint.get((u, v), 0) + pseudocount) / denom
+                             for v in range(card)])
+        learned[name] = rows
+    return learned

@@ -2,12 +2,17 @@ import itertools
 import json
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cachelab import bayes
 from cachelab.bayes import (
     CPT,
+    BayesError,
     BayesNet,
     EmptyData,
     Factor,
@@ -30,7 +35,7 @@ from cachelab.bayes import (
     value_label,
 )
 
-from reference import ref_posterior
+from reference import ref_learn_rows, ref_posterior
 
 TOL = 1e-9
 
@@ -103,6 +108,45 @@ def random_net(rng, n_vars):
     cpts = [CPT(name, parents[name], [dist() for _ in range(2 ** len(parents[name]))])
             for name in names]
     return BayesNet([Variable(n, 2) for n in names], cpts)
+
+
+@st.composite
+def structures(draw, max_vars):
+    """Variable cardinalities 2-4 and up to three earlier parents per variable."""
+    names = [f"V{i}" for i in range(draw(st.integers(1, max_vars)))]
+    cards = {name: draw(st.integers(2, 4)) for name in names}
+    parents = {name: draw(st.lists(st.sampled_from(names[:i]), max_size=3, unique=True))
+               if i else [] for i, name in enumerate(names)}
+    return cards, parents
+
+
+@st.composite
+def queries(draw):
+    """A net with CPTs in variable order (small integer weights, zeros included),
+    a query variable and random evidence."""
+    cards, parents = draw(structures(5))
+    rows = {}
+    for name, card in cards.items():
+        rows[name] = []
+        for _ in range(math.prod(cards[p] for p in parents[name])):
+            weights = draw(st.lists(st.integers(0, 9), min_size=card, max_size=card)
+                           .filter(any))
+            rows[name].append([w / sum(weights) for w in weights])
+    names = list(cards)
+    query = draw(st.sampled_from(names))
+    others = [n for n in names if n != query]
+    observed = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    evidence = {n: draw(st.integers(0, cards[n] - 1)) for n in observed}
+    return cards, parents, rows, query, evidence
+
+
+@st.composite
+def learning_cases(draw):
+    cards, parents = draw(structures(4))
+    data = draw(st.lists(st.fixed_dictionaries(
+        {name: st.integers(0, card - 1) for name, card in cards.items()}), max_size=40))
+    pseudocount = draw(st.sampled_from([0, 1, 0.5, 2.25]))
+    return cards, parents, data, pseudocount
 
 
 # --- construction and validation ---
@@ -225,9 +269,50 @@ def test_enumeration_zero_evidence():
         infer_enumeration(net, "B", {"A": 1})
 
 
+@pytest.mark.parametrize("infer", [infer_enumeration, infer_variable_elimination])
+def test_fractional_evidence_rejected(infer):
+    # numpy indexing would truncate 0.5 to 0 and answer for WetGrass=T
+    with pytest.raises(BayesError, match="'WetGrass': value 0.5 is not an int"):
+        infer(sprinkler(), "Rain", {"WetGrass": 0.5})
+
+
 def test_query_in_evidence_rejected():
     with pytest.raises(InvalidQuery):
         infer_enumeration(sprinkler(), "Rain", {"Rain": 0})
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 5])
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=queries())
+def test_enumeration_equals_oracle_bit_for_bit(block, case):
+    # blocks of 1, 2 and 5 completions carry the running total across many blocks
+    cards, parents, rows, query, evidence = case
+    net = BayesNet([Variable(n, c) for n, c in cards.items()],
+                   [CPT(n, parents[n], rows[n]) for n in cards])
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(bayes, "ENUM_BLOCK", block)
+        try:
+            got = infer_enumeration(net, query, evidence).tolist()
+        except ZeroEvidence:
+            with pytest.raises(ZeroDivisionError):
+                ref_posterior(cards, parents, rows, query, evidence)
+            return
+    assert got == ref_posterior(cards, parents, rows, query, evidence)
+
+
+def test_enumeration_memory_is_bounded_by_the_block():
+    # 20 binary variables and no evidence: 2^20 joint entries (8 MiB as floats),
+    # summed ENUM_BLOCK completions at a time
+    net = random_net(random.Random(20), 20)
+    tracemalloc.start()
+    try:
+        dist = infer_enumeration(net, "V0", {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert np.allclose(dist, infer_variable_elimination(net, "V0", {}), atol=TOL)
 
 
 # --- factors and elimination ---
@@ -416,6 +501,26 @@ def test_learn_incomplete_row():
                    [{"A": 0}], pseudocount=1)
 
 
+@pytest.mark.parametrize("value", [2, -1, 0.5, 1.0, "1"])
+def test_learn_rejects_bad_data_values(value):
+    # out of range, negative, fractional, integral float, string
+    with pytest.raises(BayesError, match=re.escape(
+            f"data row 1: 'B' has value {value!r}, not an int in 0..1")):
+        learn_cpts([Variable("A", 2), Variable("B", 2)], {"A": [], "B": ["A"]},
+                   [{"A": 0, "B": 1}, {"A": 1, "B": value}], pseudocount=1)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=learning_cases())
+def test_learned_rows_equal_dict_counting_oracle(case):
+    cards, parents, data, pseudocount = case
+    if not data and pseudocount == 0:
+        return
+    net = learn_cpts([Variable(n, c) for n, c in cards.items()], parents, data, pseudocount)
+    learned = {name: cpt.rows for name, cpt in net.cpts.items()}
+    assert learned == ref_learn_rows(cards, parents, data, pseudocount)
+
+
 def test_learn_recovers_known_two_variable_net():
     rng = np.random.default_rng(7)
     p_a = [0.3, 0.7]
@@ -479,6 +584,44 @@ def test_parse_net_diagnostics():
             "cpts": [{"child": "A", "parents": [], "rows": [[0.7, 0.7]]}],
         }))
     assert "row 0" in str(err.value)
+
+
+NET_KEYS = ["variables", "cpts", "name", "cardinality", "child", "parents", "rows"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(NET_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=20)
+NEAR_NETS = st.fixed_dictionaries({
+    "variables": st.lists(st.fixed_dictionaries({
+        "name": st.sampled_from("AB"), "cardinality": st.integers(1, 3) | JSON_VALUES})),
+    "cpts": st.lists(st.fixed_dictionaries({
+        "child": st.sampled_from("AB"),
+        "parents": st.lists(st.sampled_from("AB"), max_size=2) | JSON_VALUES,
+        "rows": st.lists(st.lists(st.floats(0, 1), max_size=3), max_size=3) | JSON_VALUES})),
+})
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(doc=JSON_VALUES | NEAR_NETS)
+def test_parse_net_raises_only_invalid_net(doc):
+    try:
+        parse_net(json.dumps(doc))
+    except InvalidNet:
+        pass
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=64) | (JSON_VALUES | NEAR_NETS).map(
+    lambda doc: json.dumps(doc).encode()))
+def test_load_net_raises_only_invalid_net(tmp_path, data):
+    path = tmp_path / "net.json"
+    path.write_bytes(data)
+    try:
+        load_net(path)
+    except InvalidNet:
+        pass
 
 
 def test_value_labels():

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,24 @@ def test_bayes_non_finite_cpt_rejected(tmp_path, capsys, value):
     code, out, err = run_cli(["bayes", "--net", str(net), "--query", "A"], capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"{net}: ") and "non-finite" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"variables": 5}, "'variables' must be a list of objects"),
+    ({"variables": [], "cpts": 3}, "'cpts' must be a list of objects"),
+    ({"variables": ["A"]}, "'variables' must be a list of objects"),
+    ({"variables": [{"name": "A", "cardinality": 2}], "cpts": [[0.5, 0.5]]},
+     "'cpts' must be a list of objects"),
+    ({"variables": [{"name": "A", "cardinality": math.inf}]}, "variables[0]: "),
+], ids=["variables-int", "cpts-int", "variable-entry-str", "cpt-entry-list",
+        "cardinality-inf"])
+def test_bayes_malformed_net_one_line_diagnostic(tmp_path, capsys, doc, message):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    code, out, err = run_cli(["bayes", "--net", str(net), "--query", "A"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{net}: {message}")
     assert err.count("\n") == 1
 
 

@@ -283,6 +283,12 @@ def test_arc_ghost_hit_unit_adaptation():
     assert not out.hit
     assert cache.p == 1
     assert "B" in cache.t2
+    # The chosen ARC variant: B raised p to 1 == |t1|, and the full cache took the
+    # t1 LRU (C), as it does whenever |t1| >= max(1, p). Megiddo & Modha's REPLACE
+    # (FAST '03) takes t1 only if |t1| > p, or |t1| == p and the key is in b2; B
+    # came from b1, so it would have taken the t2 LRU (A).
+    assert out.evicted == ("C",)
+    assert (list(cache.t1), list(cache.t2), list(cache.b1)) == ([], ["A", "B"], ["C"])
 
 
 def test_arc_hit_in_t1_promotes_to_t2():

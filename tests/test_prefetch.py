@@ -168,7 +168,7 @@ def test_decide_prefetch_top_k_cap():
 
 def test_record_useful_on_demand_hit():
     log = PrefetchLog()
-    record = log.issue("K", 5, victim=None)
+    record = log.issue("K", victim=None)
     assert record.outcome == PENDING
     log.demand_hit("K")
     assert record.outcome == USEFUL
@@ -177,7 +177,7 @@ def test_record_useful_on_demand_hit():
 
 def test_record_useless_on_untouched_eviction():
     log = PrefetchLog()
-    record = log.issue("K", 5, victim="V")
+    record = log.issue("K", victim="V")
     log.evicted("K")
     assert record.outcome == USELESS
     log.demand_hit("K")  # too late: already resolved
@@ -187,7 +187,7 @@ def test_record_useless_on_untouched_eviction():
 
 def test_record_harmful_on_victim_miss():
     log = PrefetchLog()
-    record = log.issue("K", 5, victim="V")
+    record = log.issue("K", victim="V")
     log.demand_miss("V")
     assert record.outcome == HARMFUL
     assert log.stats.harmful == 1
@@ -196,7 +196,7 @@ def test_record_harmful_on_victim_miss():
 
 def test_harmful_requires_pending():
     log = PrefetchLog()
-    record = log.issue("K", 5, victim="V")
+    record = log.issue("K", victim="V")
     log.demand_hit("K")
     log.demand_miss("V")
     assert record.outcome == USEFUL
@@ -205,7 +205,7 @@ def test_harmful_requires_pending():
 
 def test_each_record_resolves_exactly_once():
     log = PrefetchLog()
-    record = log.issue("K", 0, victim="V")
+    record = log.issue("K", victim="V")
     log.demand_miss("V")
     log.evicted("K")
     log.demand_hit("K")
@@ -215,8 +215,8 @@ def test_each_record_resolves_exactly_once():
 
 def test_finalize_resolves_pending_as_useless():
     log = PrefetchLog()
-    a = log.issue("A", 0)
-    b = log.issue("B", 1)
+    a = log.issue("A")
+    b = log.issue("B")
     log.demand_hit("A")
     log.finalize()
     assert a.outcome == USEFUL and b.outcome == USELESS
@@ -227,9 +227,9 @@ def test_finalize_resolves_pending_as_useless():
 
 def test_reissue_after_eviction_gets_fresh_record():
     log = PrefetchLog()
-    first = log.issue("K", 0)
+    first = log.issue("K")
     log.evicted("K")
-    second = log.issue("K", 7)
+    second = log.issue("K")
     log.demand_hit("K")
     assert first.outcome == USELESS and second.outcome == USEFUL
     assert log.stats.issued == 2
@@ -237,8 +237,8 @@ def test_reissue_after_eviction_gets_fresh_record():
 
 def test_two_pending_records_sharing_victim_both_harmful():
     log = PrefetchLog()
-    a = log.issue("K1", 0, victim="V")
-    b = log.issue("K2", 1, victim="V")
+    a = log.issue("K1", victim="V")
+    b = log.issue("K2", victim="V")
     log.demand_miss("V")
     assert a.outcome == HARMFUL and b.outcome == HARMFUL
     assert log.stats.harmful == 2
@@ -246,9 +246,9 @@ def test_two_pending_records_sharing_victim_both_harmful():
 
 def test_only_pending_records_sharing_a_victim_turn_harmful():
     log = PrefetchLog()
-    a = log.issue("K1", 0, victim="V")
-    b = log.issue("K2", 1, victim="V")
-    c = log.issue("K3", 2, victim="V")
+    a = log.issue("K1", victim="V")
+    b = log.issue("K2", victim="V")
+    c = log.issue("K3", victim="V")
     log.demand_hit("K2")
     log.evicted("K3")
     log.demand_miss("V")
