@@ -343,6 +343,10 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     data = list(data)
     if not data and pseudocount == 0:
         raise EmptyData("no data and no pseudocount: rows are undefined")
+    for v in variables:
+        for p in structure.get(v.name, []):
+            if p not in cards:
+                raise BayesError(f"cpt {v.name!r}: unknown parent {p!r}")
     names = set(cards)
     for i, row in enumerate(data):
         if set(row) != names:
@@ -390,14 +394,20 @@ def parse_net(text: str) -> BayesNet:
     variables = []
     for i, entry in enumerate(doc.get("variables", [])):
         try:
-            variables.append(Variable(str(entry["name"]), int(entry["cardinality"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            card = entry["cardinality"]
+            if type(card) is not int:  # not int(): 2.7 would pass as 2, true as 1
+                raise TypeError(f"cardinality must be an int, got {card!r}")
+            variables.append(Variable(str(entry["name"]), card))
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNet(f"variables[{i}]: {exc}") from None
     cpts = []
     for i, entry in enumerate(doc.get("cpts", [])):
         try:
             rows = [[float(x) for x in row] for row in entry["rows"]]
-            cpts.append(CPT(str(entry["child"]), [str(p) for p in entry["parents"]], rows))
+            parents = entry["parents"]
+            if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
+                raise TypeError(f"parents must be a list of strings, got {parents!r}")
+            cpts.append(CPT(str(entry["child"]), parents, rows))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidNet(f"cpts[{i}]: {exc}") from None
     return BayesNet(variables, cpts)

@@ -246,13 +246,9 @@ def cmd_lru_sim(parser, args):
     for number, case in enumerate(cases, start=1):
         out.write(f"Simulation {number}\n")
         cache = CacheState(CacheConfig(case.capacity, "lru"))
-        seq = 0
-        for ch in case.script:
-            if ch == "!":
-                out.write("".join(key_letter(k) for k in snapshot_lru_order(cache)) + "\n")
-            else:
-                cache.access(letter_key(ch), seq)
-                seq += 1
+        for accesses in case.script.split("!")[:-1]:  # letters after the last '!' print nothing
+            cache.replay(map(letter_key, accesses))
+            out.write("".join(map(key_letter, snapshot_lru_order(cache))) + "\n")
     return 0
 
 

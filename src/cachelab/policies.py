@@ -76,6 +76,32 @@ class CacheState:
             return PREFETCHED_HIT
         return HIT
 
+    def replay(self, keys) -> tuple:
+        """Demand-access every key in order, leaving the state that one access per
+        key would leave; returns (hits, evictions). access and insert are inlined."""
+        entries = self.entries
+        get, popitem = entries.get, entries.popitem
+        move_to_end = entries.move_to_end if self._by_recency else None
+        victim_last = self._victim_last
+        room = self.capacity - len(entries)  # a full cache stays full: keys leave as victims
+        hits = evictions = 0
+        for key in keys:
+            prefetched = get(key)
+            if prefetched is None:
+                if room:
+                    room -= 1
+                else:
+                    popitem(victim_last)
+                    evictions += 1
+            else:
+                hits += 1
+                if move_to_end:
+                    move_to_end(key)
+                if not prefetched:
+                    continue
+            entries[key] = False
+        return hits, evictions
+
     def insert(self, key, seq, prefetched=False) -> tuple:
         """Insertion path shared by demand misses and prefetches; returns evicted keys."""
         entries = self.entries
@@ -146,6 +172,25 @@ class ArcState:
             return PREFETCHED_HIT
         return HIT
 
+    def replay(self, keys) -> tuple:
+        """Demand-access every key in order, leaving the state that one access per
+        key would leave; returns (hits, evictions). Misses go through insert."""
+        entries, t1, t2 = self.entries, self.t1, self.t2
+        get, insert, move_to_end = entries.get, self.insert, t2.move_to_end
+        hits = evictions = 0
+        for key in keys:
+            prefetched = get(key)
+            if prefetched is None:
+                evictions += len(insert(key, None))
+                continue
+            hits += 1
+            t1.pop(key, None)  # a hit in t1 or in t2 puts the key at the MRU end of t2
+            t2[key] = None
+            move_to_end(key)
+            if prefetched:
+                entries[key] = False
+        return hits, evictions
+
     def insert(self, key, seq, prefetched=False) -> tuple:
         """Miss-path insertion: ghost recall with adaptation, or cold insert at t1 MRU."""
         cap = self.capacity
@@ -169,19 +214,19 @@ class ArcState:
         else:
             if len(t1) + len(b1) == cap:
                 if len(t1) < cap:
-                    b1.popitem(last=False)
+                    b1.popitem(False)
                     if full:
                         evicted = (self._replace(),)
                 else:
                     # b1 empty, t1 full: the t1 LRU falls out of the directory entirely
-                    old, _ = t1.popitem(last=False)
+                    old, _ = t1.popitem(False)
                     del self.entries[old]
                     evicted = (old,)
             else:
                 total = len(t1) + len(self.t2) + len(b1) + len(b2)
                 if total >= cap:
                     if total >= 2 * cap:
-                        b2.popitem(last=False)
+                        b2.popitem(False)
                     if full:
                         evicted = (self._replace(),)
             t1[key] = None
@@ -191,10 +236,10 @@ class ArcState:
     def _replace(self):
         t1 = self.t1
         if t1 and len(t1) >= self.p:
-            victim, _ = t1.popitem(last=False)
+            victim, _ = t1.popitem(False)
             self.b1[victim] = None
         else:
-            victim, _ = self.t2.popitem(last=False)
+            victim, _ = self.t2.popitem(False)
             self.b2[victim] = None
         del self.entries[victim]
         return victim

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 from .policies import CacheConfig, make_cache
 from .preevict import PreEvictConfig, PreEvictingCache
@@ -63,7 +64,8 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
     (halfway filter then base policy on a miss), then prefetch decide/insert.
     Prefetch outcomes resolve as their events occur, a demand miss ahead of the
     same access's evictions, so a victim re-request beats the eviction of the
-    entry that displaced it. Deterministic for identical inputs.
+    entry that displaced it. A plain config (no prefetch, no enabled pre-eviction)
+    replays the key column inside the policy. Deterministic for identical inputs.
     """
     cache = make_cache(config.cache)
     wrapper = None
@@ -84,42 +86,46 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
         prefetch_always = pcfg.trigger == ON_EVERY_ACCESS
         insert = front.insert
 
-    hits = 0
-    misses = 0
-    compulsory = 0
-    evictions = 0
-    seen = set()
-    access = front.access
-
-    for seq, event in enumerate(trace.events):
-        key = event.key
-        if prefetching:
-            observe(key)
-        hit, evicted, prefetched_hit = access(key, seq)
-        if hit:
-            hits += 1
-        else:
-            misses += 1
-            if key not in seen:
-                compulsory += 1
+    if wrapper is None and not prefetching:
+        # only a demand miss inserts here, so every first access misses
+        keys = list(map(itemgetter(1), trace.events))
+        hits, evictions = cache.replay(keys)
+        misses = len(keys) - hits
+        compulsory = distinct = len(set(keys))
+    else:
+        hits = misses = compulsory = evictions = 0
+        seen = set()
+        access = front.access
+        for seq, event in enumerate(trace.events):
+            key = event.key
             if prefetching:
-                demand_miss(key)
-        seen.add(key)
-        if evicted:
-            evictions += len(evicted)
-            if prefetching:
-                for victim in evicted:
-                    resolve_evicted(victim)
-        if prefetching:
-            if prefetched_hit:
-                demand_hit(key)
-            if prefetch_always or not hit:
-                for pk in decide_prefetch(predict(None, pcfg.top_k), pcfg, cache.entries):
-                    victims = insert(pk, seq, True)
-                    issue(pk, victims[0] if victims else None)
-                    evictions += len(victims)
-                    for victim in victims:
+                observe(key)
+            hit, evicted, prefetched_hit = access(key, seq)
+            if hit:
+                hits += 1
+            else:
+                misses += 1
+                if key not in seen:
+                    compulsory += 1
+                if prefetching:
+                    demand_miss(key)
+            seen.add(key)
+            if evicted:
+                evictions += len(evicted)
+                if prefetching:
+                    for victim in evicted:
                         resolve_evicted(victim)
+            if prefetching:
+                if prefetched_hit:
+                    demand_hit(key)
+                if prefetch_always or not hit:
+                    for pk in decide_prefetch(predict(None, pcfg.top_k), pcfg, cache.entries):
+                        victims = insert(pk, seq, True)
+                        issue(pk, victims[0] if victims else None)
+                        evictions += len(victims)
+                        for victim in victims:
+                            resolve_evicted(victim)
+        distinct = len(seen)
 
     stats = PrefetchStats()
     if prefetching:
@@ -142,7 +148,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
         prefetch_harmful=stats.harmful,
         prefetch_coverage=coverage(stats),
         hit_ratio=hits / accesses if accesses else 0.0,
-        distinct_keys=len(seen),
+        distinct_keys=distinct,
     )
 
 

@@ -1,7 +1,7 @@
 """Access-trace parsing, emission, and seeded synthetic workload generation."""
 
 import enum
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -70,6 +70,12 @@ def _as_text(data: Union[str, bytes]) -> str:
     return data
 
 
+def _events(keys) -> list:
+    """TraceEvents numbered from 0, built in C without TraceEvent's Python __new__."""
+    return list(map(tuple.__new__, repeat(TraceEvent), zip(count(), keys,
+                                                            repeat(Op.UNSPECIFIED))))
+
+
 def _parse_key(token: str) -> int:
     if token[:2].lower() == "0x":
         value = int(token, 16)
@@ -82,17 +88,24 @@ def _parse_key(token: str) -> int:
 
 def parse_plain(text: Union[str, bytes]) -> Trace:
     """One key per line, decimal or 0x-hex; '#' comments and blank lines allowed."""
-    events = []
-    for line_no, line in enumerate(_as_text(text).splitlines(), start=1):
+    text = _as_text(text)
+    try:  # the bulk path: int(t) takes exactly the tokens int(t, 10) takes
+        keys = [int(t) for t in map(str.strip, text.splitlines()) if t and t[0] != "#"]
+        if not keys or 0 <= min(keys) and max(keys) <= MAX_KEY:
+            return Trace(_events(keys), source="plain")
+    except ValueError:
+        pass
+    # hex keys and bad lines go line by line, which names the first bad line
+    keys = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
         if not token or token.startswith("#"):
             continue
         try:
-            key = _parse_key(token)
+            keys.append(_parse_key(token))
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad key {token!r}: {exc}") from None
-        events.append(TraceEvent(len(events), key))
-    return Trace(events, source="plain")
+    return Trace(_events(keys), source="plain")
 
 
 def parse_smpc(text: Union[str, bytes]) -> Trace:
@@ -177,7 +190,4 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     for f, j in zip(follow, jumps):
         state = (state + 1) % num_keys if f else int(j)
         keys.append(state)
-    # tuple.__new__ builds the events in C, without TraceEvent's Python-level __new__
-    events = list(map(tuple.__new__, repeat(TraceEvent), zip(range(length), keys,
-                                                             repeat(Op.UNSPECIFIED))))
-    return Trace(events, source="synthetic")
+    return Trace(_events(keys), source="synthetic")

@@ -323,3 +323,34 @@ def ref_learn_rows(variables, parents, data, pseudocount):
                              for v in range(card)])
         learned[name] = rows
     return learned
+
+
+def ref_parse_plain(data):
+    """Read a plain trace line by line: one key per line, decimal or hex after
+    "0x"/"0X", each in 0..2**64-1; blank lines and lines starting with "#" skip.
+
+    Lines are those of str.splitlines, stripped of whitespace. Bytes must be
+    UTF-8; the line of an undecodable byte counts only the b"\\n" before it.
+    Returns ("ok", keys), or ("bad", line number) for the first bad line.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return "bad", data[:exc.start].count(b"\n") + 1
+    keys = []
+    line_no = 0
+    for line in data.splitlines():
+        line_no += 1
+        token = line.strip()
+        if token == "" or token[0] == "#":
+            continue
+        base = 16 if token[:2] in ("0x", "0X") else 10
+        try:
+            key = int(token, base)
+        except ValueError:
+            return "bad", line_no
+        if key < 0 or key >= 2**64:
+            return "bad", line_no
+        keys.append(key)
+    return "ok", keys

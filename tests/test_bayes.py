@@ -501,6 +501,11 @@ def test_learn_incomplete_row():
                    [{"A": 0}], pseudocount=1)
 
 
+def test_learn_rejects_unknown_parent():
+    with pytest.raises(BayesError, match=re.escape("cpt 'A': unknown parent 'Z'")):
+        learn_cpts([Variable("A", 2)], {"A": ["Z"]}, [{"A": 0}], 1)
+
+
 @pytest.mark.parametrize("value", [2, -1, 0.5, 1.0, "1"])
 def test_learn_rejects_bad_data_values(value):
     # out of range, negative, fractional, integral float, string
@@ -584,6 +589,21 @@ def test_parse_net_diagnostics():
             "cpts": [{"child": "A", "parents": [], "rows": [[0.7, 0.7]]}],
         }))
     assert "row 0" in str(err.value)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"variables": [{"name": "A", "cardinality": 2.7}]},
+     "variables[0]: cardinality must be an int, got 2.7"),
+    ({"variables": [{"name": n, "cardinality": 2} for n in "ABC"],
+      "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
+               {"child": "B", "parents": [], "rows": [[0.5, 0.5]]},
+               {"child": "C", "parents": "AB", "rows": [[0.5, 0.5]] * 4}]},
+     "cpts[2]: parents must be a list of strings, got 'AB'"),
+], ids=["cardinality-float", "parents-str"])
+def test_parse_net_rejects_fields_it_would_reshape(doc, message):
+    # int() would read 2.7 as 2, and iterating "AB" would give the parents A and B
+    with pytest.raises(InvalidNet, match=re.escape(message)):
+        parse_net(json.dumps(doc))
 
 
 NET_KEYS = ["variables", "cpts", "name", "cardinality", "child", "parents", "rows"]

@@ -372,8 +372,14 @@ def test_bayes_non_finite_cpt_rejected(tmp_path, capsys, value):
     ({"variables": [{"name": "A", "cardinality": 2}], "cpts": [[0.5, 0.5]]},
      "'cpts' must be a list of objects"),
     ({"variables": [{"name": "A", "cardinality": math.inf}]}, "variables[0]: "),
+    ({"variables": [{"name": "A", "cardinality": 2.7}]},
+     "variables[0]: cardinality must be an int, got 2.7"),
+    ({"variables": [{"name": n, "cardinality": 2} for n in "AB"],
+      "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
+               {"child": "B", "parents": "A", "rows": [[0.5, 0.5]] * 2}]},
+     "cpts[1]: parents must be a list of strings, got 'A'"),
 ], ids=["variables-int", "cpts-int", "variable-entry-str", "cpt-entry-list",
-        "cardinality-inf"])
+        "cardinality-inf", "cardinality-float", "parents-str"])
 def test_bayes_malformed_net_one_line_diagnostic(tmp_path, capsys, doc, message):
     net = tmp_path / "net.json"
     net.write_text(json.dumps(doc))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab.policies import (
     POLICIES,
@@ -352,3 +353,39 @@ def test_lru_inclusion_after_every_prefix_vs_reference():
     for seq, key in enumerate(keys):
         cache.access(key, seq)
         assert snapshot_lru_order(cache) == ref_lru_order(keys[: seq + 1], 5)
+
+
+def book(cache):
+    """Everything replay must leave as stepped access would: the entries in order
+    with their prefetched flags and, for arc, the four lists and p."""
+    state = list(cache.entries.items())
+    if isinstance(cache, ArcState):
+        return state, list(cache.t1), list(cache.t2), list(cache.b1), list(cache.b2), cache.p
+    return state
+
+
+@st.composite
+def replay_cases(draw):
+    """A cache config, keys to insert as prefetched first, and a demand key run."""
+    policy = draw(st.sampled_from(POLICIES))
+    adaptation = draw(st.sampled_from(("unit", "ratio")))
+    capacity = draw(st.integers(1, 8))
+    keys = st.integers(0, draw(st.integers(1, 20)))  # a narrow range brings reuse
+    return (CacheConfig(capacity, policy, adaptation), draw(st.lists(keys, max_size=5)),
+            draw(st.lists(keys, max_size=120)))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(replay_cases())
+def test_replay_equals_stepped_access(case):
+    config, prefetched, keys = case
+    replayed, stepped = make_cache(config), make_cache(config)
+    for cache in (replayed, stepped):
+        for seq, key in enumerate(prefetched):
+            if key not in cache:
+                cache.insert(key, seq, True)
+    outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
+    hits = sum(out.hit for out in outs)
+    evictions = sum(len(out.evicted) for out in outs)
+    assert replayed.replay(keys) == (hits, evictions)
+    assert book(replayed) == book(stepped)

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab.policies import POLICIES, CacheConfig
 from cachelab.preevict import PreEvictConfig
@@ -17,6 +19,8 @@ from cachelab.simkit import (
     run_sim,
 )
 from cachelab.trace import Trace, TraceEvent, gen_markov_trace, parse_plain
+
+from reference import ref_arc_run, ref_policy_run
 
 REF_12 = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
 REF_20 = [7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1]
@@ -249,3 +253,30 @@ def test_run_sim_accepts_parsed_trace():
     trace = parse_plain("1\n2\n3\n1\n")
     report = run_sim(trace, lru(2))
     assert report.accesses == 4
+
+
+@st.composite
+def plain_runs(draw):
+    policy = draw(st.sampled_from(POLICIES))
+    adaptation = draw(st.sampled_from(("unit", "ratio")))
+    capacity = draw(st.integers(1, 8))
+    keys = draw(st.lists(st.integers(0, draw(st.integers(1, 20))), max_size=150))
+    return CacheConfig(capacity, policy, adaptation), keys
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(plain_runs())
+def test_plain_report_equals_per_event_loop_and_oracles(case):
+    cache, keys = case
+    trace = as_trace(keys)
+    plain = run_sim(trace, RunConfig(cache=cache, label="plain"))
+    # a timer that never runs out sends the same run through the per-event loop
+    inert = PreEvictConfig(timer_enabled=True, timer_init=len(trace) + 1)
+    stepped = run_sim(trace, RunConfig(cache=cache, pre=inert, label="stepped"))
+    assert dataclasses.replace(plain, label="stepped") == stepped
+    if cache.policy == "arc":
+        hits, misses = ref_arc_run(keys, cache.capacity, cache.arc_adaptation)[:2]
+    else:
+        hits, misses = ref_policy_run(keys, cache.capacity, cache.policy)[:2]
+    assert (plain.demand_hits, plain.demand_misses) == (hits, misses)
+    assert plain.compulsory_misses == plain.distinct_keys == len(set(keys))

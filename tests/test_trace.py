@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab.trace import (
+    MAX_KEY,
     InvalidParam,
     LruCase,
     MalformedCase,
     MalformedLine,
     Op,
+    TraceError,
     TraceEvent,
     emit_plain,
     gen_markov_trace,
@@ -17,6 +20,8 @@ from cachelab.trace import (
     parse_plain,
     parse_smpc,
 )
+
+from reference import ref_parse_plain
 
 
 def test_parse_plain_reference_string():
@@ -63,6 +68,44 @@ def test_parse_plain_malformed(text, line):
     with pytest.raises(MalformedLine) as err:
         parse_plain(text)
     assert err.value.line_no == line
+
+
+# Pieces of plain-trace text: digits, base prefixes and letters, signs, separators,
+# line breaks, non-ASCII digits, keys at and past the 64-bit bounds, and a token
+# over int()'s 4,300-digit limit.
+TEXT_PIECES = st.sampled_from([
+    *"0123456789", "0x", "0X", "0o", "a", "b", "F", "#", "_", "+", "-", " ", "\t", "\r", "\n",
+    "\r\n", "\u0663", "\uff17", "\u0e52", "0", str(MAX_KEY), str(MAX_KEY + 1),
+    hex(MAX_KEY), "9" * 4301, "\n1\n",
+])
+TRACE_TEXT = st.lists(TEXT_PIECES, max_size=40).map("".join)
+TRACE_BYTES = st.binary(max_size=64) | st.lists(
+    TRACE_TEXT.map(str.encode) | st.binary(max_size=3), max_size=4).map(b"".join)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(data=TRACE_TEXT | TRACE_BYTES)
+def test_parse_plain_matches_naive_oracle(data):
+    expected = ref_parse_plain(data)
+    try:
+        trace = parse_plain(data)
+    except MalformedLine as exc:
+        assert expected == ("bad", exc.line_no)
+    else:
+        assert expected == ("ok", trace.keys())
+        assert trace.events == [TraceEvent(i, k) for i, k in enumerate(trace.keys())]
+
+
+@pytest.mark.parametrize("parse", [parse_smpc, parse_lru_problem])
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=TRACE_TEXT | TRACE_BYTES | st.lists(
+    st.sampled_from(["0 ", "2 ", "3 ", "4 ", "ABC!", "!", "Z", "0\n", "1 "]) | TEXT_PIECES,
+    max_size=30).map("".join))
+def test_other_parsers_raise_only_trace_errors(parse, data):
+    try:
+        parse(data)
+    except TraceError:  # MalformedLine and MalformedCase are TraceErrors
+        pass
 
 
 def test_parse_smpc_field_mapping():
