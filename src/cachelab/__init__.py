@@ -25,13 +25,8 @@ from .policies import (
     CacheConfig,
     CacheState,
     make_cache,
-    snapshot_lru_order,
-    victim_fifo,
-    victim_lifo,
-    victim_lru,
-    victim_mru,
 )
-from .preevict import PreEvictConfig, PreEvictingCache, wrap
+from .preevict import PreEvictConfig, PreEvictingCache
 from .prefetch import (
     MarkovPredictor,
     PredictorConfig,

@@ -344,7 +344,10 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     if not data and pseudocount == 0:
         raise EmptyData("no data and no pseudocount: rows are undefined")
     for v in variables:
-        for p in structure.get(v.name, []):
+        parents = structure.get(v.name, [])
+        if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
+            raise BayesError(f"cpt {v.name!r}: parents must be a list of strings, got {parents!r}")
+        for p in parents:
             if p not in cards:
                 raise BayesError(f"cpt {v.name!r}: unknown parent {p!r}")
     names = set(cards)

@@ -8,10 +8,10 @@ import math
 import sys
 
 from . import bayes
-from .policies import POLICIES, CacheConfig, CacheState, snapshot_lru_order
+from .policies import POLICIES, CacheConfig, CacheState
 from .preevict import PreEvictConfig
 from .prefetch import PredictorConfig, PrefetchConfig
-from .simkit import DuplicateLabel, RunConfig, compare, emit_report, run_sim
+from .simkit import DuplicateLabel, RunConfig, compare, emit_report
 from .trace import (
     InvalidParam,
     MalformedCase,
@@ -145,33 +145,17 @@ def _prefetch_config(parser, args):
 
 
 def _resolve_capacity(token, n):
+    if n < 1:
+        raise InvalidParam(f"cannot resolve {token!r} against an empty trace")
     if token == "log":
-        if n < 1:
-            raise InvalidParam("cannot resolve 'log' against an empty trace")
         return max(1, int(math.log10(n) + 0.5))
-    if token == "sqrt":
-        if n < 1:
-            raise InvalidParam("cannot resolve 'sqrt' against an empty trace")
-        return max(1, int(math.sqrt(n) + 0.5))
-    return token
+    return max(1, int(math.sqrt(n) + 0.5))
 
 
 def cmd_run(parser, args):
-    try:
-        trace = _load_trace(args)
-    except OSError as exc:
-        return _fail(f"{args.trace}: {exc.strerror or exc}")
-    except MalformedLine as exc:
-        return _fail(f"{args.trace}:{exc.line_no}: {exc}")
-    pre = _pre_config(parser, args)
-    prefetch, predictor = _prefetch_config(parser, args)
-    config = RunConfig(
-        cache=CacheConfig(args.capacity, args.policy, args.arc_adaptation),
-        pre=pre, prefetch=prefetch, predictor=predictor,
-        label=f"{args.policy}@{args.capacity}",
-    )
-    sys.stdout.write(emit_report([run_sim(trace, config)], args.out))
-    return 0
+    """One policy at one capacity: the compare of a single configuration."""
+    args.policies, args.capacities = args.policy, str(args.capacity)
+    return cmd_compare(parser, args)
 
 
 def cmd_compare(parser, args):
@@ -248,7 +232,7 @@ def cmd_lru_sim(parser, args):
         cache = CacheState(CacheConfig(case.capacity, "lru"))
         for accesses in case.script.split("!")[:-1]:  # letters after the last '!' print nothing
             cache.replay(map(letter_key, accesses))
-            out.write("".join(map(key_letter, snapshot_lru_order(cache))) + "\n")
+            out.write("".join(map(key_letter, cache.entries)) + "\n")
     return 0
 
 

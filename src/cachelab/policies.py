@@ -46,7 +46,8 @@ _new_tuple = tuple.__new__  # builds an AccessOutcome without its Python-level _
 class CacheState:
     """Resident keys in one ordered book, each mapped to its prefetched flag (true
     until the first demand hit): insertion order for fifo and lifo, recency order
-    (least recent first) for lru and mru."""
+    (least recent first) for lru and mru. The victim is the book's first key for
+    fifo and lru and its last key for lifo and mru."""
 
     def __init__(self, config: CacheConfig):
         if config.policy == ARC:
@@ -61,9 +62,6 @@ class CacheState:
 
     def __len__(self):
         return len(self.entries)
-
-    def resident_keys(self):
-        return list(self.entries)
 
     def access(self, key, seq) -> AccessOutcome:
         prefetched = self.entries.get(key)
@@ -116,25 +114,6 @@ class CacheState:
         del self.entries[key]
 
 
-def victim_fifo(state: CacheState):
-    return next(iter(state.entries))
-
-
-def victim_lifo(state: CacheState):
-    return next(reversed(state.entries))
-
-
-# one book per cache: its head is the fifo or lru victim, its tail the lifo or mru one
-victim_lru = victim_fifo
-victim_mru = victim_lifo
-
-
-def snapshot_lru_order(state: CacheState) -> list:
-    """Resident keys in book order: least recently used first for lru and mru, oldest
-    insertion first for fifo and lifo. Does not mutate the state."""
-    return list(state.entries)
-
-
 class ArcState:
     """Two resident LRU lists (t1 recency, t2 frequency), two ghost lists, and the
     adaptive t1 target size p."""
@@ -154,9 +133,6 @@ class ArcState:
 
     def __len__(self):
         return len(self.entries)
-
-    def resident_keys(self):
-        return list(self.entries)
 
     def access(self, key, seq) -> AccessOutcome:
         prefetched = self.entries.get(key)

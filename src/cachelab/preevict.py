@@ -3,7 +3,7 @@
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .policies import AccessOutcome, _new_tuple, make_cache
+from .policies import AccessOutcome, _new_tuple
 from .trace import InvalidParam
 
 
@@ -46,19 +46,6 @@ class PreEvictingCache:
         self._timer_init = config.timer_init if config.timer_enabled else 0
         self._halfway = config.address_space_size // 2 if config.halfway_enabled else None
         self._due = self._timer_init  # never above the earliest deadline in the book
-
-    def __contains__(self, key):
-        return key in self.base
-
-    def __len__(self):
-        return len(self.base)
-
-    @property
-    def entries(self):
-        return self.base.entries
-
-    def resident_keys(self):
-        return self.base.resident_keys()
 
     def access(self, key, seq) -> AccessOutcome:
         base = self.base
@@ -124,7 +111,3 @@ class PreEvictingCache:
         if self._halfway is not None and key < self._halfway:
             self.low.add(key)
         return evicted
-
-
-def wrap(base_config, pre: PreEvictConfig) -> PreEvictingCache:
-    return PreEvictingCache(make_cache(base_config), pre)

@@ -42,7 +42,6 @@ class TraceEvent(NamedTuple):
 
 class Trace(NamedTuple):
     events: list
-    source: str = "plain"
 
     def keys(self):
         return [e.key for e in self.events]
@@ -65,8 +64,9 @@ def _as_text(data: Union[str, bytes]) -> str:
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise MalformedLine(data.count(b"\n", 0, exc.start) + 1,
-                                f"not UTF-8: byte {data[exc.start]:#04x}") from None
+            # the bad byte's line, with lines split by str.splitlines as the parsers split
+            line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+            raise MalformedLine(line_no, f"not UTF-8: byte {data[exc.start]:#04x}") from None
     return data
 
 
@@ -92,7 +92,7 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
     try:  # the bulk path: int(t) takes exactly the tokens int(t, 10) takes
         keys = [int(t) for t in map(str.strip, text.splitlines()) if t and t[0] != "#"]
         if not keys or 0 <= min(keys) and max(keys) <= MAX_KEY:
-            return Trace(_events(keys), source="plain")
+            return Trace(_events(keys))
     except ValueError:
         pass
     # hex keys and bad lines go line by line, which names the first bad line
@@ -105,7 +105,7 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
             keys.append(_parse_key(token))
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad key {token!r}: {exc}") from None
-    return Trace(_events(keys), source="plain")
+    return Trace(_events(keys))
 
 
 def parse_smpc(text: Union[str, bytes]) -> Trace:
@@ -125,7 +125,7 @@ def parse_smpc(text: Union[str, bytes]) -> Trace:
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad address {fields[1]!r}: {exc}") from None
         events.append(TraceEvent(len(events), key, op))
-    return Trace(events, source="smpc")
+    return Trace(events)
 
 
 def emit_plain(trace: Trace) -> str:
@@ -190,4 +190,4 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     for f, j in zip(follow, jumps):
         state = (state + 1) % num_keys if f else int(j)
         keys.append(state)
-    return Trace(_events(keys), source="synthetic")
+    return Trace(_events(keys))

@@ -325,19 +325,29 @@ def ref_learn_rows(variables, parents, data, pseudocount):
     return learned
 
 
+# the characters str.splitlines ends a line at; "\r\n" ends one line
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def ref_parse_plain(data):
     """Read a plain trace line by line: one key per line, decimal or hex after
     "0x"/"0X", each in 0..2**64-1; blank lines and lines starting with "#" skip.
 
     Lines are those of str.splitlines, stripped of whitespace. Bytes must be
-    UTF-8; the line of an undecodable byte counts only the b"\\n" before it.
+    UTF-8; an undecodable byte is on the line after the last line break before
+    it, counting breaks as str.splitlines does.
     Returns ("ok", keys), or ("bad", line number) for the first bad line.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            return "bad", data[:exc.start].count(b"\n") + 1
+            prefix = data[:exc.start].decode("utf-8")
+            line_no = 1
+            for i, ch in enumerate(prefix):
+                if ch in LINE_BREAKS and not (ch == "\n" and prefix[i - 1:i] == "\r"):
+                    line_no += 1
+            return "bad", line_no
     keys = []
     line_no = 0
     for line in data.splitlines():

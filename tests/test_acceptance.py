@@ -13,7 +13,7 @@ import pytest
 from cachelab.bayes import infer_enumeration, infer_variable_elimination, markov_blanket
 from cachelab.cli import main
 from cachelab.policies import POLICIES, CacheConfig, make_cache
-from cachelab.preevict import PreEvictConfig, wrap
+from cachelab.preevict import PreEvictConfig, PreEvictingCache
 from cachelab.prefetch import PredictorConfig, PrefetchConfig
 from cachelab.simkit import RunConfig, compare, emit_report, run_sim
 from cachelab.trace import Trace, TraceEvent, gen_markov_trace
@@ -40,7 +40,7 @@ def ok(number, message):
 
 
 def as_trace(keys):
-    return Trace([TraceEvent(i, k) for i, k in enumerate(keys)], source="synthetic")
+    return Trace([TraceEvent(i, k) for i, k in enumerate(keys)])
 
 
 def policy_counts(keys, capacity, policy):
@@ -221,18 +221,18 @@ def test_criterion_10_pre_eviction_contracts():
         keys = [rng.randrange(80) for _ in range(600)]
         policy = POLICIES[trial % len(POLICIES)]
         plain = make_cache(CacheConfig(6, policy))
-        wrapped = wrap(CacheConfig(6, policy), PreEvictConfig())
+        wrapped = PreEvictingCache(make_cache(CacheConfig(6, policy)), PreEvictConfig())
         for seq, key in enumerate(keys):
             assert plain.access(key, seq) == wrapped.access(key, seq)
 
     timer_init = 16
-    wrapped = wrap(CacheConfig(8, "lru"),
-                   PreEvictConfig(timer_enabled=True, timer_init=timer_init))
+    wrapped = PreEvictingCache(make_cache(CacheConfig(8, "lru")),
+                               PreEvictConfig(timer_enabled=True, timer_init=timer_init))
     last_touch = {}
     rng = random.Random(78)
     for seq in range(5000):
         key = rng.randrange(120)
-        for resident in wrapped.resident_keys():
+        for resident in wrapped.base.entries:
             assert seq - last_touch[resident] <= timer_init
         out = wrapped.access(key, seq)
         for gone in out.evicted:
@@ -243,13 +243,13 @@ def test_criterion_10_pre_eviction_contracts():
     rng = random.Random(79)
     triggered = 0
     for policy in POLICIES:
-        wrapped = wrap(CacheConfig(6, policy), halfway_cfg)
+        wrapped = PreEvictingCache(make_cache(CacheConfig(6, policy)), halfway_cfg)
         for seq in range(2000):
             key = rng.randrange(128)
             out = wrapped.access(key, seq)
             if not out.hit and key >= 64:
                 triggered += 1
-                assert all(k >= 64 for k in wrapped.resident_keys())
+                assert all(k >= 64 for k in wrapped.base.entries)
     assert triggered > 0
     ok(10, "disabled wrapper == base on 50 traces; timer and halfway bounds hold")
 

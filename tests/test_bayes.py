@@ -506,6 +506,14 @@ def test_learn_rejects_unknown_parent():
         learn_cpts([Variable("A", 2)], {"A": ["Z"]}, [{"A": 0}], 1)
 
 
+def test_learn_rejects_string_parents():
+    # a string would be read as its characters, the parents A and B
+    with pytest.raises(BayesError, match=re.escape(
+            "cpt 'C': parents must be a list of strings, got 'AB'")):
+        learn_cpts([Variable("A", 2), Variable("B", 2), Variable("C", 2)], {"C": "AB"},
+                   [{"A": 0, "B": 1, "C": 0}], 1)
+
+
 @pytest.mark.parametrize("value", [2, -1, 0.5, 1.0, "1"])
 def test_learn_rejects_bad_data_values(value):
     # out of range, negative, fractional, integral float, string

@@ -180,6 +180,20 @@ def test_compare_policy_by_capacity_grid(tmp_path, capsys):
     assert labels == ["lru@2", "lru@3", "fifo@2", "fifo@3"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--pre-evict-timer", "3"],
+                                   ["--pre-evict", "halfway", "--address-space", "8"],
+                                   ["--prefetch", "pgm"]])
+@pytest.mark.parametrize("policy", ["lru", "arc"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_run_prints_what_compare_prints_for_one_pair(tmp_path, capsys, fmt, policy, extra):
+    trace = write_trace(tmp_path, [(i * 5 + i // 7) % 8 for i in range(200)])
+    common = ["--trace", trace, "--out", fmt, *extra]
+    run = run_cli(["run", "--policy", policy, "--capacity", "3", *common], capsys)
+    both = run_cli(["compare", "--policies", policy, "--capacities", "3", *common], capsys)
+    assert run == both
+    assert run[0] == 0 and f"{policy}@3" in run[1]
+
+
 def test_compare_rejects_unknown_policy(tmp_path):
     trace = write_trace(tmp_path, [1])
     with pytest.raises(SystemExit) as err:

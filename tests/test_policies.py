@@ -10,11 +10,6 @@ from cachelab.policies import (
     CacheConfig,
     CacheState,
     make_cache,
-    snapshot_lru_order,
-    victim_fifo,
-    victim_lifo,
-    victim_lru,
-    victim_mru,
 )
 from cachelab.trace import InvalidParam, letter_key
 
@@ -54,7 +49,7 @@ def test_lru_reference_string():
     # frozen from the hand-step oracle: 8 misses, 4 hits, residents {2,3,4,5}
     cache, hits, misses, outcomes = run_policy(REF_12, 4, "lru")
     assert (hits, misses) == (4, 8)
-    assert set(cache.resident_keys()) == {2, 3, 4, 5}
+    assert set(cache.entries) == {2, 3, 4, 5}
     assert outcomes == ref_policy_run(REF_12, 4, "lru")[2]
 
 
@@ -81,7 +76,7 @@ def test_fifo_victim_is_first_inserted():
     cache = CacheState(CacheConfig(3, "fifo"))
     for seq, key in enumerate([7, 0, 1]):
         cache.access(key, seq)
-    assert victim_fifo(cache) == 7
+    assert next(iter(cache.entries)) == 7
     out = cache.access(2, 3)
     assert out.evicted == (7,)
 
@@ -89,17 +84,17 @@ def test_fifo_victim_is_first_inserted():
 def test_victim_singleton():
     cache = CacheState(CacheConfig(1, "fifo"))
     cache.access("A", 0)
-    assert victim_fifo(cache) == "A"
+    assert next(iter(cache.entries)) == "A"
 
 
 def test_lifo_victim_insertion_order_not_recency():
     cache = CacheState(CacheConfig(3, "lifo"))
     for seq, key in enumerate([1, 2, 3]):
         cache.access(key, seq)
-    assert victim_lifo(cache) == 3
+    assert next(reversed(cache.entries)) == 3
     # hitting 1 must not change the lifo victim
     assert cache.access(1, 3).hit
-    assert victim_lifo(cache) == 3
+    assert next(reversed(cache.entries)) == 3
     out = cache.access(4, 4)
     assert out.evicted == (3,)
 
@@ -109,7 +104,7 @@ def test_lifo_reference_run():
     cache, hits, misses, outcomes = run_policy([1, 2, 3, 4, 5, 1, 2], 3, "lifo")
     assert (hits, misses) == (2, 5)
     assert outcomes == ["M", "M", "M", "M", "M", "H", "H"]
-    assert set(cache.resident_keys()) == {1, 2, 5}
+    assert set(cache.entries) == {1, 2, 5}
 
 
 def test_lru_mru_victims():
@@ -117,7 +112,8 @@ def test_lru_mru_victims():
         cache = CacheState(CacheConfig(3, policy))
         for seq, ch in enumerate("GHI"):
             cache.access(ch, seq)
-        victim = victim_lru(cache) if policy == "lru" else victim_mru(cache)
+        # the book's first key is the lru victim, its last the mru one
+        victim = next(iter(cache.entries) if policy == "lru" else reversed(cache.entries))
         assert victim == expected
 
 
@@ -134,7 +130,7 @@ def test_snapshot_lru_order_script_case_one():
     printed = []
     for ch in "GHI!JKGL!H!":
         if ch == "!":
-            printed.append("".join(chr(k + 65) for k in snapshot_lru_order(cache)))
+            printed.append("".join(chr(k + 65) for k in cache.entries))
         else:
             cache.access(letter_key(ch), seq)
             seq += 1
@@ -143,18 +139,18 @@ def test_snapshot_lru_order_script_case_one():
 
 def test_snapshot_case_three_and_empty():
     cache = CacheState(CacheConfig(5, "lru"))
-    assert snapshot_lru_order(cache) == []
+    assert list(cache.entries) == []
     for seq, ch in enumerate("KMKMN"):
         cache.access(letter_key(ch), seq)
-    assert [chr(k + 65) for k in snapshot_lru_order(cache)] == ["K", "M", "N"]
+    assert [chr(k + 65) for k in cache.entries] == ["K", "M", "N"]
 
 
 def test_snapshot_does_not_mutate():
     cache = CacheState(CacheConfig(3, "lru"))
     for seq, key in enumerate([1, 2, 3]):
         cache.access(key, seq)
-    before = snapshot_lru_order(cache)
-    assert snapshot_lru_order(cache) == before
+    before = list(cache.entries)
+    assert list(cache.entries) == before
     assert cache.access(1, 3).hit
 
 
@@ -210,7 +206,7 @@ def test_lru_stack_property_random_traces():
         for seq, key in enumerate(keys):
             small.access(key, seq)
             large.access(key, seq)
-            assert set(small.resident_keys()) <= set(large.resident_keys())
+            assert set(small.entries) <= set(large.entries)
 
 
 def test_lru_hits_monotone_in_capacity():
@@ -352,7 +348,7 @@ def test_lru_inclusion_after_every_prefix_vs_reference():
     cache = CacheState(CacheConfig(5, "lru"))
     for seq, key in enumerate(keys):
         cache.access(key, seq)
-        assert snapshot_lru_order(cache) == ref_lru_order(keys[: seq + 1], 5)
+        assert list(cache.entries) == ref_lru_order(keys[: seq + 1], 5)
 
 
 def book(cache):

@@ -27,7 +27,7 @@ REF_20 = [7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1]
 
 
 def as_trace(keys):
-    return Trace([TraceEvent(i, k) for i, k in enumerate(keys)], source="synthetic")
+    return Trace([TraceEvent(i, k) for i, k in enumerate(keys)])
 
 
 def lru(k, label="run", **kwargs):

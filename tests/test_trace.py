@@ -49,10 +49,12 @@ def test_parse_plain_accepts_bytes():
 
 @pytest.mark.parametrize("parse", [parse_plain, parse_smpc, parse_lru_problem])
 def test_parsers_reject_non_utf8_bytes_with_line(parse):
-    with pytest.raises(MalformedLine) as err:
-        parse(b"1\n\xff\n")
-    assert err.value.line_no == 2
-    assert "0xff" in str(err.value)
+    # lines end where str.splitlines ends them, at \r and \x0b too
+    for data in (b"1\n\xff\n", b"1\r\xff", b"1\x0b\xff", b"1\r\n\xff"):
+        with pytest.raises(MalformedLine) as err:
+            parse(data)
+        assert err.value.line_no == 2, data
+        assert "0xff" in str(err.value)
 
 
 def test_parse_plain_64bit_bounds():
