@@ -35,79 +35,66 @@ class CacheConfig:
 class AccessOutcome(NamedTuple):
     hit: bool
     evicted: tuple = ()
-    was_prefetched_hit: bool = False
 
 
 HIT = AccessOutcome(True)
-PREFETCHED_HIT = AccessOutcome(True, (), True)
 _new_tuple = tuple.__new__  # builds an AccessOutcome without its Python-level __new__
 
 
 class CacheState:
-    """Resident keys in one ordered book, each mapped to its prefetched flag (true
-    until the first demand hit): insertion order for fifo and lifo, recency order
-    (least recent first) for lru and mru. The victim is the book's first key for
-    fifo and lru and its last key for lifo and mru."""
+    """Resident keys in one ordered book, each mapped to None: insertion order
+    for fifo and lifo, recency order (least recent first) for lru and mru. The
+    victim is the book's first key for fifo and lru and its last key for lifo and mru."""
 
     def __init__(self, config: CacheConfig):
         if config.policy == ARC:
             raise InvalidParam("use ArcState for the arc policy")
         self.capacity = config.capacity
-        self.entries = OrderedDict()  # key -> prefetched, oldest or least recent first
+        self.entries = OrderedDict()  # key -> None, oldest or least recent first
         self._by_recency = config.policy in (LRU, MRU)
         self._victim_last = config.policy in (LIFO, MRU)
 
     def __contains__(self, key):
         return key in self.entries
 
-    def __len__(self):
-        return len(self.entries)
-
     def access(self, key, seq) -> AccessOutcome:
-        prefetched = self.entries.get(key)
-        if prefetched is None:
-            return _new_tuple(AccessOutcome, (False, self.insert(key, seq), False))
+        if key not in self.entries:
+            return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
         if self._by_recency:
             self.entries.move_to_end(key)
-        if prefetched:
-            self.entries[key] = False
-            return PREFETCHED_HIT
         return HIT
 
     def replay(self, keys) -> tuple:
         """Demand-access every key in order, leaving the state that one access per
         key would leave; returns (hits, evictions). access and insert are inlined."""
         entries = self.entries
-        get, popitem = entries.get, entries.popitem
+        popitem = entries.popitem
         move_to_end = entries.move_to_end if self._by_recency else None
         victim_last = self._victim_last
         room = self.capacity - len(entries)  # a full cache stays full: keys leave as victims
         hits = evictions = 0
         for key in keys:
-            prefetched = get(key)
-            if prefetched is None:
-                if room:
-                    room -= 1
-                else:
-                    popitem(victim_last)
-                    evictions += 1
-            else:
+            if key in entries:
                 hits += 1
                 if move_to_end:
                     move_to_end(key)
-                if not prefetched:
-                    continue
-            entries[key] = False
+                continue
+            if room:
+                room -= 1
+            else:
+                popitem(victim_last)
+                evictions += 1
+            entries[key] = None
         return hits, evictions
 
-    def insert(self, key, seq, prefetched=False) -> tuple:
+    def insert(self, key, seq) -> tuple:
         """Insertion path shared by demand misses and prefetches; returns evicted keys."""
         entries = self.entries
         if len(entries) < self.capacity:
-            entries[key] = prefetched
+            entries[key] = None
             return ()
         victim = entries.popitem(self._victim_last)[0]
-        entries[key] = prefetched
+        entries[key] = None
         return (victim,)
 
     def evict_key(self, key):
@@ -121,53 +108,40 @@ class ArcState:
     def __init__(self, config: CacheConfig):
         self.capacity = config.capacity
         self.unit_adaptation = config.arc_adaptation == UNIT
-        self.entries = {}           # resident key -> prefetched flag
+        self.entries = {}           # resident key -> None
         self.t1 = OrderedDict()     # seen once recently, LRU -> MRU
         self.t2 = OrderedDict()     # seen at least twice, LRU -> MRU
         self.b1 = OrderedDict()     # ghosts of t1
         self.b2 = OrderedDict()     # ghosts of t2
         self.p = 0
 
-    def __contains__(self, key):
-        return key in self.entries
-
-    def __len__(self):
-        return len(self.entries)
-
     def access(self, key, seq) -> AccessOutcome:
-        prefetched = self.entries.get(key)
-        if prefetched is None:
-            return _new_tuple(AccessOutcome, (False, self.insert(key, seq), False))
+        if key not in self.entries:
+            return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
         if key in self.t1:
             del self.t1[key]
             self.t2[key] = None
         else:
             self.t2.move_to_end(key)
-        if prefetched:
-            self.entries[key] = False
-            return PREFETCHED_HIT
         return HIT
 
     def replay(self, keys) -> tuple:
         """Demand-access every key in order, leaving the state that one access per
         key would leave; returns (hits, evictions). Misses go through insert."""
         entries, t1, t2 = self.entries, self.t1, self.t2
-        get, insert, move_to_end = entries.get, self.insert, t2.move_to_end
+        insert, move_to_end = self.insert, t2.move_to_end
         hits = evictions = 0
         for key in keys:
-            prefetched = get(key)
-            if prefetched is None:
+            if key not in entries:
                 evictions += len(insert(key, None))
                 continue
             hits += 1
             t1.pop(key, None)  # a hit in t1 or in t2 puts the key at the MRU end of t2
             t2[key] = None
             move_to_end(key)
-            if prefetched:
-                entries[key] = False
         return hits, evictions
 
-    def insert(self, key, seq, prefetched=False) -> tuple:
+    def insert(self, key, seq) -> tuple:
         """Miss-path insertion: ghost recall with adaptation, or cold insert at t1 MRU."""
         cap = self.capacity
         t1, b1, b2 = self.t1, self.b1, self.b2
@@ -206,7 +180,7 @@ class ArcState:
                     if full:
                         evicted = (self._replace(),)
             t1[key] = None
-        self.entries[key] = prefetched
+        self.entries[key] = None
         return evicted
 
     def _replace(self):

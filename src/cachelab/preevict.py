@@ -74,8 +74,7 @@ class PreEvictingCache:
             deadlines.move_to_end(key)
         if not removed:
             return outcome
-        hit, evicted, prefetched_hit = outcome
-        return _new_tuple(AccessOutcome, (hit, (*removed, *evicted), prefetched_hit))
+        return _new_tuple(AccessOutcome, (outcome.hit, (*removed, *outcome.evicted)))
 
     def _expire(self, tick):
         """Pop the book's due prefix; evict its resident keys in ascending order."""
@@ -100,8 +99,8 @@ class PreEvictingCache:
         self.timer_evictions += len(expired)
         return expired
 
-    def insert(self, key, seq, prefetched=False) -> tuple:
-        evicted = self.base.insert(key, seq, prefetched)
+    def insert(self, key, seq) -> tuple:
+        evicted = self.base.insert(key, seq)
         if self._timer_init:
             deadlines = self.deadlines
             for victim in evicted:

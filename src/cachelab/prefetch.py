@@ -8,11 +8,6 @@ from .trace import InvalidParam
 ON_MISS = "on_miss"
 ON_EVERY_ACCESS = "on_every_access"
 
-PENDING = "pending"
-USEFUL = "useful"
-USELESS = "useless"
-HARMFUL = "harmful"
-
 
 def _check_predictor_params(order, alpha, min_support):
     if order not in (1, 2):
@@ -114,81 +109,71 @@ def decide_prefetch(predictions, config: PrefetchConfig, resident) -> list:
     return chosen
 
 
-class PrefetchRecord:
-    __slots__ = ("key", "outcome")
-
-    def __init__(self, key):
-        self.key = key
-        self.outcome = PENDING
-
-
 @dataclass
 class PrefetchStats:
     issued: int = 0
     useful: int = 0
     useless: int = 0
     harmful: int = 0
-    prefetch_hits: int = 0
     demand_misses: int = 0
 
 
 def coverage(stats: PrefetchStats) -> float:
-    """100 * prefetch hits / (prefetch hits + demand misses); 0.0 when both are zero."""
-    denom = stats.prefetch_hits + stats.demand_misses
+    """100 * useful / (useful + demand misses); 0.0 when both are zero."""
+    denom = stats.useful + stats.demand_misses
     if denom == 0:
         return 0.0
-    return 100.0 * stats.prefetch_hits / denom
+    return 100.0 * stats.useful / denom
 
 
 class PrefetchLog:
-    """Issued prefetch records: pending ones indexed by prefetched key, and each one
-    that evicted a key indexed by that victim until the victim's next demand miss.
-    Each record resolves exactly once; harmful wins when a victim miss and an
-    eviction arise from the same access. A key is issued again only after its
-    record resolved, as it has once the key is evicted."""
+    """Pending prefetches: each prefetched key maps to the key its insertion
+    evicted (or None), and each such victim to the set of its pending keys. A
+    prefetch resolves exactly once and then leaves both indexes; harmful wins when
+    a victim miss and an eviction arise from the same access. A key is issued
+    again only after its prefetch resolved, as it has once the key is evicted."""
 
     def __init__(self):
         self.stats = PrefetchStats()
-        self._pending_by_key = {}
-        self._pending_by_victim = {}
+        self._pending = {}    # prefetched key -> victim or None
+        self._by_victim = {}  # victim -> pending keys whose insertion evicted it
 
-    def issue(self, key, victim=None) -> PrefetchRecord:
-        record = PrefetchRecord(key)
+    def issue(self, key, victim=None):
         self.stats.issued += 1
-        self._pending_by_key[key] = record
+        self._pending[key] = victim
         if victim is not None:
-            self._pending_by_victim.setdefault(victim, []).append(record)
-        return record
+            self._by_victim.setdefault(victim, set()).add(key)
 
     def demand_miss(self, key):
         """A demand miss on key: pending prefetches that evicted it were harmful."""
         self.stats.demand_misses += 1
-        for record in self._pending_by_victim.pop(key, ()):
-            if record.outcome == PENDING:
-                record.outcome = HARMFUL
-                self.stats.harmful += 1
-                if self._pending_by_key.get(record.key) is record:
-                    del self._pending_by_key[record.key]
+        keys = self._by_victim.pop(key, ())
+        self.stats.harmful += len(keys)
+        for pending in keys:
+            del self._pending[pending]
 
     def demand_hit(self, key):
-        """A demand hit on key: its pending prefetch was useful."""
-        record = self._pending_by_key.pop(key, None)
-        if record is not None:
-            record.outcome = USEFUL
+        """A demand hit on key: its pending prefetch, if any, was useful."""
+        if key in self._pending:
             self.stats.useful += 1
-            self.stats.prefetch_hits += 1
+            self._settle(key)
 
     def evicted(self, key):
         """Key left the cache: its pending prefetch, never requested, was useless."""
-        record = self._pending_by_key.pop(key, None)
-        if record is not None:
-            record.outcome = USELESS
+        if key in self._pending:
             self.stats.useless += 1
+            self._settle(key)
+
+    def _settle(self, key):
+        victim = self._pending.pop(key)
+        if victim is not None:
+            keys = self._by_victim[victim]
+            keys.remove(key)
+            if not keys:
+                del self._by_victim[victim]
 
     def finalize(self):
         """End of trace: anything still pending resolves useless."""
-        for record in self._pending_by_key.values():
-            record.outcome = USELESS
-        self.stats.useless += len(self._pending_by_key)
-        self._pending_by_key.clear()
-        self._pending_by_victim.clear()
+        self.stats.useless += len(self._pending)
+        self._pending.clear()
+        self._by_victim.clear()

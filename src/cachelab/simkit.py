@@ -100,9 +100,11 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
             key = event.key
             if prefetching:
                 observe(key)
-            hit, evicted, prefetched_hit = access(key, seq)
+            hit, evicted = access(key, seq)
             if hit:
                 hits += 1
+                if prefetching:
+                    demand_hit(key)
             else:
                 misses += 1
                 if key not in seen:
@@ -115,16 +117,13 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
                 if prefetching:
                     for victim in evicted:
                         resolve_evicted(victim)
-            if prefetching:
-                if prefetched_hit:
-                    demand_hit(key)
-                if prefetch_always or not hit:
-                    for pk in decide_prefetch(predict(None, pcfg.top_k), pcfg, cache.entries):
-                        victims = insert(pk, seq, True)
-                        issue(pk, victims[0] if victims else None)
-                        evictions += len(victims)
-                        for victim in victims:
-                            resolve_evicted(victim)
+            if prefetching and (prefetch_always or not hit):
+                for pk in decide_prefetch(predict(None, pcfg.top_k), pcfg, cache.entries):
+                    victims = insert(pk, seq)
+                    issue(pk, victims[0] if victims else None)
+                    evictions += len(victims)
+                    for victim in victims:
+                        resolve_evicted(victim)
         distinct = len(seen)
 
     stats = PrefetchStats()

@@ -140,14 +140,13 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
     then evicts every resident below halfway, in ascending key order. Each
     access and each insertion sets its key's timer to timer_init; inserts do not
     tick. Returns one record per step:
-    (hit or None for an insert, evicted keys in order, prefetched hit,
-    resident set, timer evictions so far, halfway evictions so far).
+    (hit or None for an insert, evicted keys in order, resident set,
+    timer evictions so far, halfway evictions so far).
     """
     resident = []    # classical policies: resident keys
     stamp = {}       # key -> time of insertion (fifo, lifo) or last use (lru, mru)
     t1, t2, b1, b2 = [], [], [], []
     p = 0
-    prefetched = set()
     timers = {}
     timer_evictions = halfway_evictions = 0
     clock = 0
@@ -163,7 +162,6 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
             t2.remove(key)
         else:
             resident.remove(key)
-        prefetched.discard(key)
 
     def replace():
         if len(t1) >= max(1, p):
@@ -214,30 +212,24 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
                         if full:
                             victims.append(replace())
                 t1.append(key)
-        for victim in victims:
-            prefetched.discard(victim)
         return victims
 
     def hit(key):
         nonlocal clock
         clock += 1
-        was_prefetched = key in prefetched
-        prefetched.discard(key)
         if key in t1 or key in t2:
             (t1 if key in t1 else t2).remove(key)
             t2.append(key)
         elif policy in ("lru", "mru"):
             stamp[key] = clock
-        return was_prefetched
 
     for op, key in steps:
         if op == "insert":
             evicted = []
             if key not in residents():
                 evicted = insert(key)
-                prefetched.add(key)
                 timers[key] = timer_init
-            records.append((None, tuple(evicted), False, set(residents()),
+            records.append((None, tuple(evicted), set(residents()),
                             timer_evictions, halfway_evictions))
             continue
         evicted = []
@@ -259,14 +251,48 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
                 evicted.append(k)
             halfway_evictions += len(low)
         if is_hit:
-            was_prefetched = hit(key)
+            hit(key)
         else:
-            was_prefetched = False
             evicted += insert(key)
         timers[key] = timer_init
-        records.append((is_hit, tuple(evicted), was_prefetched, set(residents()),
+        records.append((is_hit, tuple(evicted), set(residents()),
                         timer_evictions, halfway_evictions))
     return records
+
+
+def ref_prefetch_ledger(steps):
+    """Judge prefetches with one plain record list, resolved by linear scans.
+
+    steps: ("issue", key, victim or None), or ("demand_hit" | "demand_miss" |
+    "evicted", key, None). An issue of a key that has a pending prefetch is
+    skipped, as the ledger is only asked to issue keys with none. A demand hit on
+    a pending key makes it useful and its eviction useless; a demand miss on a
+    victim makes every pending prefetch that evicted it harmful. Whatever is
+    pending at the end is useless. Returns (the steps taken, (issued, useful,
+    useless, harmful, demand misses)).
+    """
+    records = []  # [key, victim, outcome]
+    taken = []
+    misses = 0
+    for op, key, victim in steps:
+        pending = [r for r in records if r[2] == "pending"]
+        if op == "issue":
+            if any(r[0] == key for r in pending):
+                continue
+            records.append([key, victim, "pending"])
+        elif op == "demand_miss":
+            misses += 1
+            for r in pending:
+                if r[1] == key:
+                    r[2] = "harmful"
+        else:
+            for r in pending:
+                if r[0] == key:
+                    r[2] = "useful" if op == "demand_hit" else "useless"
+        taken.append((op, key, victim))
+    outcomes = [r[2] if r[2] != "pending" else "useless" for r in records]
+    return taken, (len(records), outcomes.count("useful"), outcomes.count("useless"),
+                   outcomes.count("harmful"), misses)
 
 
 def ref_joint(variables, parents, cpts, assignment):

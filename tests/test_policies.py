@@ -181,7 +181,7 @@ def test_residency_bound_all_policies():
         cache = make_cache(CacheConfig(6, policy))
         for seq, key in enumerate(keys):
             cache.access(key, seq)
-            assert len(cache) <= 6
+            assert len(cache.entries) <= 6
 
 
 def test_consecutive_access_hits_all_policies():
@@ -332,16 +332,6 @@ def test_make_cache_dispatch():
         CacheState(CacheConfig(2, "arc"))
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_prefetched_flag_clears_on_first_demand_hit(policy):
-    cache = make_cache(CacheConfig(3, policy))
-    cache.access(1, 0)
-    assert cache.insert(2, 0, True) == ()
-    assert cache.access(2, 1) == AccessOutcome(True, (), True)
-    assert cache.access(2, 2) == AccessOutcome(True, (), False)
-    assert cache.access(1, 3) == AccessOutcome(True, (), False)
-
-
 def test_lru_inclusion_after_every_prefix_vs_reference():
     rng = random.Random(31)
     keys = [rng.randrange(20) for _ in range(300)]
@@ -353,8 +343,8 @@ def test_lru_inclusion_after_every_prefix_vs_reference():
 
 def book(cache):
     """Everything replay must leave as stepped access would: the entries in order
-    with their prefetched flags and, for arc, the four lists and p."""
-    state = list(cache.entries.items())
+    and, for arc, the four lists and p."""
+    state = list(cache.entries)
     if isinstance(cache, ArcState):
         return state, list(cache.t1), list(cache.t2), list(cache.b1), list(cache.b2), cache.p
     return state
@@ -362,7 +352,7 @@ def book(cache):
 
 @st.composite
 def replay_cases(draw):
-    """A cache config, keys to insert as prefetched first, and a demand key run."""
+    """A cache config, keys to insert first (as prefetches do), and a demand key run."""
     policy = draw(st.sampled_from(POLICIES))
     adaptation = draw(st.sampled_from(("unit", "ratio")))
     capacity = draw(st.integers(1, 8))
@@ -378,8 +368,8 @@ def test_replay_equals_stepped_access(case):
     replayed, stepped = make_cache(config), make_cache(config)
     for cache in (replayed, stepped):
         for seq, key in enumerate(prefetched):
-            if key not in cache:
-                cache.insert(key, seq, True)
+            if key not in cache.entries:
+                cache.insert(key, seq)
     outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
     hits = sum(out.hit for out in outs)
     evictions = sum(len(out.evicted) for out in outs)

@@ -17,7 +17,7 @@ def holding(keys, config=HALFWAY_1000, capacity=5):
     applies the halfway rule."""
     wrapped = PreEvictingCache(make_cache(CacheConfig(capacity, "lru")), config)
     for seq, key in enumerate(keys):
-        wrapped.insert(key, seq, True)
+        wrapped.insert(key, seq)
     return wrapped
 
 
@@ -119,7 +119,7 @@ def test_prefetch_insert_sets_timer_without_ticking():
                                PreEvictConfig(timer_enabled=True, timer_init=2))
     wrapped.access(1, 0)
     for key in (15, 12, 14, 11, 13):
-        wrapped.insert(key, 0, True)
+        wrapped.insert(key, 0)
     assert wrapped.access(2, 1).evicted == ()
     assert wrapped.access(3, 2).evicted == (1, 11, 12, 13, 14, 15)
     assert wrapped.timer_evictions == 6
@@ -310,14 +310,13 @@ def test_wrapper_matches_naive_oracle_on_every_event(case):
     wrapped = PreEvictingCache(make_cache(CacheConfig(capacity, policy, adaptation)), config)
     records = ref_preevict_run(steps, capacity, policy, adaptation, address_space, timer_init)
     for (op, key), seq, record in zip(steps, seqs, records):
-        hit, evicted, prefetched_hit, resident, timer_evictions, halfway_evictions = record
+        hit, evicted, resident, timer_evictions, halfway_evictions = record
         if op == "insert":
             present = key in wrapped.base.entries
-            got = (None, () if present else wrapped.insert(key, seq, True), False)
+            got = (None, () if present else wrapped.insert(key, seq))
         else:
-            out = wrapped.access(key, seq)
-            got = (out.hit, out.evicted, out.was_prefetched_hit)
-        assert got == (hit, evicted, prefetched_hit), (op, key, seq)
+            got = tuple(wrapped.access(key, seq))
+        assert got == (hit, evicted), (op, key, seq)
         assert set(wrapped.base.entries) == resident
         assert wrapped.timer_evictions == timer_evictions
         assert wrapped.halfway_evictions == halfway_evictions

@@ -2,12 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab.prefetch import (
-    HARMFUL,
-    PENDING,
-    USEFUL,
-    USELESS,
     MarkovPredictor,
     PredictorConfig,
     PrefetchConfig,
@@ -17,6 +14,8 @@ from cachelab.prefetch import (
     decide_prefetch,
 )
 from cachelab.trace import InvalidParam, gen_markov_trace
+
+from reference import ref_prefetch_ledger
 
 
 def feed(pred, keys):
@@ -166,103 +165,130 @@ def test_decide_prefetch_top_k_cap():
     assert decide_prefetch(preds, cfg, set()) == ["B", "C"]
 
 
+def outcomes(log):
+    return log.stats.useful, log.stats.useless, log.stats.harmful
+
+
 def test_record_useful_on_demand_hit():
     log = PrefetchLog()
-    record = log.issue("K", victim=None)
-    assert record.outcome == PENDING
+    log.issue("K", victim=None)
+    assert log.stats.issued == 1 and outcomes(log) == (0, 0, 0)
     log.demand_hit("K")
-    assert record.outcome == USEFUL
-    assert log.stats.useful == 1 and log.stats.prefetch_hits == 1
+    assert outcomes(log) == (1, 0, 0)
 
 
 def test_record_useless_on_untouched_eviction():
     log = PrefetchLog()
-    record = log.issue("K", victim="V")
+    log.issue("K", victim="V")
     log.evicted("K")
-    assert record.outcome == USELESS
+    assert outcomes(log) == (0, 1, 0)
     log.demand_hit("K")  # too late: already resolved
-    assert record.outcome == USELESS
-    assert log.stats.useful == 0 and log.stats.prefetch_hits == 0
+    assert outcomes(log) == (0, 1, 0)
 
 
 def test_record_harmful_on_victim_miss():
     log = PrefetchLog()
-    record = log.issue("K", victim="V")
+    log.issue("K", victim="V")
     log.demand_miss("V")
-    assert record.outcome == HARMFUL
-    assert log.stats.harmful == 1
+    assert outcomes(log) == (0, 0, 1)
     assert log.stats.demand_misses == 1
 
 
 def test_harmful_requires_pending():
     log = PrefetchLog()
-    record = log.issue("K", victim="V")
+    log.issue("K", victim="V")
     log.demand_hit("K")
     log.demand_miss("V")
-    assert record.outcome == USEFUL
-    assert log.stats.harmful == 0
+    assert outcomes(log) == (1, 0, 0)
 
 
 def test_each_record_resolves_exactly_once():
     log = PrefetchLog()
-    record = log.issue("K", victim="V")
+    log.issue("K", victim="V")
     log.demand_miss("V")
     log.evicted("K")
     log.demand_hit("K")
-    assert record.outcome == HARMFUL
-    assert (log.stats.useful, log.stats.useless, log.stats.harmful) == (0, 0, 1)
+    assert outcomes(log) == (0, 0, 1)
 
 
 def test_finalize_resolves_pending_as_useless():
     log = PrefetchLog()
-    a = log.issue("A")
-    b = log.issue("B")
+    log.issue("A")
+    log.issue("B")
     log.demand_hit("A")
     log.finalize()
-    assert a.outcome == USEFUL and b.outcome == USELESS
+    assert outcomes(log) == (1, 1, 0)
     s = log.stats
     assert s.useful + s.useless + s.harmful == s.issued == 2
-    assert s.useful == s.prefetch_hits
 
 
 def test_reissue_after_eviction_gets_fresh_record():
     log = PrefetchLog()
-    first = log.issue("K")
+    log.issue("K")
     log.evicted("K")
-    second = log.issue("K")
+    log.issue("K")
     log.demand_hit("K")
-    assert first.outcome == USELESS and second.outcome == USEFUL
+    assert outcomes(log) == (1, 1, 0)
     assert log.stats.issued == 2
 
 
 def test_two_pending_records_sharing_victim_both_harmful():
     log = PrefetchLog()
-    a = log.issue("K1", victim="V")
-    b = log.issue("K2", victim="V")
+    log.issue("K1", victim="V")
+    log.issue("K2", victim="V")
     log.demand_miss("V")
-    assert a.outcome == HARMFUL and b.outcome == HARMFUL
-    assert log.stats.harmful == 2
+    assert outcomes(log) == (0, 0, 2)
 
 
 def test_only_pending_records_sharing_a_victim_turn_harmful():
     log = PrefetchLog()
-    a = log.issue("K1", victim="V")
-    b = log.issue("K2", victim="V")
-    c = log.issue("K3", victim="V")
+    log.issue("K1", victim="V")
+    log.issue("K2", victim="V")
+    log.issue("K3", victim="V")
     log.demand_hit("K2")
     log.evicted("K3")
     log.demand_miss("V")
-    assert (a.outcome, b.outcome, c.outcome) == (HARMFUL, USEFUL, USELESS)
-    assert (log.stats.useful, log.stats.useless, log.stats.harmful) == (1, 1, 1)
+    assert outcomes(log) == (1, 1, 1)
+
+
+def test_settled_prefetches_leave_the_victim_index():
+    for settle in (PrefetchLog.demand_hit, PrefetchLog.evicted):
+        log = PrefetchLog()
+        log.issue("K", victim="V")
+        settle(log, "K")
+        assert not log._pending and not log._by_victim, settle.__name__
+
+
+LEDGER_KEYS = st.integers(0, 5)
+LEDGER_STEPS = st.one_of(
+    st.tuples(st.just("issue"), LEDGER_KEYS, st.none() | LEDGER_KEYS),
+    st.tuples(st.sampled_from(("demand_hit", "demand_miss", "evicted")), LEDGER_KEYS,
+              st.none()),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(LEDGER_STEPS, max_size=60))
+def test_ledger_matches_naive_oracle(steps):
+    taken, expected = ref_prefetch_ledger(steps)
+    log = PrefetchLog()
+    for op, key, victim in taken:
+        if op == "issue":
+            log.issue(key, victim)
+        else:
+            getattr(log, op)(key)
+    log.finalize()
+    s = log.stats
+    assert (s.issued, s.useful, s.useless, s.harmful, s.demand_misses) == expected
 
 
 def test_coverage_formula():
-    assert coverage(PrefetchStats(prefetch_hits=0, demand_misses=40)) == 0.0
-    assert coverage(PrefetchStats(prefetch_hits=30, demand_misses=70)) == 30.0
-    assert coverage(PrefetchStats(prefetch_hits=0, demand_misses=0)) == 0.0
+    assert coverage(PrefetchStats(useful=0, demand_misses=40)) == 0.0
+    assert coverage(PrefetchStats(useful=30, demand_misses=70)) == 30.0
+    assert coverage(PrefetchStats(useful=0, demand_misses=0)) == 0.0
 
 
 def test_coverage_bounds():
     for hits, misses in [(0, 0), (1, 0), (0, 1), (5, 3), (100, 1)]:
-        value = coverage(PrefetchStats(prefetch_hits=hits, demand_misses=misses))
+        value = coverage(PrefetchStats(useful=hits, demand_misses=misses))
         assert 0.0 <= value <= 100.0

@@ -110,6 +110,19 @@ def test_prefetch_driver_useless_case():
     assert report.prefetch_harmful == 0
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_prefetched_key_hit_twice_counts_useful_once(policy):
+    # k=1 leaves every policy one victim; 2 is demand-hit at 2 before any prefetch,
+    # then prefetched at 3 (displacing 1) and demand-hit at 4 and 5
+    trace = as_trace([1, 2, 2, 1, 2, 2])
+    report = run_sim(trace, RunConfig(cache=CacheConfig(1, policy), label="p",
+                                      **pgm(p_min=0.6, alpha=0.0, min_support=1)))
+    assert (report.demand_hits, report.demand_misses) == (3, 3)
+    assert report.prefetch_issued == 1
+    assert report.prefetch_useful == 1
+    assert (report.prefetch_useless, report.prefetch_harmful) == (0, 0)
+
+
 def test_prefetch_bookkeeping_invariants_random():
     rng = random.Random(15)
     for trial in range(10):
