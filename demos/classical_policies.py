@@ -2,11 +2,11 @@
 """Walk the classic reference strings through FIFO/LIFO/LRU/MRU and show
 Belady's anomaly on FIFO."""
 
-from cachelab import CacheConfig, RunConfig, Trace, TraceEvent, run_sim
+from cachelab import CacheConfig, RunConfig, Trace, run_sim
 
 
 def as_trace(keys):
-    return Trace([TraceEvent(i, k) for i, k in enumerate(keys)])
+    return Trace(list(keys))
 
 
 REF_STRING = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]

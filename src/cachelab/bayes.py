@@ -91,34 +91,32 @@ class Factor:
 
     def __init__(self, scope, values):
         self.scope = list(scope)
+        self.names = [v.name for v in self.scope]
         self.values = np.asarray(values, dtype=float)
         shape = tuple(v.cardinality for v in self.scope)
         if self.values.shape != shape:
             self.values = self.values.reshape(shape)
 
-    def names(self):
-        return [v.name for v in self.scope]
-
     def __mul__(self, other):
-        scope = self.scope + [v for v in other.scope if v.name not in self.names()]
+        scope = self.scope + [v for v in other.scope if v.name not in self.names]
         return Factor(scope, _aligned(self, scope) * _aligned(other, scope))
 
     def sum_out(self, name):
-        axis = self.names().index(name)
+        axis = self.names.index(name)
         scope = [v for v in self.scope if v.name != name]
         return Factor(scope, self.values.sum(axis=axis))
 
     def restrict(self, name, value):
-        if name not in self.names():
+        if name not in self.names:
             return self
-        axis = self.names().index(name)
+        axis = self.names.index(name)
         scope = [v for v in self.scope if v.name != name]
         return Factor(scope, np.take(self.values, value, axis=axis))
 
 
 def _aligned(factor, scope):
     """View of factor.values broadcastable over the union scope's axes."""
-    names = factor.names()
+    names = factor.names
     shape = tuple(v.cardinality if v.name in names else 1 for v in scope)
     order = [names.index(v.name) for v in scope if v.name in names]
     return factor.values.transpose(order).reshape(shape)
@@ -188,6 +186,8 @@ class BayesNet:
         for name, value in assignment.items():
             self._require(name)
             card = self.variables[name].cardinality
+            if not isinstance(value, (int, np.integer)):  # numpy would index 0.5 as 0
+                raise BayesError(f"{name!r}: value {value!r} is not an int")
             if not 0 <= value < card:
                 raise BayesError(f"{name!r}: value {value} outside 0..{card - 1}")
 
@@ -212,9 +212,6 @@ def _check_query(net, query_var, evidence):
     net._check_values(evidence)
     if query_var in evidence:
         raise InvalidQuery(f"query variable {query_var!r} appears in the evidence")
-    for name, value in evidence.items():  # numpy indexing would truncate 0.5 to 0
-        if not isinstance(value, (int, np.integer)):
-            raise BayesError(f"{name!r}: value {value} is not an int")
 
 
 def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarray:
@@ -232,7 +229,7 @@ def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarr
         f = net.factor(name)
         for ev_name, ev_value in evidence.items():
             f = f.restrict(ev_name, ev_value)
-        pos = [i for i, v in enumerate(outer) if v.name in f.names()]
+        pos = [i for i, v in enumerate(outer) if v.name in f.names]
         factors.append((_aligned(f, [outer[i] for i in pos] + block_scope), pos))
     shape = tuple(v.cardinality for v in block_scope)
     totals = np.zeros(shape[0])
@@ -251,10 +248,10 @@ def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarr
 
 def eliminate_variable(factors, var: str):
     """Multiply every factor mentioning var, sum var out, pass the rest through."""
-    touched = [f for f in factors if var in f.names()]
+    touched = [f for f in factors if var in f.names]
     if not touched:
         raise UnknownVariable(f"{var!r} appears in no factor")
-    rest = [f for f in factors if var not in f.names()]
+    rest = [f for f in factors if var not in f.names]
     product = touched[0]
     for f in touched[1:]:
         product = product * f
@@ -265,7 +262,7 @@ def eliminate_variable(factors, var: str):
 def _default_order(factors, eliminable):
     """Greedy smallest-resulting-scope order, ties broken by variable name."""
     order = []
-    scopes = [set(f.names()) for f in factors]
+    scopes = [set(f.names) for f in factors]
     remaining = set(eliminable)
     while remaining:
         best = None
@@ -343,6 +340,9 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     data = list(data)
     if not data and pseudocount == 0:
         raise EmptyData("no data and no pseudocount: rows are undefined")
+    for child in structure:
+        if child not in cards:
+            raise BayesError(f"structure names unknown child {child!r}")
     for v in variables:
         parents = structure.get(v.name, [])
         if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):

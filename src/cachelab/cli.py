@@ -178,7 +178,7 @@ def cmd_compare(parser, args):
             continue
         if token in ("log", "sqrt"):
             try:
-                capacities.append(_resolve_capacity(token, len(trace.events)))
+                capacities.append(_resolve_capacity(token, len(trace)))
             except InvalidParam as exc:
                 return _fail(str(exc))
         else:

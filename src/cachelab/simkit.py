@@ -4,7 +4,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
-from operator import itemgetter
 
 from .policies import CacheConfig, make_cache
 from .preevict import PreEvictConfig, PreEvictingCache
@@ -88,16 +87,14 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
 
     if wrapper is None and not prefetching:
         # only a demand miss inserts here, so every first access misses
-        keys = list(map(itemgetter(1), trace.events))
-        hits, evictions = cache.replay(keys)
-        misses = len(keys) - hits
-        compulsory = distinct = len(set(keys))
+        hits, evictions = cache.replay(trace.keys)
+        misses = len(trace) - hits
+        compulsory = distinct = len(set(trace.keys))
     else:
         hits = misses = compulsory = evictions = 0
         seen = set()
         access = front.access
-        for seq, event in enumerate(trace.events):
-            key = event.key
+        for seq, key in enumerate(trace.keys):
             if prefetching:
                 observe(key)
             hit, evicted = access(key, seq)
@@ -197,6 +194,9 @@ def parse_report_csv(text: str) -> list:
         raise ValueError(f"unexpected csv header {header!r}")
     reports = []
     for row in reader:
+        if len(row) != len(REPORT_FIELDS):
+            raise ValueError(f"csv line {reader.line_num}: expected {len(REPORT_FIELDS)} cells, "
+                             f"got {len(row)}")
         values = {}
         for name, cell in zip(REPORT_FIELDS, row):
             if name == "label":

@@ -41,13 +41,18 @@ class TraceEvent(NamedTuple):
 
 
 class Trace(NamedTuple):
-    events: list
+    """The requested keys in order; ops, one Op per event, only from parse_smpc."""
+    keys: list
+    ops: list = None
 
-    def keys(self):
-        return [e.key for e in self.events]
+    @property
+    def events(self) -> list:
+        """TraceEvents numbered from 0, built on each read."""
+        ops = repeat(Op.UNSPECIFIED) if self.ops is None else self.ops
+        return list(map(TraceEvent, count(), self.keys, ops))
 
     def __len__(self):
-        return len(self.events)
+        return len(self.keys)
 
 
 class LruCase(NamedTuple):
@@ -70,12 +75,6 @@ def _as_text(data: Union[str, bytes]) -> str:
     return data
 
 
-def _events(keys) -> list:
-    """TraceEvents numbered from 0, built in C without TraceEvent's Python __new__."""
-    return list(map(tuple.__new__, repeat(TraceEvent), zip(count(), keys,
-                                                            repeat(Op.UNSPECIFIED))))
-
-
 def _parse_key(token: str) -> int:
     if token[:2].lower() == "0x":
         value = int(token, 16)
@@ -92,7 +91,7 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
     try:  # the bulk path: int(t) takes exactly the tokens int(t, 10) takes
         keys = [int(t) for t in map(str.strip, text.splitlines()) if t and t[0] != "#"]
         if not keys or 0 <= min(keys) and max(keys) <= MAX_KEY:
-            return Trace(_events(keys))
+            return Trace(keys)
     except ValueError:
         pass
     # hex keys and bad lines go line by line, which names the first bad line
@@ -105,12 +104,12 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
             keys.append(_parse_key(token))
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad key {token!r}: {exc}") from None
-    return Trace(_events(keys))
+    return Trace(keys)
 
 
 def parse_smpc(text: Union[str, bytes]) -> Trace:
     """Two-column 'op address' lines with op in {0,2,3}; all accesses hit the cache."""
-    events = []
+    keys, ops = [], []
     for line_no, line in enumerate(_as_text(text).splitlines(), start=1):
         if not line.strip():
             continue
@@ -124,12 +123,13 @@ def parse_smpc(text: Union[str, bytes]) -> Trace:
             key = _parse_key(fields[1])
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad address {fields[1]!r}: {exc}") from None
-        events.append(TraceEvent(len(events), key, op))
-    return Trace(events)
+        keys.append(key)
+        ops.append(op)
+    return Trace(keys, ops)
 
 
 def emit_plain(trace: Trace) -> str:
-    return "".join(f"{e.key}\n" for e in trace.events)
+    return "".join(f"{key}\n" for key in trace.keys)
 
 
 def parse_lru_problem(text: Union[str, bytes]) -> list:
@@ -190,4 +190,4 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     for f, j in zip(follow, jumps):
         state = (state + 1) % num_keys if f else int(j)
         keys.append(state)
-    return Trace(_events(keys))
+    return Trace(keys)

@@ -16,7 +16,7 @@ from cachelab.policies import POLICIES, CacheConfig, make_cache
 from cachelab.preevict import PreEvictConfig, PreEvictingCache
 from cachelab.prefetch import PredictorConfig, PrefetchConfig
 from cachelab.simkit import RunConfig, compare, emit_report, run_sim
-from cachelab.trace import Trace, TraceEvent, gen_markov_trace
+from cachelab.trace import Trace, gen_markov_trace
 
 from reference import ref_policy_run
 from test_bayes import RAIN_GIVEN_WET, diamondish_net, random_net, sprinkler
@@ -40,7 +40,7 @@ def ok(number, message):
 
 
 def as_trace(keys):
-    return Trace([TraceEvent(i, k) for i, k in enumerate(keys)])
+    return Trace(list(keys))
 
 
 def policy_counts(keys, capacity, policy):
@@ -306,5 +306,5 @@ def test_criterion_12_determinism(sweep_trace, sweep_reports, monkeypatch, capsy
 
     regenerated = gen_markov_trace(seed=SWEEP_SEED, num_keys=SWEEP_KEYS,
                                    length=SWEEP_LEN, determinism=0.8)
-    assert regenerated.keys() == sweep_trace.keys()
+    assert regenerated.keys == sweep_trace.keys
     ok(12, "repeated acceptance runs emit byte-identical reports")

@@ -230,6 +230,9 @@ def test_joint_errors():
         joint_probability(net, {"Rain": 0})
     with pytest.raises(UnknownVariable):
         joint_probability(net, {"Rain": 0, "Sprinkler": 0, "WetGrass": 0, "Snow": 1})
+    # a fractional value is no list index; it fails as it does in a query
+    with pytest.raises(BayesError, match="'Rain': value 0.5 is not an int"):
+        joint_probability(net, {"Rain": 0.5, "Sprinkler": 0, "WetGrass": 0})
 
 
 # --- enumeration ---
@@ -331,7 +334,7 @@ def test_eliminate_variable_keeps_joint_scope():
     out = eliminate_variable(factors, "C")
     assert len(out) == 1
     # the defining sum keeps both remaining variables in scope
-    assert sorted(out[0].names()) == ["R", "W"]
+    assert sorted(out[0].names) == ["R", "W"]
 
 
 def test_eliminate_lone_variable_gives_scalar():
@@ -504,6 +507,12 @@ def test_learn_incomplete_row():
 def test_learn_rejects_unknown_parent():
     with pytest.raises(BayesError, match=re.escape("cpt 'A': unknown parent 'Z'")):
         learn_cpts([Variable("A", 2)], {"A": ["Z"]}, [{"A": 0}], 1)
+
+
+def test_learn_rejects_unknown_child():
+    with pytest.raises(BayesError, match=re.escape("structure names unknown child 'Z'")):
+        learn_cpts([Variable("A", 2), Variable("B", 2)], {"Z": ["A"], "B": ["A"]},
+                   [{"A": 0, "B": 1}], 1)
 
 
 def test_learn_rejects_string_parents():

@@ -101,7 +101,7 @@ def test_predict_top1_is_head_of_full_ranking(order):
 def test_predict_after_deterministic_cycle():
     trace = gen_markov_trace(seed=4, num_keys=6, length=60, determinism=1.0)
     pred = MarkovPredictor(order=1, alpha=0, min_support=1)
-    feed(pred, trace.keys())
+    feed(pred, trace.keys)
     for s in range(6):
         assert pred.predict_next((s,), 1) == [((s + 1) % 6, 1.0)]
 

@@ -18,7 +18,7 @@ from cachelab.simkit import (
     parse_report_csv,
     run_sim,
 )
-from cachelab.trace import Trace, TraceEvent, gen_markov_trace, parse_plain
+from cachelab.trace import Trace, gen_markov_trace, parse_plain
 
 from reference import ref_arc_run, ref_policy_run
 
@@ -27,7 +27,7 @@ REF_20 = [7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1]
 
 
 def as_trace(keys):
-    return Trace([TraceEvent(i, k) for i, k in enumerate(keys)])
+    return Trace(list(keys))
 
 
 def lru(k, label="run", **kwargs):
@@ -229,6 +229,15 @@ def test_emit_csv_round_trip_byte_identical():
     text = emit_report(reports, "csv")
     again = emit_report(parse_report_csv(text), "csv")
     assert again == text
+
+
+@pytest.mark.parametrize("cells", [14, 16, 1])
+def test_parse_report_csv_rejects_row_of_wrong_length(cells):
+    # a short row would miss SimReport arguments; zip would cut a long one short
+    header, row = emit_report([run_sim(as_trace(REF_12), lru(4))], "csv").splitlines()
+    row = ",".join((row.split(",") + ["0"])[:cells])
+    with pytest.raises(ValueError, match=f"csv line 2: expected 15 cells, got {cells}"):
+        parse_report_csv(f"{header}\n{row}\n")
 
 
 def test_emit_csv_float_rendering():

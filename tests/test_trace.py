@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -23,28 +24,36 @@ from cachelab.trace import (
 
 from reference import ref_parse_plain
 
+SMPC_OPS = {0: Op.INSTR_FETCH, 2: Op.DATA_READ, 3: Op.DATA_WRITE}
+
+
+def assert_events_follow_keys(trace):
+    # the reads perfbench makes of a trace outside its timed regions
+    assert [e.key for e in trace.events] == trace.keys
+    assert len(trace) == len(trace.keys)
+
 
 def test_parse_plain_reference_string():
     trace = parse_plain("7\n0\n1\n2\n0\n3\n0\n4\n2\n3\n")
-    assert trace.keys() == [7, 0, 1, 2, 0, 3, 0, 4, 2, 3]
+    assert trace.keys == [7, 0, 1, 2, 0, 3, 0, 4, 2, 3]
     assert [e.seq for e in trace.events] == list(range(10))
     assert all(e.op is Op.UNSPECIFIED for e in trace.events)
 
 
 def test_parse_plain_empty():
-    assert parse_plain("").keys() == []
+    assert parse_plain("").keys == []
 
 
 def test_parse_plain_hex_and_comments():
-    assert parse_plain("0x10\n# note\n16\n").keys() == [16, 16]
+    assert parse_plain("0x10\n# note\n16\n").keys == [16, 16]
 
 
 def test_parse_plain_blank_lines_and_crlf():
-    assert parse_plain("1\r\n\r\n2\r\n").keys() == [1, 2]
+    assert parse_plain("1\r\n\r\n2\r\n").keys == [1, 2]
 
 
 def test_parse_plain_accepts_bytes():
-    assert parse_plain(b"3\n4\n").keys() == [3, 4]
+    assert parse_plain(b"3\n4\n").keys == [3, 4]
 
 
 @pytest.mark.parametrize("parse", [parse_plain, parse_smpc, parse_lru_problem])
@@ -59,7 +68,7 @@ def test_parsers_reject_non_utf8_bytes_with_line(parse):
 
 def test_parse_plain_64bit_bounds():
     top = 2**64 - 1
-    assert parse_plain(f"{top}\n").keys() == [top]
+    assert parse_plain(f"{top}\n").keys == [top]
     with pytest.raises(MalformedLine) as err:
         parse_plain(f"{2**64}\n")
     assert err.value.line_no == 1
@@ -94,8 +103,8 @@ def test_parse_plain_matches_naive_oracle(data):
     except MalformedLine as exc:
         assert expected == ("bad", exc.line_no)
     else:
-        assert expected == ("ok", trace.keys())
-        assert trace.events == [TraceEvent(i, k) for i, k in enumerate(trace.keys())]
+        assert expected == ("ok", trace.keys)
+        assert trace.events == [TraceEvent(i, k) for i, k in enumerate(trace.keys)]
 
 
 @pytest.mark.parametrize("parse", [parse_smpc, parse_lru_problem])
@@ -112,7 +121,7 @@ def test_other_parsers_raise_only_trace_errors(parse, data):
 
 def test_parse_smpc_field_mapping():
     trace = parse_smpc("0 100\n2 100\n3 104\n")
-    assert trace.keys() == [100, 100, 104]
+    assert trace.keys == [100, 100, 104]
     assert [e.op for e in trace.events] == [Op.INSTR_FETCH, Op.DATA_READ, Op.DATA_WRITE]
 
 
@@ -136,7 +145,10 @@ def test_smpc_plain_round_trip():
         text = "".join(line + "\n" for line in lines)
         smpc = parse_smpc(text)
         again = parse_plain(emit_plain(smpc))
-        assert again.keys() == smpc.keys()
+        assert again.keys == smpc.keys
+        assert [e.op for e in smpc.events] == [SMPC_OPS[int(line.split()[0])] for line in lines]
+        assert_events_follow_keys(smpc)
+        assert_events_follow_keys(again)
 
 
 def test_plain_emit_parse_idempotent():
@@ -146,7 +158,7 @@ def test_plain_emit_parse_idempotent():
         text = "".join(f"{k}\n" for k in keys)
         once = parse_plain(text)
         twice = parse_plain(emit_plain(once))
-        assert twice.keys() == once.keys() == keys
+        assert twice.keys == once.keys == keys
 
 
 def test_parse_lru_problem_golden_input():
@@ -189,7 +201,7 @@ def test_letter_key_round_trip():
 
 def test_gen_markov_deterministic_cycle():
     trace = gen_markov_trace(seed=1, num_keys=4, length=5, determinism=1.0)
-    keys = trace.keys()
+    keys = trace.keys
     assert len(keys) == 5
     assert trace.events == [TraceEvent(i, k) for i, k in enumerate(keys)]
     assert all(type(e) is TraceEvent and e.op is Op.UNSPECIFIED for e in trace.events)
@@ -200,15 +212,15 @@ def test_gen_markov_deterministic_cycle():
 def test_gen_markov_same_seed_same_trace():
     a = gen_markov_trace(seed=1, num_keys=4, length=50, determinism=0.5)
     b = gen_markov_trace(seed=1, num_keys=4, length=50, determinism=0.5)
-    assert a.keys() == b.keys()
+    assert a.keys == b.keys
     c = gen_markov_trace(seed=2, num_keys=4, length=50, determinism=0.5)
-    assert c.keys() != a.keys()
+    assert c.keys != a.keys
 
 
 def test_gen_markov_transition_mass():
     # count successor transitions in the generated stream
     trace = gen_markov_trace(seed=2, num_keys=100, length=600_000, determinism=0.9)
-    keys = trace.keys()
+    keys = trace.keys
     follow = [0] * 100
     total = [0] * 100
     for prev, cur in zip(keys, keys[1:]):
@@ -222,7 +234,22 @@ def test_gen_markov_transition_mass():
 
 def test_gen_markov_emit_parse_round_trip():
     trace = gen_markov_trace(seed=3, num_keys=10, length=200, determinism=0.7)
-    assert parse_plain(emit_plain(trace)).keys() == trace.keys()
+    assert parse_plain(emit_plain(trace)).keys == trace.keys
+    assert_events_follow_keys(trace)
+
+
+def test_traces_hold_keys_not_per_event_objects():
+    # a trace is its key column: building one leaves no per-event object for the
+    # garbage collector to track
+    text = "".join(f"{k}\n" for k in range(10_000))
+    for build in (lambda: gen_markov_trace(seed=4, num_keys=500, length=10_000, determinism=0.9),
+                  lambda: parse_plain(text)):
+        gc.collect()
+        before = len(gc.get_objects())
+        trace = build()
+        assert len(trace) == 10_000
+        assert len(gc.get_objects()) - before < 100
+        del trace
 
 
 @pytest.mark.parametrize("kwargs", [
