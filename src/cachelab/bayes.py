@@ -259,36 +259,6 @@ def eliminate_variable(factors, var: str):
     return rest
 
 
-def _default_order(factors, eliminable):
-    """Greedy smallest-resulting-scope order, ties broken by variable name."""
-    order = []
-    scopes = [set(f.names) for f in factors]
-    remaining = set(eliminable)
-    while remaining:
-        best = None
-        for var in sorted(remaining):
-            joined = set()
-            for s in scopes:
-                if var in s:
-                    joined |= s
-            size = len(joined - {var})
-            if best is None or size < best[0]:
-                best = (size, var)
-        _, var = best
-        joined = set()
-        untouched = []
-        for s in scopes:
-            if var in s:
-                joined |= s
-            else:
-                untouched.append(s)
-        untouched.append(joined - {var})
-        scopes = untouched
-        remaining.discard(var)
-        order.append(var)
-    return order
-
-
 def infer_variable_elimination(net: BayesNet, query_var: str, evidence: dict,
                                order=None) -> np.ndarray:
     """Evidence-restricted factors, eliminate, multiply, normalize. Matches
@@ -301,12 +271,21 @@ def infer_variable_elimination(net: BayesNet, query_var: str, evidence: dict,
             f = f.restrict(ev_name, ev_value)
         factors.append(f)
     eliminable = [n for n in net.variables if n != query_var and n not in evidence]
-    if order is None:
-        order = _default_order(factors, eliminable)
-    elif sorted(order) != sorted(eliminable):
+    if order is not None and sorted(order) != sorted(eliminable):
         raise InvalidOrder(
             f"order must cover exactly {sorted(eliminable)}, got {sorted(order)}")
-    for var in order:
+    for step in range(len(eliminable)):
+        if order is None:
+            # greedy: the variable whose factors join into the smallest scope, ties by
+            # name; the factors name only the query and the variables still to go
+            joined = {}
+            for f in factors:
+                for name in f.names:
+                    if name != query_var:
+                        joined.setdefault(name, set()).update(f.names)
+            var = min(sorted(joined), key=lambda name: len(joined[name]))
+        else:
+            var = order[step]
         factors = eliminate_variable(factors, var)
     result = Factor([net.variables[query_var]], np.ones(net.variables[query_var].cardinality))
     for f in factors:

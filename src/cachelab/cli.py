@@ -252,6 +252,8 @@ def cmd_bayes(parser, args):
             name, sep, token = item.partition("=")
             if not sep or not name or not token:
                 parser.error(f"bad --evidence item {item!r}, expected VAR=VAL")
+            if name in evidence:
+                parser.error(f"--evidence names {name!r} twice")
             if name not in net.variables:
                 return _fail(f"unknown evidence variable {name!r}")
             try:

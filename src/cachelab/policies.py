@@ -103,49 +103,53 @@ class CacheState:
 
 class ArcState:
     """Two resident LRU lists (t1 recency, t2 frequency), two ghost lists, and the
-    adaptive t1 target size p."""
+    adaptive t1 target size p. The residents are exactly the keys of t1 and t2."""
 
     def __init__(self, config: CacheConfig):
         self.capacity = config.capacity
         self.unit_adaptation = config.arc_adaptation == UNIT
-        self.entries = {}           # resident key -> None
         self.t1 = OrderedDict()     # seen once recently, LRU -> MRU
         self.t2 = OrderedDict()     # seen at least twice, LRU -> MRU
         self.b1 = OrderedDict()     # ghosts of t1
         self.b2 = OrderedDict()     # ghosts of t2
         self.p = 0
 
+    def __contains__(self, key):
+        return key in self.t2 or key in self.t1
+
     def access(self, key, seq) -> AccessOutcome:
-        if key not in self.entries:
-            return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
-        if key in self.t1:
+        if key in self.t2:
+            self.t2.move_to_end(key)
+        elif key in self.t1:
             del self.t1[key]
             self.t2[key] = None
         else:
-            self.t2.move_to_end(key)
+            return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
         return HIT
 
     def replay(self, keys) -> tuple:
         """Demand-access every key in order, leaving the state that one access per
         key would leave; returns (hits, evictions). Misses go through insert."""
-        entries, t1, t2 = self.entries, self.t1, self.t2
+        t1, t2 = self.t1, self.t2
         insert, move_to_end = self.insert, t2.move_to_end
         hits = evictions = 0
         for key in keys:
-            if key not in entries:
+            if key in t2:
+                move_to_end(key)
+            elif key in t1:
+                del t1[key]
+                t2[key] = None
+            else:
                 evictions += len(insert(key, None))
                 continue
             hits += 1
-            t1.pop(key, None)  # a hit in t1 or in t2 puts the key at the MRU end of t2
-            t2[key] = None
-            move_to_end(key)
         return hits, evictions
 
     def insert(self, key, seq) -> tuple:
         """Miss-path insertion: ghost recall with adaptation, or cold insert at t1 MRU."""
         cap = self.capacity
         t1, b1, b2 = self.t1, self.b1, self.b2
-        full = len(self.entries) >= cap
+        full = len(t1) + len(self.t2) >= cap
         evicted = ()
         if key in b1:
             delta = 1 if self.unit_adaptation else max(1, len(b2) // len(b1))
@@ -169,9 +173,7 @@ class ArcState:
                         evicted = (self._replace(),)
                 else:
                     # b1 empty, t1 full: the t1 LRU falls out of the directory entirely
-                    old, _ = t1.popitem(False)
-                    del self.entries[old]
-                    evicted = (old,)
+                    evicted = (t1.popitem(False)[0],)
             else:
                 total = len(t1) + len(self.t2) + len(b1) + len(b2)
                 if total >= cap:
@@ -180,7 +182,6 @@ class ArcState:
                     if full:
                         evicted = (self._replace(),)
             t1[key] = None
-        self.entries[key] = None
         return evicted
 
     def _replace(self):
@@ -191,12 +192,10 @@ class ArcState:
         else:
             victim, _ = self.t2.popitem(False)
             self.b2[victim] = None
-        del self.entries[victim]
         return victim
 
     def evict_key(self, key):
         """Forced removal (pre-eviction); the key does not enter a ghost list."""
-        del self.entries[key]
         if key in self.t1:
             del self.t1[key]
         else:

@@ -55,11 +55,11 @@ class PreEvictingCache:
             self.ticks = tick = self.ticks + 1
             if tick >= self._due:
                 removed = self._expire(tick)
-        if self._halfway is not None and key not in base.entries:
+        if self._halfway is not None:
             if key < self._halfway:
-                self.low.add(key)
-            elif self.low:
-                cleared = sorted(k for k in self.low if k in base.entries)
+                self.low.add(key)  # a resident low key is already there
+            elif self.low and key not in base:
+                cleared = sorted(k for k in self.low if k in base)
                 self.low.clear()
                 for low in cleared:
                     base.evict_key(low)
@@ -79,7 +79,7 @@ class PreEvictingCache:
     def _expire(self, tick):
         """Pop the book's due prefix; evict its resident keys in ascending order."""
         deadlines = self.deadlines
-        resident = self.base.entries
+        base = self.base
         expired = []
         while deadlines:
             key = next(iter(deadlines))
@@ -88,14 +88,14 @@ class PreEvictingCache:
                 self._due = deadline
                 break
             del deadlines[key]
-            if key in resident:
+            if key in base:
                 expired.append(key)
         else:
             # every later touch runs out at tick + timer_init or after
             self._due = tick + self._timer_init
         expired.sort()
         for key in expired:
-            self.base.evict_key(key)
+            base.evict_key(key)
         self.timer_evictions += len(expired)
         return expired
 

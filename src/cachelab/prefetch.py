@@ -115,15 +115,14 @@ class PrefetchStats:
     useful: int = 0
     useless: int = 0
     harmful: int = 0
-    demand_misses: int = 0
 
 
-def coverage(stats: PrefetchStats) -> float:
+def coverage(useful, demand_misses) -> float:
     """100 * useful / (useful + demand misses); 0.0 when both are zero."""
-    denom = stats.useful + stats.demand_misses
+    denom = useful + demand_misses
     if denom == 0:
         return 0.0
-    return 100.0 * stats.useful / denom
+    return 100.0 * useful / denom
 
 
 class PrefetchLog:
@@ -146,7 +145,6 @@ class PrefetchLog:
 
     def demand_miss(self, key):
         """A demand miss on key: pending prefetches that evicted it were harmful."""
-        self.stats.demand_misses += 1
         keys = self._by_victim.pop(key, ())
         self.stats.harmful += len(keys)
         for pending in keys:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .policies import CacheConfig, make_cache
@@ -115,7 +116,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
                     for victim in evicted:
                         resolve_evicted(victim)
             if prefetching and (prefetch_always or not hit):
-                for pk in decide_prefetch(predict(None, pcfg.top_k), pcfg, cache.entries):
+                for pk in decide_prefetch(predict(None, pcfg.top_k), pcfg, cache):
                     victims = insert(pk, seq)
                     issue(pk, victims[0] if victims else None)
                     evictions += len(victims)
@@ -142,7 +143,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
         prefetch_useful=stats.useful,
         prefetch_useless=stats.useless,
         prefetch_harmful=stats.harmful,
-        prefetch_coverage=coverage(stats),
+        prefetch_coverage=coverage(stats.useful, misses),
         hit_ratio=hits / accesses if accesses else 0.0,
         distinct_keys=distinct,
     )
@@ -197,13 +198,15 @@ def parse_report_csv(text: str) -> list:
         if len(row) != len(REPORT_FIELDS):
             raise ValueError(f"csv line {reader.line_num}: expected {len(REPORT_FIELDS)} cells, "
                              f"got {len(row)}")
-        values = {}
-        for name, cell in zip(REPORT_FIELDS, row):
-            if name == "label":
-                values[name] = cell
-            elif name in FLOAT_FIELDS:
-                values[name] = float(cell)
-            else:
-                values[name] = int(cell)
+        values = {"label": row[0]}
+        for name, cell in zip(REPORT_FIELDS[1:], row[1:]):
+            try:
+                value = float(cell) if name in FLOAT_FIELDS else int(cell)
+            except ValueError:
+                value = math.nan  # fails the check below
+            if not 0 <= value < math.inf:
+                raise ValueError(f"csv line {reader.line_num}: column {name!r}: "
+                                 f"bad value {cell!r}")
+            values[name] = value
         reports.append(SimReport(**values))
     return reports

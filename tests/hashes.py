@@ -2,7 +2,9 @@
 
 Run from the repository root with `PYTHONPATH=src python3 tests/hashes.py`.
 A change that must keep every report byte-identical prints the same six lines
-before and after. pytest does not collect this file.
+before and after. With `--check` it also compares each hash with the one recorded
+in RECORDED below, names every hash that differs and exits 1 if any does.
+pytest does not collect this file.
 
 - sweep:  the acceptance capacity sweep (600k events, 2000 keys, seed 600),
           five policies x k in {6, 32, 775}, one JSON report.
@@ -38,6 +40,15 @@ from cachelab.policies import POLICIES  # noqa: E402
 from cachelab.prefetch import ON_EVERY_ACCESS, ON_MISS  # noqa: E402
 
 import workloads  # noqa: E402
+
+RECORDED = {
+    "sweep": "36dfdc9f15832fad1ce600190e36432aacd2476f4d1781e1d41c7a74da15e666",
+    "uplift": "811108537bdfd261b7064686b1d89e73aeec54cf20ae2306f58a2d5ef2e27182",
+    "churn": "fba732a0839780f1ff4e814c876825dd73ac23341049f95089d8ad84a06ccf42",
+    "bayes": "97700761949b4cdcaedb8298b759405fe04a00cc81733f32e873b98f0bb2ca35",
+    "plain": "12b77fe7048c7bef134af2d0457da502c29b7bc41bdcf81160e68f2bd93741a6",
+    "random": "4012c01aeb4ba019d0b89c5482ed60a5f15fcda1001bc108efbcce55f856eb95",
+}
 
 
 def sha(chunks):
@@ -112,11 +123,21 @@ def random_configs():
     return random_reports(1500, 1500, extras=True)
 
 
-def main():
+def main(argv):
+    check = argv == ["--check"]
+    if argv and not check:
+        sys.exit("usage: hashes.py [--check]")
+    differ = []
     for name, chunks in (("sweep", sweep), ("uplift", uplift), ("churn", churn),
                          ("bayes", bayes), ("plain", plain), ("random", random_configs)):
-        print(f"{name:<7}{sha(chunks())}", flush=True)
+        digest = sha(chunks())
+        print(f"{name:<7}{digest}", flush=True)
+        if digest != RECORDED[name]:
+            differ.append(name)
+    if check and differ:
+        print(f"differs from the recorded hash: {', '.join(differ)}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

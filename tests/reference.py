@@ -7,6 +7,14 @@ code with the package under test.
 import itertools
 
 
+def resident(cache):
+    """The keys a package cache holds, read from its own lists: t1 and t2 for arc,
+    the ordered book `entries` for the classical policies."""
+    if hasattr(cache, "t1"):
+        return set(cache.t1) | set(cache.t2)
+    return set(cache.entries)
+
+
 def ref_policy_run(keys, capacity, policy):
     """Step a classical policy over a key sequence.
 
@@ -321,6 +329,33 @@ def ref_posterior(variables, parents, cpts, query, evidence):
         totals[assignment[query]] += ref_joint(variables, parents, cpts, assignment)
     denom = sum(totals)
     return [t / denom for t in totals]
+
+
+def ref_min_scope_order(parents, query, evidence):
+    """Greedy elimination order over the variables outside query and evidence. Each
+    step recomputes, from every CPT scope (child and parents, evidence removed, the
+    scopes eliminated so far merged), each candidate's joined scope, and takes the
+    smallest; ties go to the first name in sorted order.
+
+    parents: {name: [parent names]}; evidence: {name: value}.
+    """
+    scopes = [{child, *ps} - set(evidence) for child, ps in parents.items()]
+    hidden = sorted(n for n in parents if n != query and n not in evidence)
+    order = []
+    while hidden:
+        best = None
+        for var in hidden:
+            joined = set()
+            for scope in scopes:
+                if var in scope:
+                    joined |= scope
+            if best is None or len(joined) < len(best[1]):
+                best = (var, joined)
+        var, joined = best
+        scopes = [scope for scope in scopes if var not in scope] + [joined - {var}]
+        hidden.remove(var)
+        order.append(var)
+    return order
 
 
 def ref_learn_rows(variables, parents, data, pseudocount):

@@ -18,7 +18,7 @@ from cachelab.prefetch import PredictorConfig, PrefetchConfig
 from cachelab.simkit import RunConfig, compare, emit_report, run_sim
 from cachelab.trace import Trace, gen_markov_trace
 
-from reference import ref_policy_run
+from reference import ref_policy_run, resident
 from test_bayes import RAIN_GIVEN_WET, diamondish_net, random_net, sprinkler
 from test_cli import GOLDEN_LRU_INPUT, GOLDEN_LRU_OUTPUT
 
@@ -232,8 +232,8 @@ def test_criterion_10_pre_eviction_contracts():
     rng = random.Random(78)
     for seq in range(5000):
         key = rng.randrange(120)
-        for resident in wrapped.base.entries:
-            assert seq - last_touch[resident] <= timer_init
+        for held in resident(wrapped.base):
+            assert seq - last_touch[held] <= timer_init
         out = wrapped.access(key, seq)
         for gone in out.evicted:
             last_touch.pop(gone, None)
@@ -249,7 +249,7 @@ def test_criterion_10_pre_eviction_contracts():
             out = wrapped.access(key, seq)
             if not out.hit and key >= 64:
                 triggered += 1
-                assert all(k >= 64 for k in wrapped.base.entries)
+                assert all(k >= 64 for k in resident(wrapped.base))
     assert triggered > 0
     ok(10, "disabled wrapper == base on 50 traces; timer and halfway bounds hold")
 

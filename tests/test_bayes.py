@@ -35,7 +35,7 @@ from cachelab.bayes import (
     value_label,
 )
 
-from reference import ref_learn_rows, ref_posterior
+from reference import ref_learn_rows, ref_min_scope_order, ref_posterior
 
 TOL = 1e-9
 
@@ -432,6 +432,35 @@ def test_random_nets_enumeration_equals_ve():
             assert np.allclose(
                 infer_variable_elimination(net, query, evidence, order=order),
                 expected, atol=TOL)
+
+
+def test_ve_default_order_is_min_scope(monkeypatch):
+    """The default order is the greedy smallest-joined-scope order, ties by name."""
+    eliminated = []
+
+    def recording(factors, var):
+        eliminated.append(var)
+        return eliminate_variable(factors, var)
+
+    rng = random.Random(77)
+    checked = 0
+    for _ in range(80):
+        net = random_net(rng, rng.randrange(2, 10))
+        names = list(net.variables)
+        query = rng.choice(names)
+        others = [n for n in names if n != query]
+        evidence = {n: rng.randrange(2) for n in rng.sample(others, rng.randrange(len(others)))}
+        order = ref_min_scope_order({n: cpt.parents for n, cpt in net.cpts.items()},
+                                    query, evidence)
+        eliminated.clear()
+        with monkeypatch.context() as m:
+            m.setattr(bayes, "eliminate_variable", recording)
+            default = infer_variable_elimination(net, query, evidence)
+        assert eliminated == order
+        assert np.array_equal(default,
+                              infer_variable_elimination(net, query, evidence, order=order))
+        checked += len(order) > 1
+    assert checked > 40
 
 
 # --- markov blanket ---

@@ -310,6 +310,14 @@ def test_bayes_query_in_evidence_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("evidence", ["Sprinkler=T,Sprinkler=F", "Sprinkler=T,Sprinkler=T"])
+def test_bayes_duplicate_evidence_usage_error(evidence, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bayes", "--net", SPRINKLER, "--query", "Rain", "--evidence", evidence])
+    assert err.value.code == 2
+    assert "--evidence names 'Sprinkler' twice" in capsys.readouterr().err
+
+
 def test_bayes_unknown_variable(capsys):
     code, _, err = run_cli(
         ["bayes", "--net", SPRINKLER, "--query", "Snow"], capsys)

@@ -7,7 +7,7 @@ from cachelab.policies import POLICIES, CacheConfig, make_cache
 from cachelab.preevict import PreEvictConfig, PreEvictingCache
 from cachelab.trace import InvalidParam
 
-from reference import ref_preevict_run
+from reference import ref_preevict_run, resident
 
 HALFWAY_1000 = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
 
@@ -34,7 +34,7 @@ def test_halfway_filter_clears_low_block():
     wrapped = holding([10, 200, 900])
     out = wrapped.access(700, 3)
     assert out.evicted == (10, 200)
-    assert set(wrapped.base.entries) == {700, 900}
+    assert resident(wrapped.base) == {700, 900}
     assert wrapped.halfway_evictions == 2
 
 
@@ -42,7 +42,7 @@ def test_halfway_filter_below_threshold_is_noop():
     wrapped = holding([10, 200, 900])
     out = wrapped.access(300, 3)
     assert not out.hit and out.evicted == ()
-    assert set(wrapped.base.entries) == {10, 200, 300, 900}
+    assert resident(wrapped.base) == {10, 200, 300, 900}
     assert wrapped.halfway_evictions == 0
 
 
@@ -59,7 +59,7 @@ def test_halfway_filter_is_pure():
     wrapped = holding([10, 900])
     out = wrapped.access(900, 2)
     assert out.hit and out.evicted == ()
-    assert set(wrapped.base.entries) == {10, 900}
+    assert resident(wrapped.base) == {10, 900}
     assert wrapped.access(700, 3).evicted == (10,)
 
 
@@ -109,7 +109,7 @@ def test_timer_ticks_count_accesses_not_seq():
     wrapped.access(7, 0)
     wrapped.access(1, 100)
     wrapped.access(2, 200)
-    assert 7 in wrapped.base.entries
+    assert 7 in wrapped.base
     assert 7 in wrapped.access(3, 300).evicted
 
 
@@ -140,13 +140,13 @@ def test_timer_expiry_step_count():
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=3))
     wrapped.access(7, 0)
-    assert 7 in wrapped.base.entries
+    assert 7 in wrapped.base
     wrapped.access(1, 1)
-    assert 7 in wrapped.base.entries
+    assert 7 in wrapped.base
     wrapped.access(2, 2)
-    assert 7 in wrapped.base.entries
+    assert 7 in wrapped.base
     out = wrapped.access(3, 3)
-    assert 7 not in wrapped.base.entries
+    assert 7 not in wrapped.base
     assert 7 in out.evicted
     assert wrapped.timer_evictions == 1
 
@@ -161,7 +161,7 @@ def test_timer_reset_on_hit_prevents_expiry():
         wrapped.access("B", seq + 1)
         seq += 2
     assert wrapped.timer_evictions == 0
-    assert "A" in wrapped.base.entries and "B" in wrapped.base.entries
+    assert "A" in wrapped.base and "B" in wrapped.base
 
 
 def test_expiring_key_misses_on_its_own_tick():
@@ -193,7 +193,7 @@ def test_halfway_wrap_evicts_then_inserts():
     out = wrapped.access(900, 2)
     assert not out.hit
     assert set(out.evicted) == {100, 200}
-    assert set(wrapped.base.entries) == {900}
+    assert resident(wrapped.base) == {900}
     assert wrapped.halfway_evictions == 2
 
 
@@ -202,10 +202,10 @@ def test_halfway_not_applied_on_hit():
                                PreEvictConfig(halfway_enabled=True, address_space_size=1000))
     wrapped.access(100, 0)
     wrapped.access(900, 1)  # miss at/above halfway clears 100
-    assert 100 not in wrapped.base.entries
+    assert 100 not in wrapped.base
     wrapped.access(100, 2)
     out = wrapped.access(900, 3)  # hit: no filtering
-    assert out.hit and 100 in wrapped.base.entries
+    assert out.hit and 100 in wrapped.base
     assert out.evicted == ()
 
 
@@ -238,7 +238,7 @@ def test_halfway_postcondition_on_random_traces():
             key = rng.randrange(100)
             out = wrapped.access(key, seq)
             if not out.hit and key >= 50:
-                assert all(k >= 50 for k in wrapped.base.entries), policy
+                assert all(k >= 50 for k in resident(wrapped.base)), policy
 
 
 def test_timer_bound_on_random_traces():
@@ -250,8 +250,8 @@ def test_timer_bound_on_random_traces():
     last_touch = {}
     for seq in range(2000):
         key = rng.randrange(60)
-        for resident in wrapped.base.entries:
-            assert seq - last_touch[resident] <= timer_init
+        for held in resident(wrapped.base):
+            assert seq - last_touch[held] <= timer_init
         out = wrapped.access(key, seq)
         for gone in out.evicted:
             last_touch.pop(gone, None)
@@ -264,7 +264,7 @@ def test_eviction_sets_are_subsets_of_residents():
                          timer_enabled=True, timer_init=4)
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")), cfg)
     for seq in range(1500):
-        before = set(wrapped.base.entries)
+        before = resident(wrapped.base)
         out = wrapped.access(rng.randrange(64), seq)
         evicted = set(out.evicted)
         assert len(evicted) == len(out.evicted)
@@ -277,9 +277,9 @@ def test_wrap_composes_with_arc():
     wrapped = PreEvictingCache(make_cache(CacheConfig(3, "arc")), cfg)
     for seq, key in enumerate([1, 2, 7, 1, 8, 9, 2, 3]):
         out = wrapped.access(key, seq)
-        assert len(wrapped.base.entries) <= 3
+        assert len(resident(wrapped.base)) <= 3
         if not out.hit and key >= 5:
-            assert all(k >= 5 for k in wrapped.base.entries)
+            assert all(k >= 5 for k in resident(wrapped.base))
 
 
 @st.composite
@@ -310,13 +310,13 @@ def test_wrapper_matches_naive_oracle_on_every_event(case):
     wrapped = PreEvictingCache(make_cache(CacheConfig(capacity, policy, adaptation)), config)
     records = ref_preevict_run(steps, capacity, policy, adaptation, address_space, timer_init)
     for (op, key), seq, record in zip(steps, seqs, records):
-        hit, evicted, resident, timer_evictions, halfway_evictions = record
+        hit, evicted, held, timer_evictions, halfway_evictions = record
         if op == "insert":
-            present = key in wrapped.base.entries
+            present = key in wrapped.base
             got = (None, () if present else wrapped.insert(key, seq))
         else:
             got = tuple(wrapped.access(key, seq))
         assert got == (hit, evicted), (op, key, seq)
-        assert set(wrapped.base.entries) == resident
+        assert resident(wrapped.base) == held
         assert wrapped.timer_evictions == timer_evictions
         assert wrapped.halfway_evictions == halfway_evictions

@@ -240,6 +240,34 @@ def test_parse_report_csv_rejects_row_of_wrong_length(cells):
         parse_report_csv(f"{header}\n{row}\n")
 
 
+def report_csv_with(column, cell):
+    """A one-report csv whose cell in the named column is replaced."""
+    header, row = emit_report([run_sim(as_trace(REF_12), lru(4))], "csv").splitlines()
+    cells = row.split(",")
+    cells[REPORT_FIELDS.index(column)] = cell
+    return f"{header}\n{','.join(cells)}\n"
+
+
+def test_parse_report_csv_names_a_non_numeric_cell():
+    with pytest.raises(ValueError, match="^csv line 2: column 'accesses': bad value 'a'$"):
+        parse_report_csv(report_csv_with("accesses", "a"))
+    with pytest.raises(ValueError, match="^csv line 2: column 'hit_ratio': bad value 'x'$"):
+        parse_report_csv(report_csv_with("hit_ratio", "x"))
+
+
+@pytest.mark.parametrize("column", ["accesses", "evictions", "hit_ratio"])
+def test_parse_report_csv_rejects_negative_cells(column):
+    with pytest.raises(ValueError, match=f"^csv line 2: column '{column}': bad value '-5'$"):
+        parse_report_csv(report_csv_with(column, "-5"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_parse_report_csv_rejects_non_finite_floats(cell):
+    for column in ("prefetch_coverage", "hit_ratio"):
+        with pytest.raises(ValueError, match=f"^csv line 2: column '{column}': bad value"):
+            parse_report_csv(report_csv_with(column, cell))
+
+
 def test_emit_csv_float_rendering():
     report = run_sim(as_trace(REF_12), lru(4))
     line = emit_report([report], "csv").splitlines()[1]
