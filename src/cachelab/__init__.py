@@ -31,8 +31,6 @@ from .prefetch import (
     MarkovPredictor,
     PredictorConfig,
     PrefetchConfig,
-    PrefetchLog,
-    PrefetchStats,
     coverage,
     decide_prefetch,
 )

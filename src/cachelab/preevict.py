@@ -59,12 +59,7 @@ class PreEvictingCache:
             if key < self._halfway:
                 self.low.add(key)  # a resident low key is already there
             elif self.low and key not in base:
-                cleared = sorted(k for k in self.low if k in base)
-                self.low.clear()
-                for low in cleared:
-                    base.evict_key(low)
-                self.halfway_evictions += len(cleared)
-                removed = [*removed, *cleared]
+                removed = [*removed, *self._clear_low()]
         outcome = base.access(key, seq)
         if timer_init:
             deadlines = self.deadlines
@@ -75,6 +70,51 @@ class PreEvictingCache:
         if not removed:
             return outcome
         return _new_tuple(AccessOutcome, (outcome.hit, (*removed, *outcome.evicted)))
+
+    def replay(self, keys) -> tuple:
+        """Demand-access every key in order, leaving the state that one access per
+        key would leave; returns (hits, evictions). access is inlined."""
+        base = self.base
+        access = base.access
+        deadlines, low, halfway = self.deadlines, self.low, self._halfway
+        timer_init = self._timer_init
+        tick = self.ticks
+        forced = self.timer_evictions + self.halfway_evictions  # before this replay
+        hits = evictions = 0
+        for seq, key in enumerate(keys):
+            if timer_init:
+                tick += 1
+                if tick >= self._due:
+                    self._expire(tick)
+            if halfway is not None:
+                if key < halfway:
+                    low.add(key)
+                elif low and key not in base:
+                    self._clear_low()
+            hit, evicted = access(key, seq)
+            if hit:
+                hits += 1
+            elif evicted:
+                evictions += len(evicted)
+                if timer_init:
+                    for victim in evicted:
+                        deadlines.pop(victim, None)
+            if timer_init:
+                deadlines[key] = tick + timer_init
+                deadlines.move_to_end(key)
+        self.ticks = tick
+        forced = self.timer_evictions + self.halfway_evictions - forced
+        return hits, evictions + forced
+
+    def _clear_low(self):
+        """Evict the resident keys below halfway in ascending order; empty `low`."""
+        base = self.base
+        cleared = sorted(k for k in self.low if k in base)
+        self.low.clear()
+        for low in cleared:
+            base.evict_key(low)
+        self.halfway_evictions += len(cleared)
+        return cleared
 
     def _expire(self, tick):
         """Pop the book's due prefix; evict its resident keys in ascending order."""

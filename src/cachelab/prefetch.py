@@ -1,4 +1,4 @@
-"""Markov next-key prediction, prefetch decisions, and outcome bookkeeping."""
+"""Markov next-key prediction, prefetch decisions, and prefetch coverage."""
 
 import math
 from dataclasses import dataclass
@@ -41,11 +41,14 @@ class MarkovPredictor:
         self.min_support = min_support
         self.counts = {}   # context tuple -> _Successors
         self.context = ()  # rolling window of the last `order` keys
+        self.row = None    # counts.get(context), kept so observe need not look it up
 
     def observe(self, key):
+        """Count key after the current context, then slide the context over key.
+        Returns the new context's row, the one predict_next reads, or None."""
         ctx = self.context
         if len(ctx) == self.order:
-            row = self.counts.get(ctx)
+            row = self.row
             if row is None:
                 self.counts[ctx] = _Successors(key)
             else:
@@ -56,12 +59,14 @@ class MarkovPredictor:
                     row.leader = key
                     row.top = count
             ctx = ctx[1:]
-        self.context = ctx + (key,)
+        self.context = ctx = ctx + (key,)
+        self.row = row = self.counts.get(ctx)
+        return row
 
     def predict_next(self, context=None, top_k=1):
         """Ranked (key, probability) pairs for the context's seen successors,
         descending probability, ties by ascending key. Empty below min_support."""
-        row = self.counts.get(self.context if context is None else tuple(context))
+        row = self.row if context is None else self.counts.get(tuple(context))
         if row is None or row.total < self.min_support:
             return []
         alpha = self.alpha
@@ -109,69 +114,9 @@ def decide_prefetch(predictions, config: PrefetchConfig, resident) -> list:
     return chosen
 
 
-@dataclass
-class PrefetchStats:
-    issued: int = 0
-    useful: int = 0
-    useless: int = 0
-    harmful: int = 0
-
-
 def coverage(useful, demand_misses) -> float:
     """100 * useful / (useful + demand misses); 0.0 when both are zero."""
     denom = useful + demand_misses
     if denom == 0:
         return 0.0
     return 100.0 * useful / denom
-
-
-class PrefetchLog:
-    """Pending prefetches: each prefetched key maps to the key its insertion
-    evicted (or None), and each such victim to the set of its pending keys. A
-    prefetch resolves exactly once and then leaves both indexes; harmful wins when
-    a victim miss and an eviction arise from the same access. A key is issued
-    again only after its prefetch resolved, as it has once the key is evicted."""
-
-    def __init__(self):
-        self.stats = PrefetchStats()
-        self._pending = {}    # prefetched key -> victim or None
-        self._by_victim = {}  # victim -> pending keys whose insertion evicted it
-
-    def issue(self, key, victim=None):
-        self.stats.issued += 1
-        self._pending[key] = victim
-        if victim is not None:
-            self._by_victim.setdefault(victim, set()).add(key)
-
-    def demand_miss(self, key):
-        """A demand miss on key: pending prefetches that evicted it were harmful."""
-        keys = self._by_victim.pop(key, ())
-        self.stats.harmful += len(keys)
-        for pending in keys:
-            del self._pending[pending]
-
-    def demand_hit(self, key):
-        """A demand hit on key: its pending prefetch, if any, was useful."""
-        if key in self._pending:
-            self.stats.useful += 1
-            self._settle(key)
-
-    def evicted(self, key):
-        """Key left the cache: its pending prefetch, never requested, was useless."""
-        if key in self._pending:
-            self.stats.useless += 1
-            self._settle(key)
-
-    def _settle(self, key):
-        victim = self._pending.pop(key)
-        if victim is not None:
-            keys = self._by_victim[victim]
-            keys.remove(key)
-            if not keys:
-                del self._by_victim[victim]
-
-    def finalize(self):
-        """End of trace: anything still pending resolves useless."""
-        self.stats.useless += len(self._pending)
-        self._pending.clear()
-        self._by_victim.clear()

@@ -13,8 +13,6 @@ from .prefetch import (
     MarkovPredictor,
     PredictorConfig,
     PrefetchConfig,
-    PrefetchLog,
-    PrefetchStats,
     coverage,
     decide_prefetch,
 )
@@ -60,90 +58,105 @@ FLOAT_FIELDS = ("prefetch_coverage", "hit_ratio")
 def run_sim(trace: Trace, config: RunConfig) -> SimReport:
     """One pass over the trace under one configuration.
 
-    Per event: timer-tick evictions, predictor observation, hit/miss resolution
-    (halfway filter then base policy on a miss), then prefetch decide/insert.
-    Prefetch outcomes resolve as their events occur, a demand miss ahead of the
-    same access's evictions, so a victim re-request beats the eviction of the
-    entry that displaced it. A plain config (no prefetch, no enabled pre-eviction)
-    replays the key column inside the policy. Deterministic for identical inputs.
+    Without prefetch the front cache (the pre-eviction wrapper when an axis is
+    enabled, else the policy) replays the key column. With prefetch, per event: the
+    predictor observes the key, the front cache serves it, then the prefetch is
+    decided and inserted. Prefetches resolve as their events occur, within an access
+    in this order: the demand hit or miss, the access's evictions, the new
+    prefetch's victim; so a victim re-request beats the eviction of the entry that
+    displaced it. A prefetch only inserts a key that an earlier access brought in,
+    so a key's first access always misses: compulsory misses are the distinct keys
+    on every path. Deterministic for identical inputs.
     """
     cache = make_cache(config.cache)
-    wrapper = None
-    if config.pre is not None and config.pre.enabled:
-        wrapper = PreEvictingCache(cache, config.pre)
-    front = wrapper if wrapper is not None else cache
+    pre = config.pre
+    front = PreEvictingCache(cache, pre) if pre is not None and pre.enabled else cache
+    keys = trace.keys
 
-    prefetching = config.prefetch is not None
-    if prefetching:
+    if config.prefetch is None:
+        hits, evictions = front.replay(keys)
+        issued = useful = harmful = 0
+    else:
         pcfg = config.prefetch
         predictor_cfg = config.predictor if config.predictor is not None else PredictorConfig()
         predictor = MarkovPredictor(predictor_cfg.order, predictor_cfg.alpha,
                                     predictor_cfg.min_support)
         observe, predict = predictor.observe, predictor.predict_next
-        log = PrefetchLog()
-        issue, demand_hit = log.issue, log.demand_hit
-        demand_miss, resolve_evicted = log.demand_miss, log.evicted
-        prefetch_always = pcfg.trigger == ON_EVERY_ACCESS
-        insert = front.insert
+        access, insert = front.access, front.insert
+        top_k, p_min = pcfg.top_k, pcfg.p_min
+        alpha, min_support = predictor_cfg.alpha, predictor_cfg.min_support
+        on_miss = pcfg.trigger != ON_EVERY_ACCESS
+        # The ledger. A pending prefetch is resident; it resolves exactly once, as
+        # useful on a demand hit, harmful on a demand miss of its victim or useless
+        # when evicted or at the end, and then leaves both indexes.
+        pending = {}    # prefetched key -> the key its insertion evicted, or None
+        by_victim = {}  # victim -> pending keys whose insertion evicted it
 
-    if wrapper is None and not prefetching:
-        # only a demand miss inserts here, so every first access misses
-        hits, evictions = cache.replay(trace.keys)
-        misses = len(trace) - hits
-        compulsory = distinct = len(set(trace.keys))
-    else:
-        hits = misses = compulsory = evictions = 0
-        seen = set()
-        access = front.access
-        for seq, key in enumerate(trace.keys):
-            if prefetching:
-                observe(key)
+        def settle(key):
+            victim = pending.pop(key)
+            if victim is not None:
+                waiting = by_victim[victim]
+                waiting.remove(key)
+                if not waiting:
+                    del by_victim[victim]
+
+        hits = evictions = issued = useful = harmful = 0
+        for seq, key in enumerate(keys):
+            row = observe(key)
             hit, evicted = access(key, seq)
             if hit:
                 hits += 1
-                if prefetching:
-                    demand_hit(key)
-            else:
-                misses += 1
-                if key not in seen:
-                    compulsory += 1
-                if prefetching:
-                    demand_miss(key)
-            seen.add(key)
+                if key in pending:
+                    useful += 1
+                    settle(key)
+            elif key in by_victim:
+                for waiting in by_victim.pop(key):
+                    del pending[waiting]
+                    harmful += 1
             if evicted:
                 evictions += len(evicted)
-                if prefetching:
-                    for victim in evicted:
-                        resolve_evicted(victim)
-            if prefetching and (prefetch_always or not hit):
-                for pk in decide_prefetch(predict(None, pcfg.top_k), pcfg, cache):
-                    victims = insert(pk, seq)
-                    issue(pk, victims[0] if victims else None)
-                    evictions += len(victims)
-                    for victim in victims:
-                        resolve_evicted(victim)
-        distinct = len(seen)
+                for victim in evicted:
+                    if victim in pending:
+                        settle(victim)
+            if hit and on_miss:
+                continue
+            if top_k == 1:
+                # predict_next and decide_prefetch for the leader alone, same float expression
+                if row is None or row.total < min_support:
+                    continue
+                leader = row.leader
+                if (row.top + alpha) / (row.total + alpha * len(row)) < p_min or leader in cache:
+                    continue
+                chosen = (leader,)
+            else:
+                chosen = decide_prefetch(predict(None, top_k), pcfg, cache)
+            for fetched in chosen:
+                issued += 1
+                pending[fetched] = None
+                for victim in insert(fetched, seq):  # an insertion evicts at most one key
+                    pending[fetched] = victim
+                    by_victim.setdefault(victim, set()).add(fetched)
+                    evictions += 1
+                    if victim in pending:
+                        settle(victim)
 
-    stats = PrefetchStats()
-    if prefetching:
-        log.finalize()
-        stats = log.stats
-
-    accesses = hits + misses
+    accesses = len(keys)
+    misses = accesses - hits
+    distinct = len(set(keys))
     return SimReport(
         label=config.label,
         accesses=accesses,
         demand_hits=hits,
         demand_misses=misses,
-        compulsory_misses=compulsory,
+        compulsory_misses=distinct,
         evictions=evictions,
-        timer_evictions=wrapper.timer_evictions if wrapper is not None else 0,
-        halfway_evictions=wrapper.halfway_evictions if wrapper is not None else 0,
-        prefetch_issued=stats.issued,
-        prefetch_useful=stats.useful,
-        prefetch_useless=stats.useless,
-        prefetch_harmful=stats.harmful,
-        prefetch_coverage=coverage(stats.useful, misses),
+        timer_evictions=front.timer_evictions if front is not cache else 0,
+        halfway_evictions=front.halfway_evictions if front is not cache else 0,
+        prefetch_issued=issued,
+        prefetch_useful=useful,
+        prefetch_useless=issued - useful - harmful,
+        prefetch_harmful=harmful,
+        prefetch_coverage=coverage(useful, misses),
         hit_ratio=hits / accesses if accesses else 0.0,
         distinct_keys=distinct,
     )

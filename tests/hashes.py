@@ -3,8 +3,9 @@
 Run from the repository root with `PYTHONPATH=src python3 tests/hashes.py`.
 A change that must keep every report byte-identical prints the same six lines
 before and after. With `--check` it also compares each hash with the one recorded
-in RECORDED below, names every hash that differs and exits 1 if any does.
-pytest does not collect this file.
+in RECORDED below, names every hash that differs and exits 1 if any does. Names
+after the options pick hashes, e.g. `--check uplift churn random` for the three
+that run the prefetcher; an unknown name exits 2. pytest does not collect this file.
 
 - sweep:  the acceptance capacity sweep (600k events, 2000 keys, seed 600),
           five policies x k in {6, 32, 775}, one JSON report.
@@ -123,14 +124,20 @@ def random_configs():
     return random_reports(1500, 1500, extras=True)
 
 
+HASHES = {"sweep": sweep, "uplift": uplift, "churn": churn, "bayes": bayes, "plain": plain,
+          "random": random_configs}
+USAGE = f"usage: hashes.py [--check] [NAME ...], NAME one of {', '.join(HASHES)}"
+
+
 def main(argv):
-    check = argv == ["--check"]
-    if argv and not check:
-        sys.exit("usage: hashes.py [--check]")
+    check = "--check" in argv
+    names = [arg for arg in argv if arg != "--check"]
+    if any(name not in HASHES for name in names):
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     differ = []
-    for name, chunks in (("sweep", sweep), ("uplift", uplift), ("churn", churn),
-                         ("bayes", bayes), ("plain", plain), ("random", random_configs)):
-        digest = sha(chunks())
+    for name in names or HASHES:
+        digest = sha(HASHES[name]())
         print(f"{name:<7}{digest}", flush=True)
         if digest != RECORDED[name]:
             differ.append(name)

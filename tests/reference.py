@@ -15,6 +15,14 @@ def resident(cache):
     return set(cache.entries)
 
 
+def book(cache):
+    """Everything replay must leave as stepped access would: the entries in order,
+    or for arc the four lists and p."""
+    if hasattr(cache, "t1"):
+        return list(cache.t1), list(cache.t2), list(cache.b1), list(cache.b2), cache.p
+    return list(cache.entries)
+
+
 def ref_policy_run(keys, capacity, policy):
     """Step a classical policy over a key sequence.
 
@@ -151,6 +159,14 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
     (hit or None for an insert, evicted keys in order, resident set,
     timer evictions so far, halfway evictions so far).
     """
+    stepper = ref_preevict_stepper(capacity, policy, adaptation, address_space, timer_init)
+    next(stepper)
+    return [stepper.send(step) for step in steps]
+
+
+def ref_preevict_stepper(capacity, policy, adaptation="unit", address_space=None,
+                         timer_init=None):
+    """ref_preevict_run as a generator: send it each step, get back its record."""
     resident = []    # classical policies: resident keys
     stamp = {}       # key -> time of insertion (fifo, lifo) or last use (lru, mru)
     t1, t2, b1, b2 = [], [], [], []
@@ -158,7 +174,6 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
     timers = {}
     timer_evictions = halfway_evictions = 0
     clock = 0
-    records = []
 
     def residents():
         return t1 + t2 if policy == "arc" else list(resident)
@@ -231,16 +246,17 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
         elif policy in ("lru", "mru"):
             stamp[key] = clock
 
-    for op, key in steps:
+    record = None
+    while True:
+        op, key = yield record
+        evicted = []
         if op == "insert":
-            evicted = []
             if key not in residents():
                 evicted = insert(key)
                 timers[key] = timer_init
-            records.append((None, tuple(evicted), set(residents()),
-                            timer_evictions, halfway_evictions))
+            record = (None, tuple(evicted), set(residents()),
+                      timer_evictions, halfway_evictions)
             continue
-        evicted = []
         if timer_init is not None:
             expired = []
             for k in residents():
@@ -263,9 +279,8 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
         else:
             evicted += insert(key)
         timers[key] = timer_init
-        records.append((is_hit, tuple(evicted), set(residents()),
-                        timer_evictions, halfway_evictions))
-    return records
+        record = (is_hit, tuple(evicted), set(residents()),
+                  timer_evictions, halfway_evictions)
 
 
 def ref_prefetch_ledger(steps):
@@ -301,6 +316,88 @@ def ref_prefetch_ledger(steps):
     outcomes = [r[2] if r[2] != "pending" else "useless" for r in records]
     return taken, (len(records), outcomes.count("useful"), outcomes.count("useless"),
                    outcomes.count("harmful"), misses)
+
+
+def ref_predict(history, order, alpha, min_support, top_k):
+    """The top_k (key, probability) pairs after the last `order` keys of history,
+    recounted from the whole history: each earlier occurrence of that context
+    counts its successor. Ranked by count, ties by ascending key; probabilities
+    are (count + alpha) / (total + alpha * successors). Empty below min_support."""
+    if len(history) < order:
+        return []
+    context = history[len(history) - order:]
+    counts = {}
+    for i in range(order, len(history)):
+        if history[i - order:i] == context:
+            counts[history[i]] = counts.get(history[i], 0) + 1
+    total = sum(counts.values())
+    if not counts or total < min_support:
+        return []
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    denom = total + alpha * len(counts)
+    return [(key, (count + alpha) / denom) for key, count in ranked[:top_k]]
+
+
+def ref_run_sim(keys, config):
+    """The SimReport fields of one run, as a dict, from the naive parts above.
+
+    config is read by attribute: cache (capacity, policy, arc_adaptation), pre
+    (None, or its halfway and timer settings), prefetch (None, or top_k, p_min,
+    trigger) and predictor (None for order 1, alpha 1.0, min_support 2). Per
+    access: step the pre-eviction oracle; then, unless the trigger is on a miss
+    and the access hit, predict from the history so far and insert, in rank
+    order, each predicted key at or above p_min that was not resident after the
+    access. The ledger oracle judges the prefetches from the hits, misses,
+    evictions and issues in the order they happened. A compulsory miss is a
+    miss on a key's first access.
+    """
+    cache, pre, prefetch = config.cache, config.pre, config.prefetch
+    halfway = pre is not None and pre.halfway_enabled
+    timer = pre is not None and pre.timer_enabled
+    stepper = ref_preevict_stepper(cache.capacity, cache.policy, cache.arc_adaptation,
+                                   pre.address_space_size if halfway else None,
+                                   pre.timer_init if timer else None)
+    next(stepper)
+    order, alpha, min_support = 1, 1.0, 2
+    if config.predictor is not None:
+        predictor = config.predictor
+        order, alpha, min_support = predictor.order, predictor.alpha, predictor.min_support
+    ledger = []
+    hits = compulsory = evictions = timer_evictions = halfway_evictions = 0
+    for t, key in enumerate(keys):
+        hit, evicted, held, timer_evictions, halfway_evictions = stepper.send(("access", key))
+        hits += hit
+        compulsory += not hit and key not in keys[:t]
+        evictions += len(evicted)
+        ledger.append(("demand_hit" if hit else "demand_miss", key, None))
+        ledger += [("evicted", victim, None) for victim in evicted]
+        if prefetch is None or (hit and prefetch.trigger == "on_miss"):
+            continue
+        ranked = ref_predict(keys[:t + 1], order, alpha, min_support, prefetch.top_k)
+        for fetched in [k for k, prob in ranked if prob >= prefetch.p_min and k not in held]:
+            _, victims, _, timer_evictions, halfway_evictions = stepper.send(("insert", fetched))
+            evictions += len(victims)
+            ledger.append(("issue", fetched, victims[0] if victims else None))
+            ledger += [("evicted", victim, None) for victim in victims]
+    issued, useful, useless, harmful, misses = ref_prefetch_ledger(ledger)[1]
+    accesses = len(keys)
+    return {
+        "label": config.label,
+        "accesses": accesses,
+        "demand_hits": hits,
+        "demand_misses": misses,
+        "compulsory_misses": compulsory,
+        "evictions": evictions,
+        "timer_evictions": timer_evictions,
+        "halfway_evictions": halfway_evictions,
+        "prefetch_issued": issued,
+        "prefetch_useful": useful,
+        "prefetch_useless": useless,
+        "prefetch_harmful": harmful,
+        "prefetch_coverage": 100.0 * useful / (useful + misses) if useful + misses else 0.0,
+        "hit_ratio": hits / accesses if accesses else 0.0,
+        "distinct_keys": len(set(keys)),
+    }
 
 
 def ref_joint(variables, parents, cpts, assignment):

@@ -13,7 +13,7 @@ from cachelab.policies import (
 )
 from cachelab.trace import InvalidParam, letter_key
 
-from reference import ref_arc_run, ref_lru_order, ref_policy_run, resident
+from reference import book, ref_arc_run, ref_lru_order, ref_policy_run, resident
 
 REF_12 = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
 REF_10 = [7, 0, 1, 2, 0, 3, 0, 4, 2, 3]
@@ -339,14 +339,6 @@ def test_lru_inclusion_after_every_prefix_vs_reference():
     for seq, key in enumerate(keys):
         cache.access(key, seq)
         assert list(cache.entries) == ref_lru_order(keys[: seq + 1], 5)
-
-
-def book(cache):
-    """Everything replay must leave as stepped access would: the entries in order,
-    or for arc the four lists and p."""
-    if isinstance(cache, ArcState):
-        return list(cache.t1), list(cache.t2), list(cache.b1), list(cache.b2), cache.p
-    return list(cache.entries)
 
 
 @st.composite

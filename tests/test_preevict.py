@@ -7,7 +7,7 @@ from cachelab.policies import POLICIES, CacheConfig, make_cache
 from cachelab.preevict import PreEvictConfig, PreEvictingCache
 from cachelab.trace import InvalidParam
 
-from reference import ref_preevict_run, resident
+from reference import book, ref_preevict_run, resident
 
 HALFWAY_1000 = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
 
@@ -320,3 +320,41 @@ def test_wrapper_matches_naive_oracle_on_every_event(case):
         assert resident(wrapped.base) == held
         assert wrapped.timer_evictions == timer_evictions
         assert wrapped.halfway_evictions == halfway_evictions
+
+
+@st.composite
+def wrapper_replay_cases(draw):
+    """A wrapped cache config with both, one or neither pre-eviction axis, keys to
+    insert first (as prefetches do), and a demand key run."""
+    capacity = draw(st.integers(1, 8))
+    base = CacheConfig(capacity, draw(st.sampled_from(POLICIES)),
+                       draw(st.sampled_from(("unit", "ratio"))))
+    halfway, timer = draw(st.booleans()), draw(st.booleans())
+    config = PreEvictConfig(halfway_enabled=halfway,
+                            address_space_size=draw(st.integers(2, 40)),
+                            timer_enabled=timer,
+                            timer_init=draw(st.integers(1, 3 * capacity + 5)))
+    keys = st.integers(0, draw(st.integers(1, 39)))  # a narrow range brings reuse
+    return (base, config, draw(st.lists(keys, max_size=5)),
+            draw(st.lists(keys, max_size=150)))
+
+
+def wrapper_state(wrapped):
+    return (book(wrapped.base), list(wrapped.deadlines.items()), wrapped.low, wrapped.ticks,
+            wrapped.timer_evictions, wrapped.halfway_evictions)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(wrapper_replay_cases())
+def test_wrapper_replay_equals_stepped_access(case):
+    base, config, prefetched, keys = case
+    replayed, stepped = (PreEvictingCache(make_cache(base), config) for _ in range(2))
+    for wrapped in (replayed, stepped):
+        for seq, key in enumerate(prefetched):
+            if key not in wrapped.base:
+                wrapped.insert(key, seq)
+    outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
+    hits = sum(out.hit for out in outs)
+    evictions = sum(len(out.evicted) for out in outs)
+    assert replayed.replay(keys) == (hits, evictions)
+    assert wrapper_state(replayed) == wrapper_state(stepped)

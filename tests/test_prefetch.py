@@ -2,20 +2,19 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from cachelab.policies import CacheConfig
 from cachelab.prefetch import (
+    ON_EVERY_ACCESS,
+    ON_MISS,
     MarkovPredictor,
     PredictorConfig,
     PrefetchConfig,
-    PrefetchLog,
-    PrefetchStats,
     coverage,
     decide_prefetch,
 )
-from cachelab.trace import InvalidParam, gen_markov_trace
-
-from reference import ref_prefetch_ledger
+from cachelab.simkit import RunConfig, run_sim
+from cachelab.trace import InvalidParam, Trace, gen_markov_trace
 
 
 def feed(pred, keys):
@@ -98,6 +97,18 @@ def test_predict_top1_is_head_of_full_ranking(order):
         assert [successors[k] for k, _ in ranked] == sorted(successors.values(), reverse=True)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_observe_returns_the_new_contexts_row(order):
+    rng = random.Random(10 + order)
+    pred = MarkovPredictor(order=order, alpha=0.5, min_support=0)
+    rows = 0
+    for key in [rng.randrange(5) for _ in range(300)]:
+        row = pred.observe(key)
+        assert row is pred.counts.get(pred.context)
+        rows += row is not None
+    assert rows > 250
+
+
 def test_predict_after_deterministic_cycle():
     trace = gen_markov_trace(seed=4, num_keys=6, length=60, determinism=1.0)
     pred = MarkovPredictor(order=1, alpha=0, min_support=1)
@@ -165,123 +176,76 @@ def test_decide_prefetch_top_k_cap():
     assert decide_prefetch(preds, cfg, set()) == ["B", "C"]
 
 
-def outcomes(log):
-    return log.stats.useful, log.stats.useless, log.stats.harmful
+def outcomes(keys, trigger=ON_MISS, capacity=1, policy="lru"):
+    """(issued, useful, useless, harmful) of one run whose predictor prefetches the
+    leader of every seen context. At capacity 1 each prefetch evicts the key just
+    accessed, so the step-by-step comments below follow from the keys alone."""
+    config = RunConfig(cache=CacheConfig(capacity, policy),
+                       prefetch=PrefetchConfig(top_k=1, p_min=0.0, trigger=trigger),
+                       predictor=PredictorConfig(order=1, alpha=0.0, min_support=1))
+    r = run_sim(Trace(list(keys)), config)
+    return r.prefetch_issued, r.prefetch_useful, r.prefetch_useless, r.prefetch_harmful
 
 
 def test_record_useful_on_demand_hit():
-    log = PrefetchLog()
-    log.issue("K", victim=None)
-    assert log.stats.issued == 1 and outcomes(log) == (0, 0, 0)
-    log.demand_hit("K")
-    assert outcomes(log) == (1, 0, 0)
+    # the miss on the second 1 prefetches 2 (evicting 1); the demand hit on 2 is useful
+    assert outcomes([1, 2, 1, 2]) == (1, 1, 0, 0)
 
 
 def test_record_useless_on_untouched_eviction():
-    log = PrefetchLog()
-    log.issue("K", victim="V")
-    log.evicted("K")
-    assert outcomes(log) == (0, 1, 0)
-    log.demand_hit("K")  # too late: already resolved
-    assert outcomes(log) == (0, 1, 0)
+    # 2 is prefetched at the second 1 and evicted by the miss on 3: useless. The
+    # later request for 2 misses, too late to count; the prefetch of 1 that miss
+    # issues is pending at the end
+    assert outcomes([1, 2, 1, 3, 2]) == (2, 0, 2, 0)
 
 
 def test_record_harmful_on_victim_miss():
-    log = PrefetchLog()
-    log.issue("K", victim="V")
-    log.demand_miss("V")
-    assert outcomes(log) == (0, 0, 1)
-    assert log.stats == PrefetchStats(issued=1, harmful=1)  # the run counts its misses
+    # prefetching 2 evicts 1, and 1 is requested again before 2: harmful
+    assert outcomes([1, 2, 1, 1]) == (1, 0, 0, 1)
 
 
 def test_harmful_requires_pending():
-    log = PrefetchLog()
-    log.issue("K", victim="V")
-    log.demand_hit("K")
-    log.demand_miss("V")
-    assert outcomes(log) == (1, 0, 0)
+    # the hit on 2 settles its prefetch as useful before its victim 1 misses; that
+    # miss prefetches 2 again, pending at the end
+    assert outcomes([1, 2, 1, 2, 1]) == (2, 1, 1, 0)
 
 
 def test_each_record_resolves_exactly_once():
-    log = PrefetchLog()
-    log.issue("K", victim="V")
-    log.demand_miss("V")
-    log.evicted("K")
-    log.demand_hit("K")
-    assert outcomes(log) == (0, 0, 1)
+    # the miss on 1 makes the prefetch of 2 harmful and evicts 2, which neither
+    # that eviction nor the later request for 2 counts again; the last miss
+    # prefetches 1, pending at the end
+    assert outcomes([1, 2, 1, 1, 2]) == (2, 0, 1, 1)
 
 
 def test_finalize_resolves_pending_as_useless():
-    log = PrefetchLog()
-    log.issue("A")
-    log.issue("B")
-    log.demand_hit("A")
-    log.finalize()
-    assert outcomes(log) == (1, 1, 0)
-    s = log.stats
-    assert s.useful + s.useless + s.harmful == s.issued == 2
+    # prefetching on every access: the hit on 2 is useful and prefetches 1, which
+    # is still pending when the trace ends
+    issued, useful, useless, harmful = outcomes([1, 2, 1, 2], ON_EVERY_ACCESS)
+    assert (issued, useful, useless, harmful) == (2, 1, 1, 0)
+    assert useful + useless + harmful == issued
 
 
 def test_reissue_after_eviction_gets_fresh_record():
-    log = PrefetchLog()
-    log.issue("K")
-    log.evicted("K")
-    log.issue("K")
-    log.demand_hit("K")
-    assert outcomes(log) == (1, 1, 0)
-    assert log.stats.issued == 2
+    # 2 is prefetched, evicted untouched by the miss on 3, prefetched again at the
+    # third 1 and then hit: one useless record and one useful
+    assert outcomes([1, 2, 1, 3, 1, 2]) == (2, 1, 1, 0)
 
 
 def test_two_pending_records_sharing_victim_both_harmful():
-    log = PrefetchLog()
-    log.issue("K1", victim="V")
-    log.issue("K2", victim="V")
-    log.demand_miss("V")
-    assert outcomes(log) == (0, 0, 2)
+    # mru at capacity 2, prefetching on every access: the prefetches of 2 (at the
+    # second 3) and of 1 (at the third 3) both evict 3, which came back in between
+    # as a prefetch and was hit. The last 3 misses with both pending: two harmful.
+    # That miss prefetches 1 again, pending at the end
+    assert outcomes([1, 3, 2, 3, 1, 3, 3], ON_EVERY_ACCESS, capacity=2,
+                    policy="mru") == (4, 1, 1, 2)
 
 
 def test_only_pending_records_sharing_a_victim_turn_harmful():
-    log = PrefetchLog()
-    log.issue("K1", victim="V")
-    log.issue("K2", victim="V")
-    log.issue("K3", victim="V")
-    log.demand_hit("K2")
-    log.evicted("K3")
-    log.demand_miss("V")
-    assert outcomes(log) == (1, 1, 1)
-
-
-def test_settled_prefetches_leave_the_victim_index():
-    for settle in (PrefetchLog.demand_hit, PrefetchLog.evicted):
-        log = PrefetchLog()
-        log.issue("K", victim="V")
-        settle(log, "K")
-        assert not log._pending and not log._by_victim, settle.__name__
-
-
-LEDGER_KEYS = st.integers(0, 5)
-LEDGER_STEPS = st.one_of(
-    st.tuples(st.just("issue"), LEDGER_KEYS, st.none() | LEDGER_KEYS),
-    st.tuples(st.sampled_from(("demand_hit", "demand_miss", "evicted")), LEDGER_KEYS,
-              st.none()),
-)
-
-
-@settings(max_examples=500, deadline=None, database=None)
-@given(st.lists(LEDGER_STEPS, max_size=60))
-def test_ledger_matches_naive_oracle(steps):
-    taken, expected = ref_prefetch_ledger(steps)
-    log = PrefetchLog()
-    misses = 0  # run_sim counts demand misses itself, as here
-    for op, key, victim in taken:
-        if op == "issue":
-            log.issue(key, victim)
-        else:
-            misses += op == "demand_miss"
-            getattr(log, op)(key)
-    log.finalize()
-    s = log.stats
-    assert (s.issued, s.useful, s.useless, s.harmful, misses) == expected
+    # three prefetches of 1 evict 0 in turn: the first is hit (useful), the second
+    # is evicted by the miss on 2 (useless) and only the third is pending when 0
+    # misses (harmful). The prefetch of 0 is hit, and the last prefetch of 1 is
+    # pending at the end
+    assert outcomes([0, 1, 0, 1, 0, 2, 0, 0], ON_EVERY_ACCESS) == (5, 2, 2, 1)
 
 
 def test_coverage_formula():

@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachelab.policies import POLICIES, CacheConfig
+from cachelab import simkit
+from cachelab.policies import POLICIES, CacheConfig, make_cache
 from cachelab.preevict import PreEvictConfig
-from cachelab.prefetch import ON_MISS, PredictorConfig, PrefetchConfig
+from cachelab.prefetch import ON_EVERY_ACCESS, ON_MISS, PredictorConfig, PrefetchConfig
 from cachelab.simkit import (
     REPORT_FIELDS,
     DuplicateLabel,
@@ -20,7 +21,8 @@ from cachelab.simkit import (
 )
 from cachelab.trace import Trace, gen_markov_trace, parse_plain
 
-from reference import ref_arc_run, ref_policy_run
+import hashes
+from reference import ref_arc_run, ref_policy_run, ref_run_sim
 
 REF_12 = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
 REF_20 = [7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1]
@@ -330,3 +332,75 @@ def test_plain_report_equals_per_event_loop_and_oracles(case):
         hits, misses = ref_policy_run(keys, cache.capacity, cache.policy)[:2]
     assert (plain.demand_hits, plain.demand_misses) == (hits, misses)
     assert plain.compulsory_misses == plain.distinct_keys == len(set(keys))
+
+
+@st.composite
+def sim_cases(draw):
+    """A short trace and a config with every run_sim setting drawn: policy and ARC
+    adaptation, capacity, timer, halfway rule and, on most runs, the prefetcher."""
+    num_keys = draw(st.integers(2, 16))
+    keys = draw(st.lists(st.integers(0, num_keys - 1), max_size=80)
+                | st.builds(lambda *args: gen_markov_trace(*args).keys,
+                            st.integers(0, 99), st.just(num_keys), st.integers(1, 80),
+                            st.sampled_from((0.5, 0.9, 1.0))))
+    cache = CacheConfig(draw(st.integers(1, 6)), draw(st.sampled_from(POLICIES)),
+                        draw(st.sampled_from(("unit", "ratio"))))
+    halfway, timer = draw(st.booleans()), draw(st.booleans())
+    pre = None
+    if halfway or timer or draw(st.booleans()):
+        pre = PreEvictConfig(halfway_enabled=halfway,
+                             address_space_size=draw(st.integers(2, 2 * num_keys + 2)),
+                             timer_enabled=timer,
+                             timer_init=draw(st.integers(1, 3 * cache.capacity + 5)))
+    prefetch = predictor = None
+    if draw(st.integers(0, 3)):
+        prefetch = PrefetchConfig(draw(st.integers(1, 3)),
+                                  draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0, 1)),
+                                  draw(st.sampled_from((ON_MISS, ON_EVERY_ACCESS))))
+        predictor = draw(st.none() | st.builds(
+            PredictorConfig, st.integers(1, 2),
+            st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0, 4), st.integers(0, 4)))
+    return keys, RunConfig(cache=cache, pre=pre, prefetch=prefetch, predictor=predictor,
+                           label="run")
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(sim_cases())
+def test_run_sim_matches_naive_oracle(case):
+    keys, config = case
+    assert dataclasses.asdict(run_sim(as_trace(keys), config)) == ref_run_sim(keys, config)
+
+
+def test_first_access_misses_on_random_configs(monkeypatch):
+    # compulsory misses are counted as distinct keys, which holds only while no
+    # prefetch brings a key in ahead of its first request: watch every access
+    early = []
+
+    def watched(config):
+        cache = make_cache(config)
+        access, seen = cache.access, set()
+
+        def watched_access(key, seq):
+            outcome = access(key, seq)
+            if key not in seen and outcome.hit:
+                early.append(key)
+            seen.add(key)
+            return outcome
+        cache.access = watched_access
+        return cache
+
+    monkeypatch.setattr(simkit, "make_cache", watched)
+    rng = random.Random(1500)
+    for _ in range(300):
+        trace, config = hashes.random_case(rng, extras=True)
+        report = run_sim(trace, config)
+        assert report.compulsory_misses == report.distinct_keys == len(set(trace.keys))
+    assert early == []
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["--check", "uplift", "nope"], ["--bad"]])
+def test_hashes_rejects_unknown_names(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        hashes.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: hashes.py [--check] [NAME ...]")
