@@ -164,7 +164,7 @@ def cmd_compare(parser, args):
     except OSError as exc:
         return _fail(f"{args.trace}: {exc.strerror or exc}")
     except MalformedLine as exc:
-        return _fail(f"{args.trace}:{exc.line_no}: {exc}")
+        return _fail(f"{args.trace}:{exc.line_no}: {exc.message}")
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         parser.error("--policies is empty")
@@ -231,7 +231,7 @@ def cmd_lru_sim(parser, args):
         out.write(f"Simulation {number}\n")
         cache = CacheState(CacheConfig(case.capacity, "lru"))
         for accesses in case.script.split("!")[:-1]:  # letters after the last '!' print nothing
-            cache.replay(map(letter_key, accesses))
+            cache.replay(list(map(letter_key, accesses)))
             out.write("".join(map(key_letter, cache.entries)) + "\n")
     return 0
 

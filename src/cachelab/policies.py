@@ -65,14 +65,15 @@ class CacheState:
         return HIT
 
     def replay(self, keys) -> tuple:
-        """Demand-access every key in order, leaving the state that one access per
-        key would leave; returns (hits, evictions). access and insert are inlined."""
+        """Demand-access each key of a sequence in order, leaving the state that one
+        access per key would; returns (hits, evictions = misses - resident growth)."""
         entries = self.entries
         popitem = entries.popitem
         move_to_end = entries.move_to_end if self._by_recency else None
         victim_last = self._victim_last
-        room = self.capacity - len(entries)  # a full cache stays full: keys leave as victims
-        hits = evictions = 0
+        before = len(entries)
+        room = self.capacity - before  # a full cache stays full: keys leave as victims
+        hits = 0
         for key in keys:
             if key in entries:
                 hits += 1
@@ -83,9 +84,8 @@ class CacheState:
                 room -= 1
             else:
                 popitem(victim_last)
-                evictions += 1
             entries[key] = None
-        return hits, evictions
+        return hits, len(keys) - hits - (len(entries) - before)
 
     def insert(self, key, seq) -> tuple:
         """Insertion path shared by demand misses and prefetches; returns evicted keys."""
@@ -128,71 +128,93 @@ class ArcState:
         return HIT
 
     def replay(self, keys) -> tuple:
-        """Demand-access every key in order, leaving the state that one access per
-        key would leave; returns (hits, evictions). Misses go through insert."""
-        t1, t2 = self.t1, self.t2
-        insert, move_to_end = self.insert, t2.move_to_end
-        hits = evictions = 0
+        """As CacheState.replay: access and insert inlined, with the four list sizes
+        and p kept in locals, read once here and p written back at the end."""
+        t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
+        move_to_end = t2.move_to_end
+        cap, unit, p = self.capacity, self.unit_adaptation, self.p
+        n1, n2, m1, m2 = len(t1), len(t2), len(b1), len(b2)
+        before = n1 + n2
+        hits = 0
         for key in keys:
             if key in t2:
                 move_to_end(key)
             elif key in t1:
                 del t1[key]
                 t2[key] = None
+                n1, n2 = n1 - 1, n2 + 1
             else:
-                evictions += len(insert(key, None))
+                dest = t2  # a ghost hit recalls the key to t2; a cold miss sets t1
+                if key in b1:
+                    p = min(p + (1 if unit else max(1, m2 // m1)), cap)
+                    del b1[key]
+                    m1 -= 1
+                elif key in b2:
+                    p = max(p - (1 if unit else max(1, m1 // m2)), 0)
+                    del b2[key]
+                    m2 -= 1
+                else:
+                    dest = t1
+                    if n1 + m1 == cap:
+                        if m1:
+                            b1.popitem(False)
+                            m1 -= 1
+                        else:  # t1 full: its LRU falls out of the directory entirely
+                            t1.popitem(False)
+                            n1 -= 1
+                    elif n1 + n2 + m1 + m2 >= 2 * cap:
+                        b2.popitem(False)
+                        m2 -= 1
+                if n1 + n2 >= cap:
+                    if n1 and n1 >= p:
+                        b1[t1.popitem(False)[0]] = None
+                        n1, m1 = n1 - 1, m1 + 1
+                    else:
+                        b2[t2.popitem(False)[0]] = None
+                        n2, m2 = n2 - 1, m2 + 1
+                dest[key] = None
+                if dest is t1:
+                    n1 += 1
+                else:
+                    n2 += 1
                 continue
             hits += 1
-        return hits, evictions
+        self.p = p
+        return hits, len(keys) - hits - (n1 + n2 - before)
 
     def insert(self, key, seq) -> tuple:
         """Miss-path insertion: ghost recall with adaptation, or cold insert at t1 MRU."""
         cap = self.capacity
-        t1, b1, b2 = self.t1, self.b1, self.b2
-        full = len(t1) + len(self.t2) >= cap
+        t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
         evicted = ()
+        dest = t2  # a ghost hit recalls the key to t2; a cold miss sets t1
         if key in b1:
             delta = 1 if self.unit_adaptation else max(1, len(b2) // len(b1))
             self.p = min(self.p + delta, cap)
-            if full:
-                evicted = (self._replace(),)
             del b1[key]
-            self.t2[key] = None
         elif key in b2:
             delta = 1 if self.unit_adaptation else max(1, len(b1) // len(b2))
             self.p = max(self.p - delta, 0)
-            if full:
-                evicted = (self._replace(),)
             del b2[key]
-            self.t2[key] = None
         else:
+            dest = t1
             if len(t1) + len(b1) == cap:
-                if len(t1) < cap:
+                if b1:
                     b1.popitem(False)
-                    if full:
-                        evicted = (self._replace(),)
-                else:
-                    # b1 empty, t1 full: the t1 LRU falls out of the directory entirely
+                else:  # t1 full: its LRU falls out of the directory entirely
                     evicted = (t1.popitem(False)[0],)
+            elif len(t1) + len(t2) + len(b1) + len(b2) >= 2 * cap:
+                b2.popitem(False)
+        if len(t1) + len(t2) >= cap:
+            if t1 and len(t1) >= self.p:
+                victim = t1.popitem(False)[0]
+                b1[victim] = None
             else:
-                total = len(t1) + len(self.t2) + len(b1) + len(b2)
-                if total >= cap:
-                    if total >= 2 * cap:
-                        b2.popitem(False)
-                    if full:
-                        evicted = (self._replace(),)
-            t1[key] = None
+                victim = t2.popitem(False)[0]
+                b2[victim] = None
+            evicted = (victim,)
+        dest[key] = None
         return evicted
-
-    def _replace(self):
-        t1 = self.t1
-        if t1 and len(t1) >= self.p:
-            victim, _ = t1.popitem(False)
-            self.b1[victim] = None
-        else:
-            victim, _ = self.t2.popitem(False)
-            self.b2[victim] = None
-        return victim
 
     def evict_key(self, key):
         """Forced removal (pre-eviction); the key does not enter a ghost list."""

@@ -65,7 +65,9 @@ class MarkovPredictor:
 
     def predict_next(self, context=None, top_k=1):
         """Ranked (key, probability) pairs for the context's seen successors,
-        descending probability, ties by ascending key. Empty below min_support."""
+        descending probability, ties by ascending key. Empty below min_support. At
+        alpha=0 these are the learn_cpts row of the chain net {k_t: [k_t-o .. k_t-1]};
+        alpha smooths over the seen successors (alpha * len(row)), not the cardinality."""
         row = self.row if context is None else self.counts.get(tuple(context))
         if row is None or row.total < self.min_support:
             return []

@@ -17,6 +17,7 @@ class MalformedLine(TraceError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message  # without the line, for callers that name it themselves
 
 
 class MalformedCase(TraceError):

@@ -74,6 +74,20 @@ def test_run_malformed_trace_names_file_and_line(tmp_path, capsys):
     assert f"{path}:2" in err
 
 
+@pytest.mark.parametrize("text,fmt,message", [
+    ("\x00\n", "plain", "bad key '\\x00'"),
+    ("1 100\n", "smpc", "unknown op code '1'"),
+])
+def test_trace_diagnostic_names_its_line_once(tmp_path, capsys, text, fmt, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["run", "--trace", str(path), "--format", fmt, "--policy", "lru",
+                              "--capacity", "4"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{path}:1: {message}") and "line 1" not in err
+    assert err.count("\n") == 1
+
+
 NOT_UTF8 = b"1\n\xff\n"
 
 
@@ -87,6 +101,7 @@ def test_non_utf8_trace_names_file_and_line(tmp_path, capsys, argv):
     code, out, err = run_cli(argv + ["--trace", str(path)], capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"{path}:2: ") and "0xff" in err
+    assert "line 2" not in err
     assert err.count("\n") == 1
 
 

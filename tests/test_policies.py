@@ -343,26 +343,61 @@ def test_lru_inclusion_after_every_prefix_vs_reference():
 
 @st.composite
 def replay_cases(draw):
-    """A cache config, keys to insert first (as prefetches do), and a demand key run."""
+    """A cache config and 1-4 rounds, each of keys to insert first (as prefetches do)
+    and a demand key run to replay."""
     policy = draw(st.sampled_from(POLICIES))
     adaptation = draw(st.sampled_from(("unit", "ratio")))
     capacity = draw(st.integers(1, 8))
     keys = st.integers(0, draw(st.integers(1, 20)))  # a narrow range brings reuse
-    return (CacheConfig(capacity, policy, adaptation), draw(st.lists(keys, max_size=5)),
-            draw(st.lists(keys, max_size=120)))
+    rounds = st.tuples(st.lists(keys, max_size=5), st.lists(keys, max_size=120))
+    return CacheConfig(capacity, policy, adaptation), draw(st.lists(rounds, min_size=1,
+                                                                    max_size=4))
 
 
 @settings(max_examples=500, deadline=None, database=None)
 @given(replay_cases())
 def test_replay_equals_stepped_access(case):
-    config, prefetched, keys = case
+    config, rounds = case
     replayed, stepped = make_cache(config), make_cache(config)
-    for cache in (replayed, stepped):
-        for seq, key in enumerate(prefetched):
-            if key not in cache:
-                cache.insert(key, seq)
-    outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
-    hits = sum(out.hit for out in outs)
-    evictions = sum(len(out.evicted) for out in outs)
-    assert replayed.replay(keys) == (hits, evictions)
-    assert book(replayed) == book(stepped)
+    for prefetched, keys in rounds:
+        for cache in (replayed, stepped):
+            for seq, key in enumerate(prefetched):
+                if key not in cache:
+                    cache.insert(key, seq)
+        outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
+        hits = sum(out.hit for out in outs)
+        evictions = sum(len(out.evicted) for out in outs)
+        assert replayed.replay(keys) == (hits, evictions)
+        assert book(replayed) == book(stepped)
+
+
+@st.composite
+def arc_chunked_cases(draw):
+    """An ARC config; a trace that opens with a scan of c + 1 new keys, so that t1 fills
+    while b1 is empty, then draws from 3c keys long enough to fill the directory to 2c
+    and drop b2 LRUs; and 0-3 cuts that split it into 1-4 replay chunks."""
+    capacity = draw(st.integers(1, 40))
+    adaptation = draw(st.sampled_from(("unit", "ratio")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    keys = [*range(capacity + 1), *(rng.randrange(3 * capacity) for _ in range(20 * capacity))]
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=3)))
+    return CacheConfig(capacity, "arc", adaptation), keys, cuts
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(arc_chunked_cases())
+def test_arc_chunked_replay_matches_naive_oracle(case):
+    # each chunk re-reads the list sizes and p at entry and writes p back at exit
+    config, keys, cuts = case
+    replayed = ArcState(config)
+    hits = evictions = 0
+    for start, stop in zip([0, *cuts], [*cuts, len(keys)]):
+        chunk_hits, chunk_evictions = replayed.replay(keys[start:stop])
+        hits += chunk_hits
+        evictions += chunk_evictions
+    ref_hits, _, _, final = ref_arc_run(keys, config.capacity, config.arc_adaptation)
+    assert hits == ref_hits
+    assert book(replayed) == final
+    stepped = ArcState(config)
+    assert evictions == sum(len(stepped.access(key, seq).evicted)
+                            for seq, key in enumerate(keys))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cachelab.bayes import Variable, learn_cpts
 from cachelab.policies import CacheConfig
 from cachelab.prefetch import (
     ON_EVERY_ACCESS,
@@ -107,6 +108,33 @@ def test_observe_returns_the_new_contexts_row(order):
         assert row is pred.counts.get(pred.context)
         rows += row is not None
     assert rows > 250
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_predictor_is_the_chain_nets_cpt(order):
+    # At alpha=0 an order-o predictor's row is the CPT row of the chain net
+    # {k_t: [k_t-o .. k_t-1]} that learn_cpts counts from the trace's windows, with
+    # zero for every successor the context never saw.
+    rng = random.Random(20 + order)
+    names = [f"k{i}" for i in range(order + 1)]
+    for _ in range(100):
+        keys = [rng.randrange(rng.randint(1, 7)) for _ in range(rng.randint(order + 1, 200))]
+        pred = MarkovPredictor(order=order, alpha=0, min_support=0)
+        feed(pred, keys)
+        values = sorted(set(keys))
+        index = {key: i for i, key in enumerate(values)}
+        card = max(2, len(values))
+        windows = [keys[t - order:t + 1] for t in range(order, len(keys))]
+        net = learn_cpts([Variable(name, card) for name in names], {names[-1]: names[:-1]},
+                         [{name: index[key] for name, key in zip(names, w)} for w in windows])
+        rows = net.cpts[names[-1]].rows
+        for ctx, successors in pred.counts.items():
+            probs = dict(pred.predict_next(ctx, len(successors)))
+            cell = 0
+            for key in ctx:
+                cell = cell * card + index[key]
+            for key in values:
+                assert abs(probs.get(key, 0.0) - rows[cell][index[key]]) <= 1e-12
 
 
 def test_predict_after_deterministic_cycle():

@@ -404,3 +404,9 @@ def test_hashes_rejects_unknown_names(argv, capsys):
         hashes.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage: hashes.py [--check] [NAME ...]")
+
+
+@pytest.mark.parametrize("name", ["plain", "churn", "bayes"])
+def test_guard_hash_matches_recorded(name):
+    # the three quicker guard hashes; sweep and random run with `tests/hashes.py --check`
+    assert hashes.sha(hashes.HASHES[name]()) == hashes.RECORDED[name]
