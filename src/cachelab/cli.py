@@ -128,7 +128,7 @@ def _pre_config(parser, args):
             halfway_enabled=args.pre_evict == "halfway",
             address_space_size=args.address_space or 0,
             timer_enabled=args.pre_evict_timer is not None,
-            timer_init=args.pre_evict_timer or 2048,
+            timer_init=args.pre_evict_timer or PreEvictConfig.timer_init,
         )
     except InvalidParam as exc:
         parser.error(str(exc))
@@ -231,7 +231,7 @@ def cmd_lru_sim(parser, args):
         out.write(f"Simulation {number}\n")
         cache = CacheState(CacheConfig(case.capacity, "lru"))
         for accesses in case.script.split("!")[:-1]:  # letters after the last '!' print nothing
-            cache.replay(list(map(letter_key, accesses)))
+            cache.replay(map(letter_key, accesses))
             out.write("".join(map(key_letter, cache.entries)) + "\n")
     return 0
 

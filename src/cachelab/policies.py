@@ -57,6 +57,9 @@ class CacheState:
     def __contains__(self, key):
         return key in self.entries
 
+    def __len__(self):
+        return len(self.entries)
+
     def access(self, key, seq) -> AccessOutcome:
         if key not in self.entries:
             return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
@@ -64,15 +67,14 @@ class CacheState:
             self.entries.move_to_end(key)
         return HIT
 
-    def replay(self, keys) -> tuple:
-        """Demand-access each key of a sequence in order, leaving the state that one
-        access per key would; returns (hits, evictions = misses - resident growth)."""
+    def replay(self, keys) -> int:
+        """Demand-access each key in order, leaving the state that one access per key
+        would; returns the hits."""
         entries = self.entries
         popitem = entries.popitem
         move_to_end = entries.move_to_end if self._by_recency else None
         victim_last = self._victim_last
-        before = len(entries)
-        room = self.capacity - before  # a full cache stays full: keys leave as victims
+        room = self.capacity - len(entries)  # a full cache stays full: keys leave as victims
         hits = 0
         for key in keys:
             if key in entries:
@@ -85,7 +87,7 @@ class CacheState:
             else:
                 popitem(victim_last)
             entries[key] = None
-        return hits, len(keys) - hits - (len(entries) - before)
+        return hits
 
     def insert(self, key, seq) -> tuple:
         """Insertion path shared by demand misses and prefetches; returns evicted keys."""
@@ -117,6 +119,9 @@ class ArcState:
     def __contains__(self, key):
         return key in self.t2 or key in self.t1
 
+    def __len__(self):
+        return len(self.t1) + len(self.t2)
+
     def access(self, key, seq) -> AccessOutcome:
         if key in self.t2:
             self.t2.move_to_end(key)
@@ -127,14 +132,13 @@ class ArcState:
             return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
         return HIT
 
-    def replay(self, keys) -> tuple:
+    def replay(self, keys) -> int:
         """As CacheState.replay: access and insert inlined, with the four list sizes
         and p kept in locals, read once here and p written back at the end."""
         t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
         move_to_end = t2.move_to_end
         cap, unit, p = self.capacity, self.unit_adaptation, self.p
         n1, n2, m1, m2 = len(t1), len(t2), len(b1), len(b2)
-        before = n1 + n2
         hits = 0
         for key in keys:
             if key in t2:
@@ -180,7 +184,7 @@ class ArcState:
                 continue
             hits += 1
         self.p = p
-        return hits, len(keys) - hits - (n1 + n2 - before)
+        return hits
 
     def insert(self, key, seq) -> tuple:
         """Miss-path insertion: ghost recall with adaptation, or cold insert at t1 MRU."""

@@ -31,11 +31,11 @@ class PreEvictingCache:
 
     Timers tick once per access call; an access or insert sets its key's timer to
     timer_init. One period for all timers means keys expire in touch order, so
-    `deadlines` is a queue and each access pops its due prefix; base-policy victims
-    leave it at once, other keys that left are skipped when due. The residents below
-    halfway are among `low`, the keys below halfway inserted since the last clearing.
-    Both cost O(1) amortized per access, plus sorting the victims. The base cache
-    must start empty and take every insertion through the wrapper."""
+    `deadlines` is a queue and each access pops its due prefix. With the timer on it
+    holds exactly the residents: a key that leaves the cache leaves the queue. The
+    residents below halfway are among `low`, the keys below halfway inserted since
+    the last clearing. Both cost O(1) amortized per access, plus sorting the removed
+    keys. The base cache must start empty and take every insertion through it."""
 
     def __init__(self, base, config: PreEvictConfig):
         self.base = base
@@ -64,23 +64,22 @@ class PreEvictingCache:
         if timer_init:
             deadlines = self.deadlines
             for victim in outcome.evicted:
-                deadlines.pop(victim, None)
+                del deadlines[victim]
             deadlines[key] = tick + timer_init
             deadlines.move_to_end(key)
         if not removed:
             return outcome
         return _new_tuple(AccessOutcome, (outcome.hit, (*removed, *outcome.evicted)))
 
-    def replay(self, keys) -> tuple:
+    def replay(self, keys) -> int:
         """Demand-access every key in order, leaving the state that one access per
-        key would leave; returns (hits, evictions). access is inlined."""
+        key would leave; returns the hits. access is inlined."""
         base = self.base
         access = base.access
         deadlines, low, halfway = self.deadlines, self.low, self._halfway
         timer_init = self._timer_init
         tick = self.ticks
-        forced = self.timer_evictions + self.halfway_evictions  # before this replay
-        hits = evictions = 0
+        hits = 0
         for seq, key in enumerate(keys):
             if timer_init:
                 tick += 1
@@ -94,17 +93,14 @@ class PreEvictingCache:
             hit, evicted = access(key, seq)
             if hit:
                 hits += 1
-            elif evicted:
-                evictions += len(evicted)
-                if timer_init:
-                    for victim in evicted:
-                        deadlines.pop(victim, None)
+            elif timer_init:
+                for victim in evicted:
+                    del deadlines[victim]
             if timer_init:
                 deadlines[key] = tick + timer_init
                 deadlines.move_to_end(key)
         self.ticks = tick
-        forced = self.timer_evictions + self.halfway_evictions - forced
-        return hits, evictions + forced
+        return hits
 
     def _clear_low(self):
         """Evict the resident keys below halfway in ascending order; empty `low`."""
@@ -113,29 +109,30 @@ class PreEvictingCache:
         self.low.clear()
         for low in cleared:
             base.evict_key(low)
+        if self._timer_init:
+            for low in cleared:
+                del self.deadlines[low]
         self.halfway_evictions += len(cleared)
         return cleared
 
     def _expire(self, tick):
-        """Pop the book's due prefix; evict its resident keys in ascending order."""
+        """Pop the book's due prefix and evict it in ascending key order."""
         deadlines = self.deadlines
-        base = self.base
         expired = []
         while deadlines:
-            key = next(iter(deadlines))
-            deadline = deadlines[key]
+            key, deadline = next(iter(deadlines.items()))
             if deadline > tick:
                 self._due = deadline
                 break
             del deadlines[key]
-            if key in base:
-                expired.append(key)
+            expired.append(key)
         else:
             # every later touch runs out at tick + timer_init or after
             self._due = tick + self._timer_init
         expired.sort()
+        evict_key = self.base.evict_key
         for key in expired:
-            base.evict_key(key)
+            evict_key(key)
         self.timer_evictions += len(expired)
         return expired
 
@@ -144,9 +141,8 @@ class PreEvictingCache:
         if self._timer_init:
             deadlines = self.deadlines
             for victim in evicted:
-                deadlines.pop(victim, None)
-            deadlines[key] = self.ticks + self._timer_init
-            deadlines.move_to_end(key)
+                del deadlines[victim]
+            deadlines[key] = self.ticks + self._timer_init  # not resident: joins the back
         if self._halfway is not None and key < self._halfway:
             self.low.add(key)
         return evicted

@@ -66,7 +66,8 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
     prefetch's victim; so a victim re-request beats the eviction of the entry that
     displaced it. A prefetch only inserts a key that an earlier access brought in,
     so a key's first access always misses: compulsory misses are the distinct keys
-    on every path. Deterministic for identical inputs.
+    on every path. Each demand miss and each prefetch inserts one key, so evictions
+    of every cause are misses + issued - residents. Deterministic for identical inputs.
     """
     cache = make_cache(config.cache)
     pre = config.pre
@@ -74,7 +75,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
     keys = trace.keys
 
     if config.prefetch is None:
-        hits, evictions = front.replay(keys)
+        hits = front.replay(keys)
         issued = useful = harmful = 0
     else:
         pcfg = config.prefetch
@@ -100,7 +101,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
                 if not waiting:
                     del by_victim[victim]
 
-        hits = evictions = issued = useful = harmful = 0
+        hits = issued = useful = harmful = 0
         for seq, key in enumerate(keys):
             row = observe(key)
             hit, evicted = access(key, seq)
@@ -113,11 +114,9 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
                 for waiting in by_victim.pop(key):
                     del pending[waiting]
                     harmful += 1
-            if evicted:
-                evictions += len(evicted)
-                for victim in evicted:
-                    if victim in pending:
-                        settle(victim)
+            for victim in evicted:
+                if victim in pending:
+                    settle(victim)
             if hit and on_miss:
                 continue
             if top_k == 1:
@@ -136,7 +135,6 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
                 for victim in insert(fetched, seq):  # an insertion evicts at most one key
                     pending[fetched] = victim
                     by_victim.setdefault(victim, set()).add(fetched)
-                    evictions += 1
                     if victim in pending:
                         settle(victim)
 
@@ -149,7 +147,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
         demand_hits=hits,
         demand_misses=misses,
         compulsory_misses=distinct,
-        evictions=evictions,
+        evictions=misses + issued - len(cache),
         timer_evictions=front.timer_evictions if front is not cache else 0,
         halfway_evictions=front.halfway_evictions if front is not cache else 0,
         prefetch_issued=issued,

@@ -77,10 +77,10 @@ def _as_text(data: Union[str, bytes]) -> str:
 
 
 def _parse_key(token: str) -> int:
-    if token[:2].lower() == "0x":
-        value = int(token, 16)
-    else:
-        value = int(token, 10)
+    try:
+        value = int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
+    except ValueError:
+        raise ValueError("not a decimal or 0x-hex integer") from None
     if not 0 <= value <= MAX_KEY:
         raise ValueError("key outside unsigned 64-bit range")
     return value

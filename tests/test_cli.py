@@ -1,11 +1,17 @@
+import contextlib
 import io
 import json
 import math
+import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab.cli import main
+from cachelab.policies import POLICIES
 
 DATA = Path(__file__).parent / "data"
 SPRINKLER = str(DATA / "sprinkler.json")
@@ -75,16 +81,21 @@ def test_run_malformed_trace_names_file_and_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,fmt,message", [
-    ("\x00\n", "plain", "bad key '\\x00'"),
+    ("\x00\n", "plain", "bad key '\\x00': not a decimal or 0x-hex integer"),
+    ("0xzz\n", "plain", "bad key '0xzz': not a decimal or 0x-hex integer"),
+    ("18446744073709551616\n", "plain",
+     "bad key '18446744073709551616': key outside unsigned 64-bit range"),
     ("1 100\n", "smpc", "unknown op code '1'"),
+    ("2 zz\n", "smpc", "bad address 'zz': not a decimal or 0x-hex integer"),
 ])
 def test_trace_diagnostic_names_its_line_once(tmp_path, capsys, text, fmt, message):
+    # the line once, and the bad token once: the message is the whole diagnostic
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run_cli(["run", "--trace", str(path), "--format", fmt, "--policy", "lru",
                               "--capacity", "4"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith(f"{path}:1: {message}") and "line 1" not in err
+    assert err == f"{path}:1: {message}\n" and "line 1" not in err
     assert err.count("\n") == 1
 
 
@@ -456,3 +467,127 @@ def test_cli_deterministic_given_argv(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# The CLI fuzz: argv and input bytes for every subcommand, drawn from small ranges
+# and, about one time in sixteen per item, from tokens that a flag or a parser must
+# refuse. Paths are placeholders that name the drawn input, the output file, a
+# missing file or a directory.
+def mostly(valid, refused):
+    # not an end of the range, which Hypothesis draws more often
+    return st.integers(0, 15).flatmap(lambda roll: refused if roll == 7 else valid)
+
+
+def small_ints(low, high):
+    return mostly(st.integers(low, high).map(str),
+                  st.sampled_from(["-1", "0", "", "x", "1.5", "0x2", " 3"]))
+
+
+def choice(valid, refused=("x",)):
+    return mostly(st.sampled_from(valid), st.sampled_from(refused))
+
+
+def comma_list(tokens):
+    return st.lists(tokens, min_size=1, max_size=4).map(",".join)
+
+
+PATHS = choice(["{input}"], ["{missing}", "{dir}"])
+FLOATS = choice(["0", "0.1", "0.5", "1"], ["2", "-1", "nan", "inf", "1e309", "x", ""])
+POLICY_FLAGS = {
+    "--format": choice(["plain", "smpc"]),
+    "--arc-adaptation": choice(["unit", "ratio"]),
+    "--pre-evict": choice(["halfway"]),
+    "--address-space": small_ints(2, 40),
+    "--pre-evict-timer": small_ints(1, 12),
+    "--prefetch": choice(["pgm"]),
+    "--order": small_ints(1, 2),
+    "--top-k": small_ints(1, 4),
+    "--p-min": FLOATS,
+    "--alpha": FLOATS,
+    "--min-support": small_ints(0, 4),
+    "--out": choice(["json", "csv", "table"]),
+}
+FLAGS = {  # command -> (required flags, optional flags), each flag with its values
+    "run": ({"--trace": PATHS, "--policy": choice(POLICIES),
+             "--capacity": small_ints(1, 9)}, POLICY_FLAGS),
+    "compare": ({"--trace": PATHS,
+                 "--policies": comma_list(choice(POLICIES, ["x", "", " lru"])),
+                 "--capacities": comma_list(small_ints(1, 9) | st.just("log") | st.just("sqrt"))},
+                POLICY_FLAGS),
+    "gen-trace": ({"--model": choice(["markov"]), "--states": small_ints(1, 20),
+                   "--length": small_ints(1, 60), "--determinism": FLOATS,
+                   "--seed": small_ints(-3, 3) | st.integers(-2**70, 2**70).map(str),
+                   "--out": choice(["{output}"], ["{missing}/out.txt", "{dir}"])}, {}),
+    "lru-sim": ({}, {}),
+    "bayes": ({"--net": PATHS,
+               "--query": choice(["Rain", "Sprinkler", "WetGrass"], ["x", ""])},
+              {"--evidence": comma_list(choice(
+                  ["Rain=T", "Rain=F", "Sprinkler=1", "WetGrass=0"],
+                  ["Rain=2", "x=T", "Rain", "=T", ""])),
+               "--method": choice(["enum", "ve"])}),
+}
+
+KEY_LINES = st.integers(0, 30).map(str)
+ODD_LINES = st.sampled_from(["0x1f", "18446744073709551615", "# note", "", " 4 ",
+                             "18446744073709551616", "-1", "zz", "\x00", "1 2 3", "7 4", "2"])
+SPRINKLER_EDITS = [("0.2", "0.3"), ("0.2", "NaN"), ("0.8", "-0.2"), ("0.99", "1e999"),
+                   ("2}", "1}"), ("2}", "3}"), ("2}", "true}"), ('"Rain"', '"Ra\\nin"'),
+                   ('["Rain"]', '["Rain", "Rain"]'), ('["Rain"]', '["WetGrass"]'), ("[[", "[")]
+
+
+@st.composite
+def input_bytes(draw, command, smpc):
+    """What a command reads: an lru-sim case list, the sprinkler net, or keys in the
+    trace format asked for, each now and then edited or unfit; or raw bytes."""
+    if draw(mostly(st.just(False), st.just(True))):
+        return draw(st.binary(max_size=64))
+    if command == "lru-sim":
+        case = st.tuples(small_ints(1, 4), st.text("ABCZ!", min_size=1, max_size=12))
+        lines = [*map(" ".join, draw(st.lists(case, max_size=4))), draw(choice(["0"], [""]))]
+        return "\n".join(lines).encode()
+    if command == "bayes":
+        old, new = draw(choice([("", "")], SPRINKLER_EDITS))
+        return Path(SPRINKLER).read_text().replace(old, new, 1).encode()
+    prefix = draw(choice(["2 " if smpc else ""], ["", "2 ", "5 "]))
+    lines = mostly(st.lists(KEY_LINES, max_size=200),
+                   st.lists(KEY_LINES | ODD_LINES, max_size=200))
+    return "".join(f"{prefix}{line}\n" for line in draw(lines)).encode()
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    required, optional = FLAGS[command]
+    names = [name for name in required if draw(st.integers(0, 19))]  # mostly present
+    if optional:
+        names += draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=6))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        argv += [name, draw({**required, **optional}[name])]
+    smpc = "--format" in argv and argv[argv.index("--format") + 1] == "smpc"
+    return argv, draw(input_bytes(command, smpc))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cli_calls())
+def test_cli_fuzz_exit_codes_and_diagnostics(call):
+    argv, data = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"input": f"{tmp}/input", "output": f"{tmp}/out.txt",
+                 "missing": f"{tmp}/missing", "dir": tmp}
+        Path(paths["input"]).write_bytes(data)
+        argv = [arg.format(**paths) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    assert "Traceback" not in out + err
+    assert "nan" not in out.lower(), (argv, out)

@@ -364,10 +364,12 @@ def test_replay_equals_stepped_access(case):
             for seq, key in enumerate(prefetched):
                 if key not in cache:
                     cache.insert(key, seq)
+        before = len(stepped)
         outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
         hits = sum(out.hit for out in outs)
         evictions = sum(len(out.evicted) for out in outs)
-        assert replayed.replay(keys) == (hits, evictions)
+        assert replayed.replay(iter(keys)) == hits
+        assert evictions == len(keys) - hits - (len(stepped) - before)
         assert book(replayed) == book(stepped)
 
 
@@ -390,14 +392,12 @@ def test_arc_chunked_replay_matches_naive_oracle(case):
     # each chunk re-reads the list sizes and p at entry and writes p back at exit
     config, keys, cuts = case
     replayed = ArcState(config)
-    hits = evictions = 0
+    hits = 0
     for start, stop in zip([0, *cuts], [*cuts, len(keys)]):
-        chunk_hits, chunk_evictions = replayed.replay(keys[start:stop])
-        hits += chunk_hits
-        evictions += chunk_evictions
+        hits += replayed.replay(iter(keys[start:stop]))
     ref_hits, _, _, final = ref_arc_run(keys, config.capacity, config.arc_adaptation)
     assert hits == ref_hits
     assert book(replayed) == final
     stepped = ArcState(config)
-    assert evictions == sum(len(stepped.access(key, seq).evicted)
-                            for seq, key in enumerate(keys))
+    evictions = sum(len(stepped.access(key, seq).evicted) for seq, key in enumerate(keys))
+    assert evictions == len(keys) - hits - len(stepped)

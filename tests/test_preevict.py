@@ -318,6 +318,8 @@ def test_wrapper_matches_naive_oracle_on_every_event(case):
             got = tuple(wrapped.access(key, seq))
         assert got == (hit, evicted), (op, key, seq)
         assert resident(wrapped.base) == held
+        if timer_init is not None:  # the timer book holds exactly the residents
+            assert set(wrapped.deadlines) == held
         assert wrapped.timer_evictions == timer_evictions
         assert wrapped.halfway_evictions == halfway_evictions
 
@@ -353,8 +355,12 @@ def test_wrapper_replay_equals_stepped_access(case):
         for seq, key in enumerate(prefetched):
             if key not in wrapped.base:
                 wrapped.insert(key, seq)
+    before = len(stepped.base)
     outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
     hits = sum(out.hit for out in outs)
     evictions = sum(len(out.evicted) for out in outs)
-    assert replayed.replay(keys) == (hits, evictions)
+    assert replayed.replay(iter(keys)) == hits
+    assert evictions == len(keys) - hits - (len(stepped.base) - before)
     assert wrapper_state(replayed) == wrapper_state(stepped)
+    if config.timer_enabled:
+        assert set(replayed.deadlines) == resident(replayed.base)
