@@ -81,7 +81,9 @@ def test_run_malformed_trace_names_file_and_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,fmt,message", [
-    ("\x00\n", "plain", "bad key '\\x00': not a decimal or 0x-hex integer"),
+    # the id this case had when it checked only the bad token
+    pytest.param("\x00\n", "plain", "bad key '\\x00': not a decimal or 0x-hex integer",
+                 id="\x00\n-plain-bad key '\\x00'"),
     ("0xzz\n", "plain", "bad key '0xzz': not a decimal or 0x-hex integer"),
     ("18446744073709551616\n", "plain",
      "bad key '18446744073709551616': key outside unsigned 64-bit range"),
