@@ -212,6 +212,8 @@ def cmd_gen_trace(parser, args):
         trace = gen_markov_trace(args.seed, args.states, args.length, args.determinism)
     except InvalidParam as exc:
         parser.error(str(exc))
+    except MemoryError:
+        return _fail(f"gen-trace: not enough memory for --length {args.length}")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(emit_plain(trace))

@@ -137,6 +137,7 @@ class ArcState:
         and p kept in locals, read once here and p written back at the end."""
         t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
         move_to_end = t2.move_to_end
+        pop1, pop2, popb1, popb2 = t1.popitem, t2.popitem, b1.popitem, b2.popitem
         cap, unit, p = self.capacity, self.unit_adaptation, self.p
         n1, n2, m1, m2 = len(t1), len(t2), len(b1), len(b2)
         hits = 0
@@ -150,31 +151,33 @@ class ArcState:
             else:
                 dest = t2  # a ghost hit recalls the key to t2; a cold miss sets t1
                 if key in b1:
-                    p = min(p + (1 if unit else max(1, m2 // m1)), cap)
+                    p += 1 if unit else (m2 // m1 or 1)
+                    p = p if p < cap else cap
                     del b1[key]
                     m1 -= 1
                 elif key in b2:
-                    p = max(p - (1 if unit else max(1, m1 // m2)), 0)
+                    p -= 1 if unit else (m1 // m2 or 1)
+                    p = p if p > 0 else 0
                     del b2[key]
                     m2 -= 1
                 else:
                     dest = t1
                     if n1 + m1 == cap:
                         if m1:
-                            b1.popitem(False)
+                            popb1(False)
                             m1 -= 1
                         else:  # t1 full: its LRU falls out of the directory entirely
-                            t1.popitem(False)
+                            pop1(False)
                             n1 -= 1
                     elif n1 + n2 + m1 + m2 >= 2 * cap:
-                        b2.popitem(False)
+                        popb2(False)
                         m2 -= 1
                 if n1 + n2 >= cap:
                     if n1 and n1 >= p:
-                        b1[t1.popitem(False)[0]] = None
+                        b1[pop1(False)[0]] = None
                         n1, m1 = n1 - 1, m1 + 1
                     else:
-                        b2[t2.popitem(False)[0]] = None
+                        b2[pop2(False)[0]] = None
                         n2, m2 = n2 - 1, m2 + 1
                 dest[key] = None
                 if dest is t1:
@@ -190,27 +193,29 @@ class ArcState:
         """Miss-path insertion: ghost recall with adaptation, or cold insert at t1 MRU."""
         cap = self.capacity
         t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
+        n1, n2, m1, m2 = len(t1), len(t2), len(b1), len(b2)
         evicted = ()
         dest = t2  # a ghost hit recalls the key to t2; a cold miss sets t1
         if key in b1:
-            delta = 1 if self.unit_adaptation else max(1, len(b2) // len(b1))
-            self.p = min(self.p + delta, cap)
+            p = self.p + (1 if self.unit_adaptation else (m2 // m1 or 1))
+            self.p = p if p < cap else cap
             del b1[key]
         elif key in b2:
-            delta = 1 if self.unit_adaptation else max(1, len(b1) // len(b2))
-            self.p = max(self.p - delta, 0)
+            p = self.p - (1 if self.unit_adaptation else (m1 // m2 or 1))
+            self.p = p if p > 0 else 0
             del b2[key]
         else:
             dest = t1
-            if len(t1) + len(b1) == cap:
-                if b1:
+            if n1 + m1 == cap:
+                if m1:
                     b1.popitem(False)
                 else:  # t1 full: its LRU falls out of the directory entirely
                     evicted = (t1.popitem(False)[0],)
-            elif len(t1) + len(t2) + len(b1) + len(b2) >= 2 * cap:
+                    n1 -= 1
+            elif n1 + n2 + m1 + m2 >= 2 * cap:
                 b2.popitem(False)
-        if len(t1) + len(t2) >= cap:
-            if t1 and len(t1) >= self.p:
+        if n1 + n2 >= cap:
+            if n1 and n1 >= self.p:
                 victim = t1.popitem(False)[0]
                 b1[victim] = None
             else:

@@ -140,13 +140,12 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
 
     accesses = len(keys)
     misses = accesses - hits
-    distinct = len(set(keys))
     return SimReport(
         label=config.label,
         accesses=accesses,
         demand_hits=hits,
         demand_misses=misses,
-        compulsory_misses=distinct,
+        compulsory_misses=trace.distinct,
         evictions=misses + issued - len(cache),
         timer_evictions=front.timer_evictions if front is not cache else 0,
         halfway_evictions=front.halfway_evictions if front is not cache else 0,
@@ -156,7 +155,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
         prefetch_harmful=harmful,
         prefetch_coverage=coverage(useful, misses),
         hit_ratio=hits / accesses if accesses else 0.0,
-        distinct_keys=distinct,
+        distinct_keys=trace.distinct,
     )
 
 

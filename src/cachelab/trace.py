@@ -1,6 +1,7 @@
 """Access-trace parsing, emission, and seeded synthetic workload generation."""
 
 import enum
+from dataclasses import dataclass
 from itertools import count, repeat
 from typing import NamedTuple, Union
 
@@ -41,10 +42,17 @@ class TraceEvent(NamedTuple):
     op: Op = Op.UNSPECIFIED
 
 
-class Trace(NamedTuple):
-    """The requested keys in order; ops, one Op per event, only from parse_smpc."""
+@dataclass(frozen=True, slots=True)
+class Trace:
+    """The requested keys in order; ops, one Op per event, only from parse_smpc; distinct,
+    len(set(keys)), counted when not given. Read-only once built: runs share its keys."""
     keys: list
     ops: list = None
+    distinct: int = None
+
+    def __post_init__(self):
+        if self.distinct is None:
+            object.__setattr__(self, "distinct", len(set(self.keys)))
 
     @property
     def events(self) -> list:
@@ -91,8 +99,9 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
     text = _as_text(text)
     try:  # the bulk path: int(t) takes exactly the tokens int(t, 10) takes
         keys = [int(t) for t in map(str.strip, text.splitlines()) if t and t[0] != "#"]
-        if not keys or 0 <= min(keys) and max(keys) <= MAX_KEY:
-            return Trace(keys)
+        seen = set(keys)  # the range check reads each different key once
+        if not seen or 0 <= min(seen) and max(seen) <= MAX_KEY:
+            return Trace(keys, distinct=len(seen))
     except ValueError:
         pass
     # hex keys and bad lines go line by line, which names the first bad line
@@ -179,10 +188,11 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     given probability, otherwise jump to a uniformly random key."""
     if not 0.0 <= determinism <= 1.0:
         raise InvalidParam(f"determinism must be in [0, 1], got {determinism}")
-    if num_keys < 2:
-        raise InvalidParam(f"num_keys must be >= 2, got {num_keys}")
-    if length < 1:
-        raise InvalidParam(f"length must be >= 1, got {length}")
+    if not 2 <= num_keys <= 2**63:  # numpy draws the jumps as int64
+        raise InvalidParam(f"num_keys must be in [2, 2**63], got {num_keys}")
+    max_length = np.iinfo(np.intp).max // 8 + 1  # numpy cannot size a longer float64 draw
+    if not 1 <= length <= max_length:
+        raise InvalidParam(f"length must be in [1, {max_length}], got {length}")
     rng = np.random.default_rng(seed & MAX_KEY)  # seed taken as unsigned 64-bit
     state = int(rng.integers(num_keys))
     follow = (rng.random(length - 1) < determinism).tolist()

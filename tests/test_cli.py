@@ -314,6 +314,18 @@ def test_gen_trace_bad_determinism(tmp_path):
     assert err.value.code == 2
 
 
+def test_gen_trace_too_long_to_draw_fails_in_one_line(tmp_path, capsys):
+    # 10**17 float64s (711 PiB) exceed any x86-64 user address space, so numpy's
+    # allocation fails at once; a length below about 1e15 could fit and fill memory
+    out = tmp_path / "x.txt"
+    code, stdout, err = run_cli(
+        ["gen-trace", "--model", "markov", "--states", "4", "--length", str(10**17),
+         "--determinism", "0.5", "--seed", "1", "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bayes_prior_query(capsys):
     code, out, err = run_cli(["bayes", "--net", SPRINKLER, "--query", "Rain"], capsys)
     assert code == 0 and err == ""
@@ -516,8 +528,9 @@ FLAGS = {  # command -> (required flags, optional flags), each flag with its val
                  "--policies": comma_list(choice(POLICIES, ["x", "", " lru"])),
                  "--capacities": comma_list(small_ints(1, 9) | st.just("log") | st.just("sqrt"))},
                 POLICY_FLAGS),
-    "gen-trace": ({"--model": choice(["markov"]), "--states": small_ints(1, 20),
-                   "--length": small_ints(1, 60), "--determinism": FLOATS,
+    "gen-trace": ({"--model": choice(["markov"]),
+                   "--states": small_ints(1, 20) | st.just(str(2**63 + 1)),
+                   "--length": small_ints(1, 60) | st.just(str(10**17)), "--determinism": FLOATS,
                    "--seed": small_ints(-3, 3) | st.integers(-2**70, 2**70).map(str),
                    "--out": choice(["{output}"], ["{missing}/out.txt", "{dir}"])}, {}),
     "lru-sim": ({}, {}),

@@ -251,6 +251,8 @@ def arc_invariants(cache: ArcState):
     assert (len(cache.t1) + len(cache.t2) + len(cache.b1) + len(cache.b2)
             <= 2 * cache.capacity)
     assert 0 <= cache.p <= cache.capacity
+    if cache.unit_adaptation:  # so a unit b1 ghost hit never lifts p past capacity
+        assert cache.p + len(cache.b1) <= cache.capacity
 
 
 def test_arc_scan_sequence_tally():
@@ -371,6 +373,37 @@ def test_replay_equals_stepped_access(case):
         assert replayed.replay(iter(keys)) == hits
         assert evictions == len(keys) - hits - (len(stepped) - before)
         assert book(replayed) == book(stepped)
+
+
+# Ghost hits whose step would carry p past a bound; the test checks that each one
+# does. Under unit adaptation p + |b1| <= capacity (arc_invariants), so a b1 ghost
+# hit finds p < capacity and only the lower bound can bind.
+ARC_CLAMP_CASES = [
+    ("ratio", 3, [0, 2, 2, 0, 1, 5, 1, 3, 7, 2, 5, 7, 3], {"capacity", "zero"}),
+    ("unit", 1, [0, 0, 1, 0], {"zero"}),
+]
+
+
+@pytest.mark.parametrize("adaptation, capacity, keys, bounds", ARC_CLAMP_CASES)
+def test_arc_p_clamps_at_both_bounds(adaptation, capacity, keys, bounds):
+    config = CacheConfig(capacity, "arc", adaptation)
+    unit = adaptation == "unit"
+    stepped = ArcState(config)
+    hit_bounds, stepped_hits = set(), 0
+    for seq, key in enumerate(keys):
+        p, m1, m2 = stepped.p, len(stepped.b1), len(stepped.b2)
+        if key in stepped.b1 and p + (1 if unit else m2 // m1) > capacity:
+            hit_bounds.add("capacity")
+        elif key in stepped.b2 and p - (1 if unit else m1 // m2) < 0:
+            hit_bounds.add("zero")
+        stepped_hits += stepped.access(key, seq).hit
+    assert hit_bounds == bounds
+    ref_hits, _, _, final = ref_arc_run(keys, capacity, adaptation)
+    assert (stepped_hits, book(stepped)) == (ref_hits, final)
+    for size in (len(keys), 1, 2, 5):  # one replay, then replays of chunks
+        replayed = ArcState(config)
+        hits = sum(replayed.replay(keys[i:i + size]) for i in range(0, len(keys), size))
+        assert (hits, book(replayed)) == (ref_hits, final)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from cachelab.trace import (
     MalformedCase,
     MalformedLine,
     Op,
+    Trace,
     TraceError,
     TraceEvent,
     emit_plain,
@@ -105,6 +106,7 @@ def test_parse_plain_matches_naive_oracle(data):
     else:
         assert expected == ("ok", trace.keys)
         assert trace.events == [TraceEvent(i, k) for i, k in enumerate(trace.keys)]
+        assert trace.distinct == len(set(trace.keys))
 
 
 @pytest.mark.parametrize("parse", [parse_smpc, parse_lru_problem])
@@ -146,6 +148,7 @@ def test_smpc_plain_round_trip():
         smpc = parse_smpc(text)
         again = parse_plain(emit_plain(smpc))
         assert again.keys == smpc.keys
+        assert smpc.distinct == again.distinct == len(set(smpc.keys))
         assert [e.op for e in smpc.events] == [SMPC_OPS[int(line.split()[0])] for line in lines]
         assert_events_follow_keys(smpc)
         assert_events_follow_keys(again)
@@ -213,6 +216,7 @@ def test_gen_markov_same_seed_same_trace():
     a = gen_markov_trace(seed=1, num_keys=4, length=50, determinism=0.5)
     b = gen_markov_trace(seed=1, num_keys=4, length=50, determinism=0.5)
     assert a.keys == b.keys
+    assert a == b
     c = gen_markov_trace(seed=2, num_keys=4, length=50, determinism=0.5)
     assert c.keys != a.keys
 
@@ -257,7 +261,21 @@ def test_traces_hold_keys_not_per_event_objects():
     dict(seed=1, num_keys=4, length=5, determinism=-0.1),
     dict(seed=1, num_keys=1, length=5, determinism=0.5),
     dict(seed=1, num_keys=4, length=0, determinism=0.5),
+    dict(seed=1, num_keys=2**63 + 1, length=5, determinism=0.5),  # past numpy's int64 draw
+    dict(seed=1, num_keys=4, length=10**19, determinism=0.5),  # a draw numpy cannot size
 ])
 def test_gen_markov_invalid_params(kwargs):
     with pytest.raises(InvalidParam):
         gen_markov_trace(**kwargs)
+
+
+def test_trace_counts_its_distinct_keys():
+    keys = [5, 1, 5, 2, 1, 5]
+    trace = Trace(keys)
+    assert trace.distinct == 3 and Trace([]).distinct == 0
+    assert trace == Trace(list(keys)) == parse_plain("5\n1\n5\n2\n1\n5\n")
+    assert trace != Trace([5, 1, 2])
+    generated = gen_markov_trace(seed=5, num_keys=50, length=400, determinism=0.3)
+    assert generated.distinct == len(set(generated.keys))
+    with pytest.raises(AttributeError):  # read-only: every run shares the key list
+        trace.keys = []
