@@ -1,7 +1,7 @@
 """Access-trace parsing, emission, and seeded synthetic workload generation."""
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, repeat
 from typing import NamedTuple, Union
 
@@ -45,14 +45,14 @@ class TraceEvent(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class Trace:
     """The requested keys in order; ops, one Op per event, only from parse_smpc; distinct,
-    len(set(keys)), counted when not given. Read-only once built: runs share its keys."""
+    len(set(keys)), counted once when built. Every run shares the key list, so it must
+    not be changed after the trace is built: distinct would not follow it."""
     keys: list
     ops: list = None
-    distinct: int = None
+    distinct: int = field(init=False)
 
     def __post_init__(self):
-        if self.distinct is None:
-            object.__setattr__(self, "distinct", len(set(self.keys)))
+        object.__setattr__(self, "distinct", len(set(self.keys)))
 
     @property
     def events(self) -> list:
@@ -99,9 +99,8 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
     text = _as_text(text)
     try:  # the bulk path: int(t) takes exactly the tokens int(t, 10) takes
         keys = [int(t) for t in map(str.strip, text.splitlines()) if t and t[0] != "#"]
-        seen = set(keys)  # the range check reads each different key once
-        if not seen or 0 <= min(seen) and max(seen) <= MAX_KEY:
-            return Trace(keys, distinct=len(seen))
+        if not keys or 0 <= min(keys) and max(keys) <= MAX_KEY:
+            return Trace(keys)
     except ValueError:
         pass
     # hex keys and bad lines go line by line, which names the first bad line

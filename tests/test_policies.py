@@ -392,9 +392,9 @@ def test_arc_p_clamps_at_both_bounds(adaptation, capacity, keys, bounds):
     hit_bounds, stepped_hits = set(), 0
     for seq, key in enumerate(keys):
         p, m1, m2 = stepped.p, len(stepped.b1), len(stepped.b2)
-        if key in stepped.b1 and p + (1 if unit else m2 // m1) > capacity:
+        if key in stepped.b1 and p + (1 if unit else (m2 // m1 or 1)) > capacity:
             hit_bounds.add("capacity")
-        elif key in stepped.b2 and p - (1 if unit else m1 // m2) < 0:
+        elif key in stepped.b2 and p - (1 if unit else (m1 // m2 or 1)) < 0:
             hit_bounds.add("zero")
         stepped_hits += stepped.access(key, seq).hit
     assert hit_bounds == bounds

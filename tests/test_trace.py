@@ -277,5 +277,5 @@ def test_trace_counts_its_distinct_keys():
     assert trace != Trace([5, 1, 2])
     generated = gen_markov_trace(seed=5, num_keys=50, length=400, determinism=0.3)
     assert generated.distinct == len(set(generated.keys))
-    with pytest.raises(AttributeError):  # read-only: every run shares the key list
-        trace.keys = []
+    with pytest.raises(AttributeError):  # frozen: neither field can be rebound
+        trace.distinct = 0
