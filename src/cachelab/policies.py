@@ -67,16 +67,49 @@ class CacheState:
             self.entries.move_to_end(key)
         return HIT
 
-    def replay(self, keys) -> int:
+    def replay(self, keys, pre=None) -> int:
         """Demand-access each key in order, leaving the state that one access per key
-        would; returns the hits."""
+        would; returns the hits. `pre`, a PreEvictingCache over this cache, has its
+        timer and halfway rules run inline before each access: keys that leave the
+        cache stay in its timer book until they come due or the replay ends."""
         entries = self.entries
         popitem = entries.popitem
         move_to_end = entries.move_to_end if self._by_recency else None
         victim_last = self._victim_last
-        room = self.capacity - len(entries)  # a full cache stays full: keys leave as victims
+        room = self.capacity - len(entries)  # keys leave as victims or pre-evictions
         hits = 0
+        wrapped = pre is not None
+        if wrapped:
+            timer_init, halfway, low = pre._timer_init, pre._halfway, pre.low
+            deadlines, tick, due = pre.deadlines, pre.ticks, pre._due
+            pop_due, requeue = deadlines.popitem, deadlines.move_to_end
+            expired = cleared = 0
         for key in keys:
+            if wrapped:
+                if timer_init:
+                    tick += 1
+                    while tick >= due:  # pop the due prefix; keys already gone just leave
+                        if not deadlines:
+                            due = tick + timer_init
+                            break
+                        old, due = pop_due(False)
+                        if due > tick:
+                            deadlines[old] = due
+                            requeue(old, False)
+                        elif old in entries:
+                            del entries[old]
+                            room, expired = room + 1, expired + 1
+                    deadlines[key] = tick + timer_init
+                    requeue(key)
+                if halfway is not None:
+                    if key < halfway:
+                        low.add(key)
+                    elif low and key not in entries:
+                        for old in low:
+                            if old in entries:
+                                del entries[old]
+                                room, cleared = room + 1, cleared + 1
+                        low.clear()
             if key in entries:
                 hits += 1
                 if move_to_end:
@@ -87,6 +120,8 @@ class CacheState:
             else:
                 popitem(victim_last)
             entries[key] = None
+        if wrapped:
+            pre._end_replay(tick, due, expired, cleared)
         return hits
 
     def insert(self, key, seq) -> tuple:
@@ -132,16 +167,54 @@ class ArcState:
             return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
         return HIT
 
-    def replay(self, keys) -> int:
-        """As CacheState.replay: access and insert inlined, with the four list sizes
-        and p kept in locals, read once here and p written back at the end."""
+    def replay(self, keys, pre=None) -> int:
+        """As CacheState.replay, `pre` included: access and insert inlined, with the
+        four list sizes and p kept in locals, read once here and p written back at
+        the end. A pre-evicted key leaves t1 or t2 and enters no ghost list."""
         t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
         move_to_end = t2.move_to_end
         pop1, pop2, popb1, popb2 = t1.popitem, t2.popitem, b1.popitem, b2.popitem
         cap, unit, p = self.capacity, self.unit_adaptation, self.p
         n1, n2, m1, m2 = len(t1), len(t2), len(b1), len(b2)
         hits = 0
+        wrapped = pre is not None
+        if wrapped:
+            timer_init, halfway, low = pre._timer_init, pre._halfway, pre.low
+            deadlines, tick, due = pre.deadlines, pre.ticks, pre._due
+            pop_due, requeue = deadlines.popitem, deadlines.move_to_end
+            expired = cleared = 0
         for key in keys:
+            if wrapped:
+                if timer_init:
+                    tick += 1
+                    while tick >= due:  # as in CacheState.replay
+                        if not deadlines:
+                            due = tick + timer_init
+                            break
+                        old, due = pop_due(False)
+                        if due > tick:
+                            deadlines[old] = due
+                            requeue(old, False)
+                        elif old in t1:
+                            del t1[old]
+                            n1, expired = n1 - 1, expired + 1
+                        elif old in t2:
+                            del t2[old]
+                            n2, expired = n2 - 1, expired + 1
+                    deadlines[key] = tick + timer_init
+                    requeue(key)
+                if halfway is not None:
+                    if key < halfway:
+                        low.add(key)
+                    elif low and key not in t2 and key not in t1:
+                        for old in low:
+                            if old in t1:
+                                del t1[old]
+                                n1, cleared = n1 - 1, cleared + 1
+                            elif old in t2:
+                                del t2[old]
+                                n2, cleared = n2 - 1, cleared + 1
+                        low.clear()
             if key in t2:
                 move_to_end(key)
             elif key in t1:
@@ -187,6 +260,8 @@ class ArcState:
                 continue
             hits += 1
         self.p = p
+        if wrapped:
+            pre._end_replay(tick, due, expired, cleared)
         return hits
 
     def insert(self, key, seq) -> tuple:

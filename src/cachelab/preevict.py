@@ -32,10 +32,14 @@ class PreEvictingCache:
     Timers tick once per access call; an access or insert sets its key's timer to
     timer_init. One period for all timers means keys expire in touch order, so
     `deadlines` is a queue and each access pops its due prefix. With the timer on it
-    holds exactly the residents: a key that leaves the cache leaves the queue. The
-    residents below halfway are among `low`, the keys below halfway inserted since
-    the last clearing. Both cost O(1) amortized per access, plus sorting the removed
-    keys. The base cache must start empty and take every insertion through it."""
+    holds exactly the residents at every method boundary: a key that leaves the
+    cache leaves the queue. The residents below halfway are among `low`, the keys
+    below halfway inserted since the last clearing. Both cost O(1) amortized per
+    access, plus sorting the removed keys: `access` reports expiries and clearings
+    in ascending key order. `replay` runs both rules inside the base policy's replay
+    loop, where nothing is reported and the book is lazy: a policy victim stays in
+    it until it comes due or the replay ends. The base cache must start empty and
+    take every insertion through it."""
 
     def __init__(self, base, config: PreEvictConfig):
         self.base = base
@@ -73,34 +77,18 @@ class PreEvictingCache:
 
     def replay(self, keys) -> int:
         """Demand-access every key in order, leaving the state that one access per
-        key would leave; returns the hits. access is inlined."""
-        base = self.base
-        access = base.access
-        deadlines, low, halfway = self.deadlines, self.low, self._halfway
-        timer_init = self._timer_init
-        tick = self.ticks
-        hits = 0
-        for seq, key in enumerate(keys):
-            if timer_init:
-                tick += 1
-                if tick >= self._due:
-                    self._expire(tick)
-            if halfway is not None:
-                if key < halfway:
-                    low.add(key)
-                elif low and key not in base:
-                    self._clear_low()
-            hit, evicted = access(key, seq)
-            if hit:
-                hits += 1
-            elif timer_init:
-                for victim in evicted:
-                    del deadlines[victim]
-            if timer_init:
-                deadlines[key] = tick + timer_init
-                deadlines.move_to_end(key)
-        self.ticks = tick
-        return hits
+        key would leave; returns the hits. Both rules run inside the base's replay."""
+        return self.base.replay(keys, self)
+
+    def _end_replay(self, tick, due, expired, cleared):
+        """Take back the state a base replay kept in locals, and drop the keys that
+        left the cache from the timer book, which is lazy only within a replay."""
+        self.ticks, self._due = tick, due
+        self.timer_evictions += expired
+        self.halfway_evictions += cleared
+        base, deadlines = self.base, self.deadlines
+        for key in [key for key in deadlines if key not in base]:
+            del deadlines[key]
 
     def _clear_low(self):
         """Evict the resident keys below halfway in ascending order; empty `low`."""

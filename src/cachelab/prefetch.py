@@ -76,8 +76,9 @@ class MarkovPredictor:
         # the shared denominator makes count order and probability order identical
         if top_k == 1:
             return [(row.leader, (row.top + alpha) / denom)]
-        ranked = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(key, (count + alpha) / denom) for key, count in ranked[:top_k]]
+        # a stable sort by count, descending, keeps tied keys in ascending order
+        ranked = sorted(sorted(row), key=row.__getitem__, reverse=True)
+        return [(key, (row[key] + alpha) / denom) for key in ranked[:top_k]]
 
 
 @dataclass(frozen=True)

@@ -364,3 +364,69 @@ def test_wrapper_replay_equals_stepped_access(case):
     assert wrapper_state(replayed) == wrapper_state(stepped)
     if config.timer_enabled:
         assert set(replayed.deadlines) == resident(replayed.base)
+
+
+@st.composite
+def chunked_replay_cases(draw):
+    """A wrapped cache config with one or both pre-eviction axes on, a demand key run
+    cut into 1-4 chunks, each after a few insertions (as prefetches make), and a
+    tail of demand keys."""
+    capacity = draw(st.integers(1, 8))
+    base = CacheConfig(capacity, draw(st.sampled_from(POLICIES)),
+                       draw(st.sampled_from(("unit", "ratio"))))
+    halfway, timer = draw(st.sampled_from(((True, False), (False, True), (True, True))))
+    config = PreEvictConfig(halfway_enabled=halfway,
+                            address_space_size=draw(st.integers(2, 40)),
+                            timer_enabled=timer,
+                            timer_init=draw(st.integers(1, 3 * capacity + 5)))
+    keys = st.integers(0, draw(st.integers(1, 39)))
+    chunks = st.tuples(st.lists(keys, max_size=3), st.lists(keys, max_size=60))
+    return (base, config, draw(st.lists(chunks, min_size=1, max_size=4)),
+            draw(st.lists(keys, max_size=40)))
+
+
+def assert_due_bounds_book(wrapped):
+    if wrapped.deadlines:
+        assert wrapped._due <= min(wrapped.deadlines.values())
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(chunked_replay_cases())
+def test_chunked_replay_then_access_equals_stepped_access(case):
+    # The book is lazy only within a replay: what a later insert, replay or access
+    # reads of it must be what stepping every key would have left.
+    base, config, chunks, tail = case
+    replayed, stepped = (PreEvictingCache(make_cache(base), config) for _ in range(2))
+    for prefetched, keys in chunks:
+        for wrapped in (replayed, stepped):
+            for key in prefetched:
+                if key not in wrapped.base:
+                    wrapped.insert(key, 0)
+        hits = sum(stepped.access(key, seq).hit for seq, key in enumerate(keys))
+        assert replayed.replay(keys) == hits
+        assert wrapper_state(replayed) == wrapper_state(stepped)
+        assert_due_bounds_book(replayed)
+    for seq, key in enumerate(tail):
+        assert replayed.access(key, seq) == stepped.access(key, seq)
+        assert_due_bounds_book(replayed)
+    assert wrapper_state(replayed) == wrapper_state(stepped)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("halfway,timer", [(True, False), (False, True), (True, True)])
+def test_wrapper_replay_makes_no_call_into_its_base(policy, halfway, timer):
+    def refuse(*args):
+        raise AssertionError("the wrapper's replay stepped its base")
+
+    config = PreEvictConfig(halfway_enabled=halfway, address_space_size=64,
+                            timer_enabled=timer, timer_init=12)
+    rng = random.Random(7)
+    keys = [rng.randrange(64) for _ in range(2000)]
+    replayed, stepped = (PreEvictingCache(make_cache(CacheConfig(16, policy)), config)
+                         for _ in range(2))
+    replayed.base.access = replayed.base.insert = replayed.base.evict_key = refuse
+    hits = sum(stepped.access(key, seq).hit for seq, key in enumerate(keys))
+    assert replayed.replay(keys) == hits
+    assert wrapper_state(replayed) == wrapper_state(stepped)
+    assert (replayed.halfway_evictions > 0) == halfway
+    assert (replayed.timer_evictions > 0) == timer

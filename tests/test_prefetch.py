@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab.bayes import Variable, learn_cpts
 from cachelab.policies import CacheConfig
@@ -96,6 +97,18 @@ def test_predict_top1_is_head_of_full_ranking(order):
         ranked = pred.predict_next(ctx, len(successors))
         assert pred.predict_next(ctx, 1) == ranked[:1]
         assert [successors[k] for k, _ in ranked] == sorted(successors.values(), reverse=True)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from((1, 2)), st.integers(1, 9), st.sampled_from((0, 0.5, 1.0)),
+       st.lists(st.integers(-3, 12), max_size=120))
+def test_predict_ranking_equals_sort_by_count_then_key(order, top_k, alpha, keys):
+    pred = MarkovPredictor(order=order, alpha=alpha, min_support=0)
+    feed(pred, keys)
+    for ctx, row in pred.counts.items():
+        denom = row.total + alpha * len(row)
+        ranked = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+        assert pred.predict_next(ctx, top_k) == [(k, (c + alpha) / denom) for k, c in ranked]
 
 
 @pytest.mark.parametrize("order", [1, 2])
