@@ -24,9 +24,10 @@ from .policies import (
     ArcState,
     CacheConfig,
     CacheState,
+    PreEvictConfig,
+    PreEvictingCache,
     make_cache,
 )
-from .preevict import PreEvictConfig, PreEvictingCache
 from .prefetch import (
     MarkovPredictor,
     PredictorConfig,

@@ -8,8 +8,7 @@ import math
 import sys
 
 from . import bayes
-from .policies import POLICIES, CacheConfig, CacheState
-from .preevict import PreEvictConfig
+from .policies import POLICIES, CacheConfig, CacheState, PreEvictConfig
 from .prefetch import PredictorConfig, PrefetchConfig
 from .simkit import DuplicateLabel, RunConfig, compare, emit_report
 from .trace import (
@@ -137,11 +136,12 @@ def _pre_config(parser, args):
 def _prefetch_config(parser, args):
     if args.prefetch is None:
         return None, None
-    if args.min_support < 0:
-        parser.error(f"--min-support must be >= 0, got {args.min_support}")
-    return (PrefetchConfig(top_k=args.top_k, p_min=args.p_min),
-            PredictorConfig(order=args.order, alpha=args.alpha,
-                            min_support=args.min_support))
+    try:
+        return (PrefetchConfig(top_k=args.top_k, p_min=args.p_min),
+                PredictorConfig(order=args.order, alpha=args.alpha,
+                                min_support=args.min_support))
+    except InvalidParam as exc:
+        parser.error(str(exc))
 
 
 def _resolve_capacity(token, n):

@@ -1,10 +1,11 @@
-"""Single-level fully-associative cache model with FIFO/LIFO/LRU/MRU and ARC."""
+"""Single-level fully-associative cache model with FIFO/LIFO/LRU/MRU and ARC,
+and the pre-eviction wrapper whose timer and halfway rules their replays run."""
 
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .trace import InvalidParam
+from .trace import InvalidParam, require_ints
 
 FIFO = "fifo"
 LIFO = "lifo"
@@ -24,6 +25,7 @@ class CacheConfig:
     arc_adaptation: str = UNIT
 
     def __post_init__(self):
+        require_ints(capacity=self.capacity)
         if self.capacity < 1:
             raise InvalidParam(f"capacity must be >= 1, got {self.capacity}")
         if self.policy not in POLICIES:
@@ -312,3 +314,119 @@ def make_cache(config: CacheConfig):
     if config.policy == ARC:
         return ArcState(config)
     return CacheState(config)
+
+
+@dataclass(frozen=True)
+class PreEvictConfig:
+    halfway_enabled: bool = False
+    address_space_size: int = 0
+    timer_enabled: bool = False
+    timer_init: int = 2048
+
+    def __post_init__(self):
+        require_ints(timer_init=self.timer_init, address_space_size=self.address_space_size)
+        if self.timer_init < 1:
+            raise InvalidParam(f"timer_init must be >= 1, got {self.timer_init}")
+        if self.halfway_enabled and self.address_space_size < 2:
+            raise InvalidParam("address_space_size must be >= 2 with halfway enabled")
+
+    @property
+    def enabled(self):
+        return self.halfway_enabled or self.timer_enabled
+
+
+class PreEvictingCache:
+    """Pre-eviction over a base cache: per-entry expiry timers and halfway
+    address-range clearing, beside the policies whose replays run both rules
+    inline. With both axes disabled this is an identity wrapper.
+
+    Timers tick once per access call; an access or insert sets its key's timer to
+    timer_init. One period for all timers means keys expire in touch order, so
+    `deadlines` is a queue and each access pops its due prefix. With the timer on it
+    holds exactly the residents at every method boundary: a key that leaves the
+    cache leaves the queue. The residents below halfway are among `low`, the keys
+    below halfway inserted since the last clearing. A stepped `access` runs expiry,
+    clearing and the base access as one block, as the replays do; it reports expiries
+    and clearings in ascending key order, at O(1) amortized per access plus that sort.
+    `replay` runs both rules inside the base policy's replay loop, where nothing is
+    reported and the book is lazy: a policy victim stays in it until it comes due or
+    the replay ends. The base cache must start empty and take every insertion through it."""
+
+    def __init__(self, base, config: PreEvictConfig):
+        self.base = base
+        self.timer_evictions = self.halfway_evictions = 0
+        self.ticks = 0
+        self.deadlines = OrderedDict()  # key -> tick its timer runs out, in touch order
+        self.low = set()
+        self._timer_init = config.timer_init if config.timer_enabled else 0
+        self._halfway = config.address_space_size // 2 if config.halfway_enabled else None
+        self._due = self._timer_init  # never above the earliest deadline in the book
+
+    def access(self, key, seq) -> AccessOutcome:
+        base, removed = self.base, ()
+        timer_init, halfway, deadlines = self._timer_init, self._halfway, self.deadlines
+        if timer_init:
+            self.ticks = tick = self.ticks + 1
+            if tick >= self._due:
+                removed = []
+                while deadlines:  # pop the due prefix; every key in the book is resident
+                    old, due = deadlines.popitem(False)
+                    if due > tick:
+                        deadlines[old] = due
+                        deadlines.move_to_end(old, False)
+                        break
+                    base.evict_key(old)
+                    removed.append(old)
+                else:
+                    due = tick + timer_init  # every later touch runs out then or after
+                self._due = due
+                removed.sort()
+                self.timer_evictions += len(removed)
+        if halfway is not None:
+            low = self.low
+            if key < halfway:
+                low.add(key)  # a resident low key is already there
+            elif low and key not in base:
+                cleared = sorted(old for old in low if old in base)
+                low.clear()
+                for old in cleared:
+                    base.evict_key(old)
+                    if timer_init:
+                        del deadlines[old]
+                self.halfway_evictions += len(cleared)
+                removed = [*removed, *cleared]
+        outcome = base.access(key, seq)
+        if timer_init:
+            for victim in outcome.evicted:
+                del deadlines[victim]
+            deadlines[key] = tick + timer_init
+            deadlines.move_to_end(key)
+        if not removed:
+            return outcome
+        return _new_tuple(AccessOutcome, (outcome.hit, (*removed, *outcome.evicted)))
+
+    def replay(self, keys) -> int:
+        """Demand-access every key in order, leaving the state that one access per
+        key would leave; returns the hits. Both rules run inside the base's replay."""
+        return self.base.replay(keys, self)
+
+    def _end_replay(self, tick, due, expired, cleared):
+        """Take back the state a base replay kept in locals, and drop the keys that
+        left the cache from the timer book, which is lazy only within a replay."""
+        self.ticks, self._due = tick, due
+        self.timer_evictions += expired
+        self.halfway_evictions += cleared
+        base, deadlines = self.base, self.deadlines
+        for key in [key for key in deadlines if key not in base]:
+            del deadlines[key]
+
+    def insert(self, key, seq) -> tuple:
+        evicted = self.base.insert(key, seq)
+        if self._timer_init:
+            deadlines = self.deadlines
+            for victim in evicted:
+                del deadlines[victim]
+            deadlines[key] = self.ticks + self._timer_init  # not resident: joins the back
+        if self._halfway is not None and key < self._halfway:
+            self.low.add(key)
+        return evicted

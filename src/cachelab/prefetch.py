@@ -3,13 +3,14 @@
 import math
 from dataclasses import dataclass
 
-from .trace import InvalidParam
+from .trace import InvalidParam, require_ints
 
 ON_MISS = "on_miss"
 ON_EVERY_ACCESS = "on_every_access"
 
 
 def _check_predictor_params(order, alpha, min_support):
+    require_ints(order=order, min_support=min_support)
     if order not in (1, 2):
         raise InvalidParam(f"order must be 1 or 2, got {order}")
     if not 0 <= alpha < math.inf:
@@ -88,6 +89,7 @@ class PrefetchConfig:
     trigger: str = ON_EVERY_ACCESS
 
     def __post_init__(self):
+        require_ints(top_k=self.top_k)
         if self.top_k < 1:
             raise InvalidParam(f"top_k must be >= 1, got {self.top_k}")
         if not 0.0 <= self.p_min <= 1.0:

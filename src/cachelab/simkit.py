@@ -6,8 +6,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .policies import CacheConfig, make_cache
-from .preevict import PreEvictConfig, PreEvictingCache
+from .policies import CacheConfig, PreEvictConfig, PreEvictingCache, make_cache
 from .prefetch import (
     ON_EVERY_ACCESS,
     MarkovPredictor,

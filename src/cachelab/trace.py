@@ -1,6 +1,7 @@
 """Access-trace parsing, emission, and seeded synthetic workload generation."""
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from typing import NamedTuple, Union
@@ -27,6 +28,18 @@ class MalformedCase(TraceError):
 
 class InvalidParam(ValueError):
     pass
+
+
+def require_ints(**params):
+    """The values as ints, taking whatever operator.index takes (numpy integers
+    among them); InvalidParam names the first value that is not an integer."""
+    ints = []
+    for name, value in params.items():
+        try:
+            ints.append(operator.index(value))
+        except TypeError:
+            raise InvalidParam(f"{name} must be an integer, got {value!r}") from None
+    return ints
 
 
 class Op(enum.Enum):
@@ -185,6 +198,7 @@ def key_letter(key: int) -> str:
 def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) -> Trace:
     """Order-1 chain over {0..num_keys-1}: follow s -> (s+1) mod num_keys with the
     given probability, otherwise jump to a uniformly random key."""
+    seed, num_keys, length = require_ints(seed=seed, num_keys=num_keys, length=length)
     if not 0.0 <= determinism <= 1.0:
         raise InvalidParam(f"determinism must be in [0, 1], got {determinism}")
     if not 2 <= num_keys <= 2**63:  # numpy draws the jumps as int64

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cachelab import PreEvictConfig, PreEvictingCache
 from cachelab.bayes import infer_enumeration, infer_variable_elimination, markov_blanket
 from cachelab.cli import main
 from cachelab.policies import POLICIES, CacheConfig, make_cache
-from cachelab.preevict import PreEvictConfig, PreEvictingCache
 from cachelab.prefetch import PredictorConfig, PrefetchConfig
 from cachelab.simkit import RunConfig, compare, emit_report, run_sim
 from cachelab.trace import Trace, gen_markov_trace

@@ -255,6 +255,15 @@ def test_run_halfway_address_space_too_small(tmp_path):
     assert err.value.code == 2
 
 
+def test_run_negative_min_support_is_usage_error(tmp_path, capsys):
+    trace = write_trace(tmp_path, [1])
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--trace", trace, "--policy", "lru", "--capacity", "4",
+              "--prefetch", "pgm", "--min-support", "-1"])
+    assert err.value.code == 2
+    assert "min_support must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_gen_trace_negative_seed_is_valid(tmp_path, capsys):
     out = tmp_path / "neg.txt"
     code, _, _ = run_cli(

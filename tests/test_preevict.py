@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cachelab import PreEvictConfig, PreEvictingCache
 from cachelab.policies import POLICIES, CacheConfig, make_cache
-from cachelab.preevict import PreEvictConfig, PreEvictingCache
 from cachelab.trace import InvalidParam
 
 from reference import book, ref_preevict_run, resident

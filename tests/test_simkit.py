@@ -5,9 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachelab import simkit
+from cachelab import PreEvictConfig, simkit
 from cachelab.policies import POLICIES, CacheConfig, make_cache
-from cachelab.preevict import PreEvictConfig
 from cachelab.prefetch import ON_EVERY_ACCESS, ON_MISS, PredictorConfig, PrefetchConfig
 from cachelab.simkit import (
     REPORT_FIELDS,

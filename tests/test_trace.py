@@ -1,6 +1,7 @@
 import gc
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from cachelab.trace import (
     parse_smpc,
 )
 
+from cachelab import CacheConfig, PredictorConfig, PreEvictConfig, PrefetchConfig
 from reference import ref_parse_plain
 
 SMPC_OPS = {0: Op.INSTR_FETCH, 2: Op.DATA_READ, 3: Op.DATA_WRITE}
@@ -267,6 +269,30 @@ def test_traces_hold_keys_not_per_event_objects():
 def test_gen_markov_invalid_params(kwargs):
     with pytest.raises(InvalidParam):
         gen_markov_trace(**kwargs)
+
+
+INT_PARAMS = {  # name -> (build from the value, a valid value)
+    "capacity": (lambda v: CacheConfig(v), 3),
+    "timer_init": (lambda v: PreEvictConfig(timer_enabled=True, timer_init=v), 3),
+    "address_space_size": (lambda v: PreEvictConfig(halfway_enabled=True, address_space_size=v), 3),
+    "top_k": (lambda v: PrefetchConfig(top_k=v), 3),
+    "order": (lambda v: PredictorConfig(order=v), 2),
+    "min_support": (lambda v: PredictorConfig(min_support=v), 3),
+    "seed": (lambda v: gen_markov_trace(v, 3, 5, 0.5), 3),
+    "num_keys": (lambda v: gen_markov_trace(1, v, 5, 0.5), 3),
+    "length": (lambda v: gen_markov_trace(1, 3, v, 0.5), 3),
+}
+
+
+@pytest.mark.parametrize("name", INT_PARAMS)
+def test_integer_params_reject_non_integers(name):
+    build, good = INT_PARAMS[name]
+    with pytest.raises(InvalidParam, match=f"^{name} must be an integer, got 2.5$"):
+        build(2.5)
+    built = build(np.int64(good))  # what operator.index takes passes, numpy ints too
+    assert built == build(good)
+    if isinstance(built, Trace):
+        assert all(type(key) is int for key in built.keys)
 
 
 def test_trace_counts_its_distinct_keys():
