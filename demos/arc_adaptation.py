@@ -11,19 +11,19 @@ def show(cache, note=""):
 
 cache = ArcState(CacheConfig(2, "arc"))
 print("capacity 2, unit adaptation")
-for seq, key in enumerate(["A", "A", "B", "C"]):
-    out = cache.access(key, seq)
-    show(cache, f"access {key}: {'hit' if out.hit else 'miss'}")
+for key in ["A", "A", "B", "C"]:
+    hit, _ = cache.access(key)
+    show(cache, f"access {key}: {'hit' if hit else 'miss'}")
 
 print()
 print("B now lives in the b1 ghost list; touching it is a phantom hit that")
 print("grows p by one and recalls B into t2:")
-out = cache.access("B", 4)
-show(cache, f"access B: {'hit' if out.hit else 'miss'} (phantom)")
+hit, _ = cache.access("B")
+show(cache, f"access B: {'hit' if hit else 'miss'} (phantom)")
 
 print()
 print("a pure scan never reuses inside the window, so arc degrades to plain")
 print("recency eviction and p stays put:")
 scan = ArcState(CacheConfig(3, "arc"))
-hits = sum(scan.access(k, i).hit for i, k in enumerate([0, 1, 2, 3, 0, 4, 1, 2, 3] * 2))
+hits = sum(hit for hit, _ in map(scan.access, [0, 1, 2, 3, 0, 4, 1, 2, 3] * 2))
 show(scan, f"scan done: {hits} hits")

@@ -20,7 +20,6 @@ from .policies import (
     LIFO,
     LRU,
     MRU,
-    AccessOutcome,
     ArcState,
     CacheConfig,
     CacheState,

@@ -66,11 +66,11 @@ def _add_policy_flags(sub, many=False):
     sub.add_argument("--pre-evict-timer", type=_positive_int, default=None,
                      metavar="T", help="expire entries unhit for T requests")
     sub.add_argument("--prefetch", choices=("pgm",), default=None)
-    sub.add_argument("--order", type=int, choices=(1, 2), default=1)
-    sub.add_argument("--top-k", type=_positive_int, default=1)
-    sub.add_argument("--p-min", type=_finite_float(1.0), default=0.1)
-    sub.add_argument("--alpha", type=_finite_float(math.inf), default=1.0)
-    sub.add_argument("--min-support", type=int, default=2)
+    sub.add_argument("--order", type=int, choices=(1, 2))
+    sub.add_argument("--top-k", type=_positive_int)
+    sub.add_argument("--p-min", type=_finite_float(1.0))
+    sub.add_argument("--alpha", type=_finite_float(math.inf))
+    sub.add_argument("--min-support", type=int)
     sub.add_argument("--out", choices=("json", "csv", "table"), default="table")
 
 
@@ -117,7 +117,16 @@ def _load_trace(args):
     return parse_plain(data)
 
 
+def _given(parser, args, enabled, needs, names):
+    """Config fields for the given flags among names; a usage error without `needs`."""
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if given and not enabled:
+        parser.error(f"--{next(iter(given)).replace('_', '-')} requires {needs}")
+    return given
+
+
 def _pre_config(parser, args):
+    _given(parser, args, args.pre_evict, "--pre-evict halfway", ["address_space"])
     if args.pre_evict is None and args.pre_evict_timer is None:
         return None
     if args.pre_evict == "halfway" and args.address_space is None:
@@ -134,12 +143,14 @@ def _pre_config(parser, args):
 
 
 def _prefetch_config(parser, args):
-    if args.prefetch is None:
+    """Flags not given take the config classes' defaults."""
+    enabled = args.prefetch is not None
+    fetch = _given(parser, args, enabled, "--prefetch pgm", ["top_k", "p_min"])
+    predict = _given(parser, args, enabled, "--prefetch pgm", ["order", "alpha", "min_support"])
+    if not enabled:
         return None, None
     try:
-        return (PrefetchConfig(top_k=args.top_k, p_min=args.p_min),
-                PredictorConfig(order=args.order, alpha=args.alpha,
-                                min_support=args.min_support))
+        return PrefetchConfig(**fetch), PredictorConfig(**predict)
     except InvalidParam as exc:
         parser.error(str(exc))
 

@@ -3,7 +3,6 @@ and the pre-eviction wrapper whose timer and halfway rules their replays run."""
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .trace import InvalidParam, require_ints
 
@@ -34,15 +33,6 @@ class CacheConfig:
             raise InvalidParam(f"unknown arc_adaptation {self.arc_adaptation!r}")
 
 
-class AccessOutcome(NamedTuple):
-    hit: bool
-    evicted: tuple = ()
-
-
-HIT = AccessOutcome(True)
-_new_tuple = tuple.__new__  # builds an AccessOutcome without its Python-level __new__
-
-
 class CacheState:
     """Resident keys in one ordered book, each mapped to None: insertion order
     for fifo and lifo, recency order (least recent first) for lru and mru. The
@@ -62,12 +52,13 @@ class CacheState:
     def __len__(self):
         return len(self.entries)
 
-    def access(self, key, seq) -> AccessOutcome:
+    def access(self, key, seq=None) -> tuple:
+        """(hit, evicted keys) as an exact tuple; seq is ignored, as no policy keeps a clock."""
         if key not in self.entries:
-            return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
+            return False, self.insert(key)
         if self._by_recency:
             self.entries.move_to_end(key)
-        return HIT
+        return True, ()
 
     def replay(self, keys, pre=None) -> int:
         """Demand-access each key in order, leaving the state that one access per key
@@ -126,7 +117,7 @@ class CacheState:
             pre._end_replay(tick, due, expired, cleared)
         return hits
 
-    def insert(self, key, seq) -> tuple:
+    def insert(self, key) -> tuple:
         """Insertion path shared by demand misses and prefetches; returns evicted keys."""
         entries = self.entries
         if len(entries) < self.capacity:
@@ -159,15 +150,16 @@ class ArcState:
     def __len__(self):
         return len(self.t1) + len(self.t2)
 
-    def access(self, key, seq) -> AccessOutcome:
+    def access(self, key, seq=None) -> tuple:
+        """As CacheState.access; seq is ignored, as no policy keeps a clock."""
         if key in self.t2:
             self.t2.move_to_end(key)
         elif key in self.t1:
             del self.t1[key]
             self.t2[key] = None
         else:
-            return _new_tuple(AccessOutcome, (False, self.insert(key, seq)))
-        return HIT
+            return False, self.insert(key)
+        return True, ()
 
     def replay(self, keys, pre=None) -> int:
         """As CacheState.replay, `pre` included: access and insert inlined, with the
@@ -266,7 +258,7 @@ class ArcState:
             pre._end_replay(tick, due, expired, cleared)
         return hits
 
-    def insert(self, key, seq) -> tuple:
+    def insert(self, key) -> tuple:
         """Miss-path insertion: ghost recall with adaptation, or cold insert at t1 MRU."""
         cap = self.capacity
         t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
@@ -337,20 +329,19 @@ class PreEvictConfig:
 
 class PreEvictingCache:
     """Pre-eviction over a base cache: per-entry expiry timers and halfway
-    address-range clearing, beside the policies whose replays run both rules
-    inline. With both axes disabled this is an identity wrapper.
+    address-range clearing; with both axes disabled, an identity wrapper.
 
-    Timers tick once per access call; an access or insert sets its key's timer to
-    timer_init. One period for all timers means keys expire in touch order, so
-    `deadlines` is a queue and each access pops its due prefix. With the timer on it
-    holds exactly the residents at every method boundary: a key that leaves the
-    cache leaves the queue. The residents below halfway are among `low`, the keys
-    below halfway inserted since the last clearing. A stepped `access` runs expiry,
-    clearing and the base access as one block, as the replays do; it reports expiries
-    and clearings in ascending key order, at O(1) amortized per access plus that sort.
-    `replay` runs both rules inside the base policy's replay loop, where nothing is
-    reported and the book is lazy: a policy victim stays in it until it comes due or
-    the replay ends. The base cache must start empty and take every insertion through it."""
+    Timers tick once per access call (no method reads a seq); an access or insert
+    sets its key's timer to timer_init. One period for all timers means keys expire
+    in touch order, so `deadlines` is a queue and each access pops its due prefix.
+    With the timer on it holds exactly the residents at every method boundary. The
+    residents below halfway are among `low`, the keys below halfway inserted since
+    the last clearing. A stepped `access` runs expiry, clearing and the base access
+    as one block, as the replays do, and returns an exact (hit, evicted) tuple:
+    expiries, then clearings, each in ascending key order, then the policy's
+    victims. `replay` runs both rules inside the base policy's replay loop, where
+    nothing is reported and the book is lazy until the replay ends. The base cache
+    must start empty and take every insertion through it."""
 
     def __init__(self, base, config: PreEvictConfig):
         self.base = base
@@ -362,7 +353,8 @@ class PreEvictingCache:
         self._halfway = config.address_space_size // 2 if config.halfway_enabled else None
         self._due = self._timer_init  # never above the earliest deadline in the book
 
-    def access(self, key, seq) -> AccessOutcome:
+    def access(self, key, seq=None) -> tuple:
+        """The base's access after expiry and clearing; seq is ignored, as ticks count calls."""
         base, removed = self.base, ()
         timer_init, halfway, deadlines = self._timer_init, self._halfway, self.deadlines
         if timer_init:
@@ -395,15 +387,13 @@ class PreEvictingCache:
                         del deadlines[old]
                 self.halfway_evictions += len(cleared)
                 removed = [*removed, *cleared]
-        outcome = base.access(key, seq)
+        hit, evicted = base.access(key)
         if timer_init:
-            for victim in outcome.evicted:
+            for victim in evicted:
                 del deadlines[victim]
             deadlines[key] = tick + timer_init
             deadlines.move_to_end(key)
-        if not removed:
-            return outcome
-        return _new_tuple(AccessOutcome, (outcome.hit, (*removed, *outcome.evicted)))
+        return hit, (*removed, *evicted) if removed else evicted
 
     def replay(self, keys) -> int:
         """Demand-access every key in order, leaving the state that one access per
@@ -420,8 +410,8 @@ class PreEvictingCache:
         for key in [key for key in deadlines if key not in base]:
             del deadlines[key]
 
-    def insert(self, key, seq) -> tuple:
-        evicted = self.base.insert(key, seq)
+    def insert(self, key) -> tuple:
+        evicted = self.base.insert(key)
         if self._timer_init:
             deadlines = self.deadlines
             for victim in evicted:

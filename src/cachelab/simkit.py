@@ -59,14 +59,16 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
 
     Without prefetch the front cache (the pre-eviction wrapper when an axis is
     enabled, else the policy) replays the key column. With prefetch, per event: the
-    predictor observes the key, the front cache serves it, then the prefetch is
-    decided and inserted. Prefetches resolve as their events occur, within an access
-    in this order: the demand hit or miss, the access's evictions, the new
-    prefetch's victim; so a victim re-request beats the eviction of the entry that
-    displaced it. A prefetch only inserts a key that an earlier access brought in,
-    so a key's first access always misses: compulsory misses are the distinct keys
-    on every path. Each demand miss and each prefetch inserts one key, so evictions
-    of every cause are misses + issued - residents. Deterministic for identical inputs.
+    predictor observes the key, the front cache serves it, then, if the trigger fires
+    and the new context's row has min_support, a prefetch is decided and inserted
+    (predict_next predicts nothing from any other row, so it is not called). Prefetches
+    resolve as their events occur, within an access in this order: the demand hit or
+    miss, the access's evictions, the new prefetch's victim; so a victim re-request
+    beats the eviction of the entry that displaced it. A prefetch only inserts a key
+    that an earlier access brought in, so a key's first access always misses:
+    compulsory misses are the distinct keys on every path. Each demand miss and each
+    prefetch inserts one key, so evictions of every cause are misses + issued -
+    residents. Deterministic for identical inputs.
     """
     cache = make_cache(config.cache)
     pre = config.pre
@@ -101,9 +103,9 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
                     del by_victim[victim]
 
         hits = issued = useful = harmful = 0
-        for seq, key in enumerate(keys):
+        for key in keys:
             row = observe(key)
-            hit, evicted = access(key, seq)
+            hit, evicted = access(key)
             if hit:
                 hits += 1
                 if key in pending:
@@ -116,12 +118,10 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
             for victim in evicted:
                 if victim in pending:
                     settle(victim)
-            if hit and on_miss:
-                continue
+            if hit and on_miss or row is None or row.total < min_support:
+                continue  # no trigger, or a row that predict_next predicts nothing from
             if top_k == 1:
                 # predict_next and decide_prefetch for the leader alone, same float expression
-                if row is None or row.total < min_support:
-                    continue
                 leader = row.leader
                 if (row.top + alpha) / (row.total + alpha * len(row)) < p_min or leader in cache:
                     continue
@@ -131,7 +131,7 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
             for fetched in chosen:
                 issued += 1
                 pending[fetched] = None
-                for victim in insert(fetched, seq):  # an insertion evicts at most one key
+                for victim in insert(fetched):  # an insertion evicts at most one key
                     pending[fetched] = victim
                     by_victim.setdefault(victim, set()).add(fetched)
                     if victim in pending:
@@ -178,22 +178,16 @@ def emit_report(reports, format: str = "table") -> str:
     if format == "json":
         payload = [{name: getattr(r, name) for name in REPORT_FIELDS} for r in reports]
         return json.dumps(payload, indent=2) + "\n"
+    rows = [REPORT_FIELDS, *([_cell(name, getattr(r, name)) for name in REPORT_FIELDS]
+                             for r in reports)]
     if format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(REPORT_FIELDS)
-        for r in reports:
-            writer.writerow([_cell(name, getattr(r, name)) for name in REPORT_FIELDS])
+        csv.writer(out, lineterminator="\n").writerows(rows)
         return out.getvalue()
     if format == "table":
-        rows = [REPORT_FIELDS]
-        for r in reports:
-            rows.append([_cell(name, getattr(r, name)) for name in REPORT_FIELDS])
-        widths = [max(len(row[i]) for row in rows) for i in range(len(REPORT_FIELDS))]
-        lines = []
-        for row in rows:
-            lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
-        return "\n".join(lines) + "\n"
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                       for row in rows)
     raise ValueError(f"unknown report format {format!r}")
 
 

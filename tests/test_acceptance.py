@@ -130,9 +130,10 @@ def test_criterion_04_lru_stack_property():
         keys = [rng.randrange(200) for _ in range(10_000)]
         caches = [make_cache(CacheConfig(k, "lru")) for k in capacities]
         hits = [0] * len(capacities)
-        for seq, key in enumerate(keys):
+        for key in keys:
             for i, cache in enumerate(caches):
-                if cache.access(key, seq).hit:
+                hit, _ = cache.access(key)
+                if hit:
                     hits[i] += 1
         assert hits == sorted(hits), f"trace {trial}: hits {hits} not monotone"
     ok(4, f"lru hits non-decreasing in k over 100 traces x {capacities}")
@@ -222,8 +223,8 @@ def test_criterion_10_pre_eviction_contracts():
         policy = POLICIES[trial % len(POLICIES)]
         plain = make_cache(CacheConfig(6, policy))
         wrapped = PreEvictingCache(make_cache(CacheConfig(6, policy)), PreEvictConfig())
-        for seq, key in enumerate(keys):
-            assert plain.access(key, seq) == wrapped.access(key, seq)
+        for key in keys:
+            assert plain.access(key) == wrapped.access(key)
 
     timer_init = 16
     wrapped = PreEvictingCache(make_cache(CacheConfig(8, "lru")),
@@ -234,8 +235,8 @@ def test_criterion_10_pre_eviction_contracts():
         key = rng.randrange(120)
         for held in resident(wrapped.base):
             assert seq - last_touch[held] <= timer_init
-        out = wrapped.access(key, seq)
-        for gone in out.evicted:
+        _, evicted = wrapped.access(key)
+        for gone in evicted:
             last_touch.pop(gone, None)
         last_touch[key] = seq
 
@@ -244,10 +245,10 @@ def test_criterion_10_pre_eviction_contracts():
     triggered = 0
     for policy in POLICIES:
         wrapped = PreEvictingCache(make_cache(CacheConfig(6, policy)), halfway_cfg)
-        for seq in range(2000):
+        for _ in range(2000):
             key = rng.randrange(128)
-            out = wrapped.access(key, seq)
-            if not out.hit and key >= 64:
+            hit, _ = wrapped.access(key)
+            if not hit and key >= 64:
                 triggered += 1
                 assert all(k >= 64 for k in resident(wrapped.base))
     assert triggered > 0

@@ -187,6 +187,43 @@ def test_run_halfway_requires_address_space(tmp_path):
     assert err.value.code == 2
 
 
+ORPHANS = [("--order", "2", "--prefetch pgm"), ("--top-k", "3", "--prefetch pgm"),
+           ("--p-min", "0.5", "--prefetch pgm"), ("--alpha", "0", "--prefetch pgm"),
+           ("--min-support", "1", "--prefetch pgm"),
+           ("--address-space", "9", "--pre-evict halfway")]
+
+
+OTHER_AXIS = {"--prefetch pgm": ["--pre-evict", "halfway", "--address-space", "8"],
+              "--pre-evict halfway": ["--prefetch", "pgm"]}
+
+
+@pytest.mark.parametrize("flag, value, needs", ORPHANS)
+@pytest.mark.parametrize("command", [["run", "--policy", "lru", "--capacity", "2"],
+                                     ["compare", "--policies", "lru,arc", "--capacities", "2"]])
+@pytest.mark.parametrize("other", ["none", "timer", "other axis"])
+def test_flag_without_its_axis_is_a_usage_error(tmp_path, capsys, flag, value, needs, command,
+                                                other):
+    other = {"none": [], "timer": ["--pre-evict-timer", "4"],
+             "other axis": OTHER_AXIS[needs]}[other]
+    trace = write_trace(tmp_path, [0, 1, 2, 3] * 5)
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--trace", trace, *other, flag, value])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text.splitlines()[-1].endswith(f"error: {flag} requires {needs}")
+
+
+def test_prefetch_flags_left_out_take_the_defaults(tmp_path, capsys):
+    trace = write_trace(tmp_path, [0, 1, 2, 3, 1, 0] * 20)
+    common = ["run", "--trace", trace, "--policy", "lru", "--capacity", "2", "--prefetch", "pgm"]
+    bare = run_cli(common, capsys)
+    spelled = run_cli([*common, "--order", "1", "--top-k", "1", "--p-min", "0.1",
+                       "--alpha", "1", "--min-support", "2"], capsys)
+    assert bare == spelled
+    assert bare[0] == 0 and "lru@2" in bare[1]
+
+
 def test_compare_symbolic_capacities(tmp_path, capsys):
     trace = write_trace(tmp_path, list(range(600)) * 1000)  # n = 600000
     code, out, _ = run_cli(

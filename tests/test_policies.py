@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from cachelab.policies import (
     POLICIES,
-    AccessOutcome,
     ArcState,
     CacheConfig,
     CacheState,
@@ -25,9 +24,9 @@ def run_policy(keys, capacity, policy, adaptation="unit"):
     cache = make_cache(CacheConfig(capacity, policy, adaptation))
     hits = misses = 0
     outcomes = []
-    for seq, key in enumerate(keys):
-        out = cache.access(key, seq)
-        if out.hit:
+    for key in keys:
+        hit, _ = cache.access(key)
+        if hit:
             hits += 1
             outcomes.append("H")
         else:
@@ -74,29 +73,30 @@ def test_fifo_twenty_reference_string():
 
 def test_fifo_victim_is_first_inserted():
     cache = CacheState(CacheConfig(3, "fifo"))
-    for seq, key in enumerate([7, 0, 1]):
-        cache.access(key, seq)
+    for key in [7, 0, 1]:
+        cache.access(key)
     assert next(iter(cache.entries)) == 7
-    out = cache.access(2, 3)
-    assert out.evicted == (7,)
+    _, evicted = cache.access(2)
+    assert evicted == (7,)
 
 
 def test_victim_singleton():
     cache = CacheState(CacheConfig(1, "fifo"))
-    cache.access("A", 0)
+    cache.access("A")
     assert next(iter(cache.entries)) == "A"
 
 
 def test_lifo_victim_insertion_order_not_recency():
     cache = CacheState(CacheConfig(3, "lifo"))
-    for seq, key in enumerate([1, 2, 3]):
-        cache.access(key, seq)
+    for key in [1, 2, 3]:
+        cache.access(key)
     assert next(reversed(cache.entries)) == 3
     # hitting 1 must not change the lifo victim
-    assert cache.access(1, 3).hit
+    hit, _ = cache.access(1)
+    assert hit
     assert next(reversed(cache.entries)) == 3
-    out = cache.access(4, 4)
-    assert out.evicted == (3,)
+    _, evicted = cache.access(4)
+    assert evicted == (3,)
 
 
 def test_lifo_reference_run():
@@ -110,8 +110,8 @@ def test_lifo_reference_run():
 def test_lru_mru_victims():
     for policy, expected in (("lru", "G"), ("mru", "I")):
         cache = CacheState(CacheConfig(3, policy))
-        for seq, ch in enumerate("GHI"):
-            cache.access(ch, seq)
+        for ch in "GHI":
+            cache.access(ch)
         # the book's first key is the lru victim, its last the mru one
         victim = next(iter(cache.entries) if policy == "lru" else reversed(cache.entries))
         assert victim == expected
@@ -126,38 +126,38 @@ def test_mru_reference_run():
 
 def test_snapshot_lru_order_script_case_one():
     cache = CacheState(CacheConfig(5, "lru"))
-    seq = 0
     printed = []
     for ch in "GHI!JKGL!H!":
         if ch == "!":
             printed.append("".join(chr(k + 65) for k in cache.entries))
         else:
-            cache.access(letter_key(ch), seq)
-            seq += 1
+            cache.access(letter_key(ch))
     assert printed == ["GHI", "IJKGL", "JKGLH"]
 
 
 def test_snapshot_case_three_and_empty():
     cache = CacheState(CacheConfig(5, "lru"))
     assert list(cache.entries) == []
-    for seq, ch in enumerate("KMKMN"):
-        cache.access(letter_key(ch), seq)
+    for ch in "KMKMN":
+        cache.access(letter_key(ch))
     assert [chr(k + 65) for k in cache.entries] == ["K", "M", "N"]
 
 
 def test_snapshot_does_not_mutate():
     cache = CacheState(CacheConfig(3, "lru"))
-    for seq, key in enumerate([1, 2, 3]):
-        cache.access(key, seq)
+    for key in [1, 2, 3]:
+        cache.access(key)
     before = list(cache.entries)
     assert list(cache.entries) == before
-    assert cache.access(1, 3).hit
+    hit, _ = cache.access(1)
+    assert hit
 
 
 def test_module_level_access_function():
     cache = CacheState(CacheConfig(2, "lru"))
-    assert cache.access(5, 0) == AccessOutcome(False, ())
-    assert cache.access(5, 1).hit
+    assert cache.access(5) == (False, ())
+    hit, _ = cache.access(5)
+    assert hit
 
 
 def test_classical_policies_match_reference_oracle():
@@ -179,8 +179,8 @@ def test_residency_bound_all_policies():
     keys = [rng.randrange(40) for _ in range(500)]
     for policy in POLICIES:
         cache = make_cache(CacheConfig(6, policy))
-        for seq, key in enumerate(keys):
-            cache.access(key, seq)
+        for key in keys:
+            cache.access(key)
             assert len(resident(cache)) <= 6
 
 
@@ -188,13 +188,11 @@ def test_consecutive_access_hits_all_policies():
     rng = random.Random(5)
     for policy in POLICIES:
         cache = make_cache(CacheConfig(3, policy))
-        seq = 0
         for _ in range(200):
             key = rng.randrange(20)
-            cache.access(key, seq)
-            out = cache.access(key, seq + 1)
-            assert out.hit, policy
-            seq += 2
+            cache.access(key)
+            hit, _ = cache.access(key)
+            assert hit, policy
 
 
 def test_lru_stack_property_random_traces():
@@ -203,9 +201,9 @@ def test_lru_stack_property_random_traces():
         keys = [rng.randrange(30) for _ in range(500)]
         small = CacheState(CacheConfig(4, "lru"))
         large = CacheState(CacheConfig(5, "lru"))
-        for seq, key in enumerate(keys):
-            small.access(key, seq)
-            large.access(key, seq)
+        for key in keys:
+            small.access(key)
+            large.access(key)
             assert set(small.entries) <= set(large.entries)
 
 
@@ -233,7 +231,7 @@ def test_determinism_identical_outcome_sequences():
         runs = []
         for _ in range(2):
             cache = make_cache(CacheConfig(5, policy))
-            runs.append([cache.access(key, seq) for seq, key in enumerate(keys)])
+            runs.append([cache.access(key) for key in keys])
         assert runs[0] == runs[1], policy
 
 
@@ -274,28 +272,28 @@ def test_arc_repeated_key_no_adaptation():
 def test_arc_ghost_hit_unit_adaptation():
     # A A B C fills t2/t1 and pushes B into b1; re-requesting B is a phantom hit
     cache = ArcState(CacheConfig(2, "arc"))
-    for seq, key in enumerate(["A", "A", "B", "C"]):
-        cache.access(key, seq)
+    for key in ["A", "A", "B", "C"]:
+        cache.access(key)
     assert list(cache.b1) == ["B"]
     assert cache.p == 0
-    out = cache.access("B", 4)
-    assert not out.hit
+    hit, evicted = cache.access("B")
+    assert not hit
     assert cache.p == 1
     assert "B" in cache.t2
     # The chosen ARC variant: B raised p to 1 == |t1|, and the full cache took the
     # t1 LRU (C), as it does whenever |t1| >= max(1, p). Megiddo & Modha's REPLACE
     # (FAST '03) takes t1 only if |t1| > p, or |t1| == p and the key is in b2; B
     # came from b1, so it would have taken the t2 LRU (A).
-    assert out.evicted == ("C",)
+    assert evicted == ("C",)
     assert (list(cache.t1), list(cache.t2), list(cache.b1)) == ([], ["A", "B"], ["C"])
 
 
 def test_arc_hit_in_t1_promotes_to_t2():
     cache = ArcState(CacheConfig(3, "arc"))
-    cache.access("A", 0)
+    cache.access("A")
     assert list(cache.t1) == ["A"]
-    out = cache.access("A", 1)
-    assert out.hit
+    hit, _ = cache.access("A")
+    assert hit
     assert list(cache.t1) == [] and list(cache.t2) == ["A"]
 
 
@@ -317,13 +315,13 @@ def test_arc_matches_reference_oracle_on_random_traces():
 def test_arc_invariants_hold_after_every_access():
     rng = random.Random(101)
     cache = ArcState(CacheConfig(16, "arc"))
-    for seq in range(100_000):
-        cache.access(rng.randrange(64), seq)
+    for _ in range(100_000):
+        cache.access(rng.randrange(64))
         arc_invariants(cache)
     for capacity in (1, 2, 5):
         cache = ArcState(CacheConfig(capacity, "arc"))
-        for seq in range(20_000):
-            cache.access(rng.randrange(24), seq)
+        for _ in range(20_000):
+            cache.access(rng.randrange(24))
             arc_invariants(cache)
 
 
@@ -339,7 +337,7 @@ def test_lru_inclusion_after_every_prefix_vs_reference():
     keys = [rng.randrange(20) for _ in range(300)]
     cache = CacheState(CacheConfig(5, "lru"))
     for seq, key in enumerate(keys):
-        cache.access(key, seq)
+        cache.access(key)
         assert list(cache.entries) == ref_lru_order(keys[: seq + 1], 5)
 
 
@@ -363,13 +361,13 @@ def test_replay_equals_stepped_access(case):
     replayed, stepped = make_cache(config), make_cache(config)
     for prefetched, keys in rounds:
         for cache in (replayed, stepped):
-            for seq, key in enumerate(prefetched):
+            for key in prefetched:
                 if key not in cache:
-                    cache.insert(key, seq)
+                    cache.insert(key)
         before = len(stepped)
-        outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
-        hits = sum(out.hit for out in outs)
-        evictions = sum(len(out.evicted) for out in outs)
+        outs = [stepped.access(key) for key in keys]
+        hits = sum(hit for hit, _ in outs)
+        evictions = sum(len(evicted) for _, evicted in outs)
         assert replayed.replay(iter(keys)) == hits
         assert evictions == len(keys) - hits - (len(stepped) - before)
         assert book(replayed) == book(stepped)
@@ -390,13 +388,14 @@ def test_arc_p_clamps_at_both_bounds(adaptation, capacity, keys, bounds):
     unit = adaptation == "unit"
     stepped = ArcState(config)
     hit_bounds, stepped_hits = set(), 0
-    for seq, key in enumerate(keys):
+    for key in keys:
         p, m1, m2 = stepped.p, len(stepped.b1), len(stepped.b2)
         if key in stepped.b1 and p + (1 if unit else (m2 // m1 or 1)) > capacity:
             hit_bounds.add("capacity")
         elif key in stepped.b2 and p - (1 if unit else (m1 // m2 or 1)) < 0:
             hit_bounds.add("zero")
-        stepped_hits += stepped.access(key, seq).hit
+        hit, _ = stepped.access(key)
+        stepped_hits += hit
     assert hit_bounds == bounds
     ref_hits, _, _, final = ref_arc_run(keys, capacity, adaptation)
     assert (stepped_hits, book(stepped)) == (ref_hits, final)
@@ -432,5 +431,5 @@ def test_arc_chunked_replay_matches_naive_oracle(case):
     assert hits == ref_hits
     assert book(replayed) == final
     stepped = ArcState(config)
-    evictions = sum(len(stepped.access(key, seq).evicted) for seq, key in enumerate(keys))
+    evictions = sum(len(evicted) for _, evicted in map(stepped.access, keys))
     assert evictions == len(keys) - hits - len(stepped)

@@ -16,8 +16,8 @@ def holding(keys, config=HALFWAY_1000, capacity=5):
     """A wrapped lru cache with keys placed by prefetch insertion, which never
     applies the halfway rule."""
     wrapped = PreEvictingCache(make_cache(CacheConfig(capacity, "lru")), config)
-    for seq, key in enumerate(keys):
-        wrapped.insert(key, seq)
+    for key in keys:
+        wrapped.insert(key)
     return wrapped
 
 
@@ -32,24 +32,24 @@ def test_config_validation():
 
 def test_halfway_filter_clears_low_block():
     wrapped = holding([10, 200, 900])
-    out = wrapped.access(700, 3)
-    assert out.evicted == (10, 200)
+    _, evicted = wrapped.access(700)
+    assert evicted == (10, 200)
     assert resident(wrapped.base) == {700, 900}
     assert wrapped.halfway_evictions == 2
 
 
 def test_halfway_filter_below_threshold_is_noop():
     wrapped = holding([10, 200, 900])
-    out = wrapped.access(300, 3)
-    assert not out.hit and out.evicted == ()
+    hit, evicted = wrapped.access(300)
+    assert not hit and evicted == ()
     assert resident(wrapped.base) == {10, 200, 300, 900}
     assert wrapped.halfway_evictions == 0
 
 
 def test_halfway_filter_empty_low_block():
     wrapped = holding([500, 600, 900])
-    out = wrapped.access(700, 3)
-    assert out.evicted == ()
+    _, evicted = wrapped.access(700)
+    assert evicted == ()
     assert wrapped.halfway_evictions == 0
 
 
@@ -57,10 +57,10 @@ def test_halfway_filter_is_pure():
     # the rule only acts on a demand miss: a hit at or above halfway leaves the
     # low block resident, and the next miss up there still clears it
     wrapped = holding([10, 900])
-    out = wrapped.access(900, 2)
-    assert out.hit and out.evicted == ()
+    hit, evicted = wrapped.access(900)
+    assert hit and evicted == ()
     assert resident(wrapped.base) == {10, 900}
-    assert wrapped.access(700, 3).evicted == (10,)
+    assert wrapped.access(700)[1] == (10,)
 
 
 def test_tick_timers_decrements_and_reports_expiry():
@@ -68,8 +68,8 @@ def test_tick_timers_decrements_and_reports_expiry():
     steps = [("access", 2), ("access", 1), ("access", 9), ("access", 9)]
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=2))
-    outs = [wrapped.access(key, seq) for seq, (_, key) in enumerate(steps)]
-    assert [out.evicted for out in outs] == [(), (), (2,), (1,)]
+    outs = [wrapped.access(key) for _, key in steps]
+    assert [evicted for _, evicted in outs] == [(), (), (2,), (1,)]
     assert wrapped.timer_evictions == 2
     records = ref_preevict_run(steps, 4, "lru", timer_init=2)
     assert [r[1] for r in records] == [(), (), (2,), (1,)]
@@ -78,8 +78,8 @@ def test_tick_timers_decrements_and_reports_expiry():
 def test_tick_timers_empty_cache():
     wrapped = PreEvictingCache(make_cache(CacheConfig(2, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=3))
-    out = wrapped.access(1, 0)
-    assert not out.hit and out.evicted == ()
+    hit, evicted = wrapped.access(1)
+    assert not hit and evicted == ()
     assert wrapped.timer_evictions == 0
     assert ref_preevict_run([("access", 1)], 2, "lru", timer_init=3)[0][1] == ()
 
@@ -88,40 +88,40 @@ def test_timer_skips_keys_that_already_left():
     # T=2: 1 leaves through the base policy before its timer runs out
     wrapped = PreEvictingCache(make_cache(CacheConfig(1, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=2))
-    wrapped.access(1, 0)
-    assert wrapped.access(2, 1).evicted == (1,)
-    assert wrapped.access(3, 2).evicted == (2,)
+    wrapped.access(1)
+    assert wrapped.access(2)[1] == (1,)
+    assert wrapped.access(3)[1] == (2,)
     assert wrapped.timer_evictions == 0
     # T=2: the halfway rule clears 1 at tick 2; its timer would have run out at tick 3
     both = PreEvictConfig(halfway_enabled=True, address_space_size=10,
                           timer_enabled=True, timer_init=2)
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")), both)
-    wrapped.access(1, 0)
-    assert wrapped.access(7, 1).evicted == (1,)
-    assert wrapped.access(8, 2).evicted == ()
+    wrapped.access(1)
+    assert wrapped.access(7)[1] == (1,)
+    assert wrapped.access(8)[1] == ()
     assert (wrapped.timer_evictions, wrapped.halfway_evictions) == (0, 1)
 
 
 def test_timer_ticks_count_accesses_not_seq():
-    # T=3 with seq jumping by 100: the timer still runs out on the third access
+    # T=3: the timer runs out on the third access after the touch; access takes no clock
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=3))
-    wrapped.access(7, 0)
-    wrapped.access(1, 100)
-    wrapped.access(2, 200)
+    wrapped.access(7)
+    wrapped.access(1)
+    wrapped.access(2)
     assert 7 in wrapped.base
-    assert 7 in wrapped.access(3, 300).evicted
+    assert 7 in wrapped.access(3)[1]
 
 
 def test_prefetch_insert_sets_timer_without_ticking():
     # T=2: inserts after the first access neither tick nor outlive its timer
     wrapped = PreEvictingCache(make_cache(CacheConfig(8, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=2))
-    wrapped.access(1, 0)
+    wrapped.access(1)
     for key in (15, 12, 14, 11, 13):
-        wrapped.insert(key, 0)
-    assert wrapped.access(2, 1).evicted == ()
-    assert wrapped.access(3, 2).evicted == (1, 11, 12, 13, 14, 15)
+        wrapped.insert(key)
+    assert wrapped.access(2)[1] == ()
+    assert wrapped.access(3)[1] == (1, 11, 12, 13, 14, 15)
     assert wrapped.timer_evictions == 6
 
 
@@ -129,25 +129,25 @@ def test_timer_hit_requeues_key_behind_later_touches():
     # T=3: the hit on 1 at tick 3 moves its deadline past 2's, which comes due first
     wrapped = PreEvictingCache(make_cache(CacheConfig(5, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=3))
-    for seq, key in enumerate([1, 2, 1, 3]):
-        assert wrapped.access(key, seq).evicted == ()
-    assert wrapped.access(4, 4).evicted == (2,)
-    assert wrapped.access(5, 5).evicted == (1,)
+    for key in [1, 2, 1, 3]:
+        assert wrapped.access(key)[1] == ()
+    assert wrapped.access(4)[1] == (2,)
+    assert wrapped.access(5)[1] == (1,)
 
 
 def test_timer_expiry_step_count():
-    # T=3: inserted at seq 0 and never hit again -> gone before seq 3 is served
+    # T=3: inserted by access 0 and never hit again -> gone before access 3 is served
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=3))
-    wrapped.access(7, 0)
+    wrapped.access(7)
     assert 7 in wrapped.base
-    wrapped.access(1, 1)
+    wrapped.access(1)
     assert 7 in wrapped.base
-    wrapped.access(2, 2)
+    wrapped.access(2)
     assert 7 in wrapped.base
-    out = wrapped.access(3, 3)
+    _, evicted = wrapped.access(3)
     assert 7 not in wrapped.base
-    assert 7 in out.evicted
+    assert 7 in evicted
     assert wrapped.timer_evictions == 1
 
 
@@ -155,11 +155,9 @@ def test_timer_reset_on_hit_prevents_expiry():
     # T=3 with a hit every other request never expires
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=3))
-    seq = 0
     for _ in range(30):
-        wrapped.access("A", seq)
-        wrapped.access("B", seq + 1)
-        seq += 2
+        wrapped.access("A")
+        wrapped.access("B")
     assert wrapped.timer_evictions == 0
     assert "A" in wrapped.base and "B" in wrapped.base
 
@@ -168,11 +166,11 @@ def test_expiring_key_misses_on_its_own_tick():
     # the expiry tick precedes the access, so the re-request is a miss
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=2))
-    wrapped.access(5, 0)
-    wrapped.access(6, 1)
-    out = wrapped.access(5, 2)
-    assert not out.hit
-    assert 5 in out.evicted  # expired this tick, then reinserted
+    wrapped.access(5)
+    wrapped.access(6)
+    hit, evicted = wrapped.access(5)
+    assert not hit
+    assert 5 in evicted  # expired this tick, then reinserted
 
 
 def test_disabled_wrapper_identical_to_base():
@@ -181,18 +179,18 @@ def test_disabled_wrapper_identical_to_base():
         keys = [rng.randrange(30) for _ in range(400)]
         plain = make_cache(CacheConfig(4, policy))
         wrapped = PreEvictingCache(make_cache(CacheConfig(4, policy)), PreEvictConfig())
-        for seq, key in enumerate(keys):
-            assert plain.access(key, seq) == wrapped.access(key, seq), policy
+        for key in keys:
+            assert plain.access(key) == wrapped.access(key), policy
 
 
 def test_halfway_wrap_evicts_then_inserts():
     wrapped = PreEvictingCache(make_cache(CacheConfig(3, "lru")),
                                PreEvictConfig(halfway_enabled=True, address_space_size=1000))
-    wrapped.access(100, 0)
-    wrapped.access(200, 1)
-    out = wrapped.access(900, 2)
-    assert not out.hit
-    assert set(out.evicted) == {100, 200}
+    wrapped.access(100)
+    wrapped.access(200)
+    hit, evicted = wrapped.access(900)
+    assert not hit
+    assert set(evicted) == {100, 200}
     assert resident(wrapped.base) == {900}
     assert wrapped.halfway_evictions == 2
 
@@ -200,13 +198,13 @@ def test_halfway_wrap_evicts_then_inserts():
 def test_halfway_not_applied_on_hit():
     wrapped = PreEvictingCache(make_cache(CacheConfig(3, "lru")),
                                PreEvictConfig(halfway_enabled=True, address_space_size=1000))
-    wrapped.access(100, 0)
-    wrapped.access(900, 1)  # miss at/above halfway clears 100
+    wrapped.access(100)
+    wrapped.access(900)  # miss at/above halfway clears 100
     assert 100 not in wrapped.base
-    wrapped.access(100, 2)
-    out = wrapped.access(900, 3)  # hit: no filtering
-    assert out.hit and 100 in wrapped.base
-    assert out.evicted == ()
+    wrapped.access(100)
+    hit, evicted = wrapped.access(900)  # hit: no filtering
+    assert hit and 100 in wrapped.base
+    assert evicted == ()
 
 
 def test_timer_wrap_steady_alternation_all_hits():
@@ -214,8 +212,8 @@ def test_timer_wrap_steady_alternation_all_hits():
     wrapped = PreEvictingCache(make_cache(CacheConfig(2, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=3))
     keys = ["A", "B"] * 10
-    outcomes = [wrapped.access(key, seq) for seq, key in enumerate(keys)]
-    assert all(out.hit for out in outcomes[2:])
+    outcomes = [wrapped.access(key) for key in keys]
+    assert all(hit for hit, _ in outcomes[2:])
     assert wrapped.timer_evictions == 0
 
 
@@ -224,8 +222,8 @@ def test_timer_wrap_period_equal_to_timer_expires():
     wrapped = PreEvictingCache(make_cache(CacheConfig(2, "lru")),
                                PreEvictConfig(timer_enabled=True, timer_init=2))
     keys = ["A", "B"] * 6
-    outcomes = [wrapped.access(key, seq) for seq, key in enumerate(keys)]
-    assert not any(out.hit for out in outcomes)
+    outcomes = [wrapped.access(key) for key in keys]
+    assert not any(hit for hit, _ in outcomes)
     assert wrapped.timer_evictions == len(keys) - 2
 
 
@@ -234,10 +232,10 @@ def test_halfway_postcondition_on_random_traces():
     cfg = PreEvictConfig(halfway_enabled=True, address_space_size=100)
     for policy in POLICIES:
         wrapped = PreEvictingCache(make_cache(CacheConfig(5, policy)), cfg)
-        for seq in range(1000):
+        for _ in range(1000):
             key = rng.randrange(100)
-            out = wrapped.access(key, seq)
-            if not out.hit and key >= 50:
+            hit, _ = wrapped.access(key)
+            if not hit and key >= 50:
                 assert all(k >= 50 for k in resident(wrapped.base)), policy
 
 
@@ -252,8 +250,8 @@ def test_timer_bound_on_random_traces():
         key = rng.randrange(60)
         for held in resident(wrapped.base):
             assert seq - last_touch[held] <= timer_init
-        out = wrapped.access(key, seq)
-        for gone in out.evicted:
+        _, evicted = wrapped.access(key)
+        for gone in evicted:
             last_touch.pop(gone, None)
         last_touch[key] = seq
 
@@ -263,29 +261,60 @@ def test_eviction_sets_are_subsets_of_residents():
     cfg = PreEvictConfig(halfway_enabled=True, address_space_size=64,
                          timer_enabled=True, timer_init=4)
     wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")), cfg)
-    for seq in range(1500):
+    for _ in range(1500):
         before = resident(wrapped.base)
-        out = wrapped.access(rng.randrange(64), seq)
-        evicted = set(out.evicted)
-        assert len(evicted) == len(out.evicted)
-        assert evicted <= before
+        _, evicted = wrapped.access(rng.randrange(64))
+        assert len(set(evicted)) == len(evicted)
+        assert set(evicted) <= before
 
 
 def test_wrap_composes_with_arc():
     cfg = PreEvictConfig(halfway_enabled=True, address_space_size=10,
                          timer_enabled=True, timer_init=3)
     wrapped = PreEvictingCache(make_cache(CacheConfig(3, "arc")), cfg)
-    for seq, key in enumerate([1, 2, 7, 1, 8, 9, 2, 3]):
-        out = wrapped.access(key, seq)
+    for key in [1, 2, 7, 1, 8, 9, 2, 3]:
+        hit, _ = wrapped.access(key)
         assert len(resident(wrapped.base)) <= 3
-        if not out.hit and key >= 5:
+        if not hit and key >= 5:
             assert all(k >= 5 for k in resident(wrapped.base))
+
+
+@st.composite
+def outcome_cases(draw):
+    """A base policy, bare or under the timer, the halfway rule or both, and a run
+    of demand accesses with prefetch insertions between them."""
+    base = CacheConfig(draw(st.integers(1, 8)), draw(st.sampled_from(POLICIES)),
+                       draw(st.sampled_from(("unit", "ratio"))))
+    wrap = draw(st.sampled_from((None, "timer", "halfway", "both")))
+    ops = st.sampled_from(("access", "access", "insert"))
+    keys = st.integers(0, draw(st.integers(1, 39)))
+    return base, wrap, draw(st.lists(st.tuples(ops, keys), max_size=150))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(outcome_cases())
+def test_stepped_access_returns_an_exact_tuple(case):
+    # run_sim unpacks every outcome; Python 3.11 does so on its fast path only for
+    # an exact tuple, not for a subclass such as a NamedTuple
+    base, wrap, steps = case
+    cache = held = make_cache(base)
+    if wrap is not None:
+        cache = PreEvictingCache(held, PreEvictConfig(
+            halfway_enabled=wrap != "timer", address_space_size=40,
+            timer_enabled=wrap != "halfway", timer_init=5))
+    for op, key in steps:
+        if op == "access":
+            out = cache.access(key)
+            assert type(out) is tuple and len(out) == 2, out
+            assert type(out[0]) is bool and type(out[1]) is tuple, out
+        elif key not in held:  # a prefetch inserts only a key that is not resident
+            assert type(cache.insert(key)) is tuple
 
 
 @st.composite
 def preevict_cases(draw):
     """A base policy, both, one or neither pre-eviction axis, and a run of demand
-    accesses with prefetch insertions between them, at non-consecutive seqs."""
+    accesses with prefetch insertions between them."""
     policy = draw(st.sampled_from(POLICIES))
     adaptation = draw(st.sampled_from(("unit", "ratio")))
     capacity = draw(st.integers(1, 8))
@@ -294,28 +323,26 @@ def preevict_cases(draw):
     ops = st.sampled_from(("access", "access", "insert"))
     keys = st.integers(0, draw(st.integers(1, 39)))  # a narrow range brings reuse
     steps = draw(st.lists(st.tuples(ops, keys), max_size=150))
-    gaps = draw(st.lists(st.integers(0, 50), min_size=len(steps), max_size=len(steps)))
-    seqs = [sum(gaps[: i + 1]) for i in range(len(gaps))]
-    return policy, adaptation, capacity, address_space, timer_init, steps, seqs
+    return policy, adaptation, capacity, address_space, timer_init, steps
 
 
 @settings(max_examples=500, deadline=None, database=None)
 @given(preevict_cases())
 def test_wrapper_matches_naive_oracle_on_every_event(case):
-    policy, adaptation, capacity, address_space, timer_init, steps, seqs = case
+    policy, adaptation, capacity, address_space, timer_init, steps = case
     config = PreEvictConfig(halfway_enabled=address_space is not None,
                             address_space_size=address_space or 0,
                             timer_enabled=timer_init is not None,
                             timer_init=timer_init or 2048)
     wrapped = PreEvictingCache(make_cache(CacheConfig(capacity, policy, adaptation)), config)
     records = ref_preevict_run(steps, capacity, policy, adaptation, address_space, timer_init)
-    for (op, key), seq, record in zip(steps, seqs, records):
+    for seq, ((op, key), record) in enumerate(zip(steps, records)):
         hit, evicted, held, timer_evictions, halfway_evictions = record
         if op == "insert":
             present = key in wrapped.base
-            got = (None, () if present else wrapped.insert(key, seq))
+            got = (None, () if present else wrapped.insert(key))
         else:
-            got = tuple(wrapped.access(key, seq))
+            got = wrapped.access(key)
         assert got == (hit, evicted), (op, key, seq)
         assert resident(wrapped.base) == held
         if timer_init is not None:  # the timer book holds exactly the residents
@@ -352,13 +379,13 @@ def test_wrapper_replay_equals_stepped_access(case):
     base, config, prefetched, keys = case
     replayed, stepped = (PreEvictingCache(make_cache(base), config) for _ in range(2))
     for wrapped in (replayed, stepped):
-        for seq, key in enumerate(prefetched):
+        for key in prefetched:
             if key not in wrapped.base:
-                wrapped.insert(key, seq)
+                wrapped.insert(key)
     before = len(stepped.base)
-    outs = [stepped.access(key, seq) for seq, key in enumerate(keys)]
-    hits = sum(out.hit for out in outs)
-    evictions = sum(len(out.evicted) for out in outs)
+    outs = [stepped.access(key) for key in keys]
+    hits = sum(hit for hit, _ in outs)
+    evictions = sum(len(evicted) for _, evicted in outs)
     assert replayed.replay(iter(keys)) == hits
     assert evictions == len(keys) - hits - (len(stepped.base) - before)
     assert wrapper_state(replayed) == wrapper_state(stepped)
@@ -401,13 +428,13 @@ def test_chunked_replay_then_access_equals_stepped_access(case):
         for wrapped in (replayed, stepped):
             for key in prefetched:
                 if key not in wrapped.base:
-                    wrapped.insert(key, 0)
-        hits = sum(stepped.access(key, seq).hit for seq, key in enumerate(keys))
+                    wrapped.insert(key)
+        hits = sum(hit for hit, _ in map(stepped.access, keys))
         assert replayed.replay(keys) == hits
         assert wrapper_state(replayed) == wrapper_state(stepped)
         assert_due_bounds_book(replayed)
-    for seq, key in enumerate(tail):
-        assert replayed.access(key, seq) == stepped.access(key, seq)
+    for key in tail:
+        assert replayed.access(key) == stepped.access(key)
         assert_due_bounds_book(replayed)
     assert wrapper_state(replayed) == wrapper_state(stepped)
 
@@ -425,7 +452,7 @@ def test_wrapper_replay_makes_no_call_into_its_base(policy, halfway, timer):
     replayed, stepped = (PreEvictingCache(make_cache(CacheConfig(16, policy)), config)
                          for _ in range(2))
     replayed.base.access = replayed.base.insert = replayed.base.evict_key = refuse
-    hits = sum(stepped.access(key, seq).hit for seq, key in enumerate(keys))
+    hits = sum(hit for hit, _ in map(stepped.access, keys))
     assert replayed.replay(keys) == hits
     assert wrapper_state(replayed) == wrapper_state(stepped)
     assert (replayed.halfway_evictions > 0) == halfway

@@ -370,6 +370,58 @@ def test_run_sim_matches_naive_oracle(case):
     assert dataclasses.asdict(run_sim(as_trace(keys), config)) == ref_run_sim(keys, config)
 
 
+def naive_prediction_count(keys, hits, order, min_support, on_miss):
+    """Events where the trigger fires and whose new context, the last `order` keys,
+    has already been followed at least max(1, min_support) times."""
+    followed, count = {}, 0
+    for t in range(len(keys)):
+        if t >= order:
+            before = tuple(keys[t - order:t])
+            followed[before] = followed.get(before, 0) + 1
+        if t + 1 >= order and not (on_miss and hits[t]):
+            count += followed.get(tuple(keys[t + 1 - order:t + 1]), 0) >= max(1, min_support)
+    return count
+
+
+@pytest.mark.parametrize("top_k", [2, 3])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("trigger", [ON_MISS, ON_EVERY_ACCESS])
+def test_top_k_predicts_only_for_a_context_that_can(monkeypatch, top_k, order, trigger):
+    calls, hits = [], []
+    predict_next = simkit.MarkovPredictor.predict_next
+
+    def counted(self, *args):
+        calls.append(args)
+        return predict_next(self, *args)
+
+    def watched(config):
+        cache = make_cache(config)
+        access = cache.access
+
+        def watched_access(key):
+            hit, evicted = access(key)
+            hits.append(hit)
+            return hit, evicted
+        cache.access = watched_access
+        return cache
+
+    monkeypatch.setattr(simkit.MarkovPredictor, "predict_next", counted)
+    monkeypatch.setattr(simkit, "make_cache", watched)
+    keys = gen_markov_trace(order * 10 + top_k, 30, 400, 0.6).keys
+    for min_support in range(6):
+        policy = POLICIES[min_support % len(POLICIES)]
+        pre = PreEvictConfig(timer_enabled=True, timer_init=9) if min_support % 2 else None
+        config = RunConfig(cache=CacheConfig(6, policy), pre=pre, label="run",
+                           **pgm(top_k, 0.05, trigger, order, 1.0, min_support))
+        calls.clear()
+        hits.clear()
+        report = run_sim(as_trace(keys), config)
+        assert len(hits) == len(keys)
+        assert len(calls) == naive_prediction_count(keys, hits, order, min_support,
+                                                    trigger == ON_MISS), min_support
+        assert dataclasses.asdict(report) == ref_run_sim(keys, config)
+
+
 def test_first_access_misses_on_random_configs(monkeypatch):
     # compulsory misses are counted as distinct keys, which holds only while no
     # prefetch brings a key in ahead of its first request: watch every access
@@ -379,12 +431,12 @@ def test_first_access_misses_on_random_configs(monkeypatch):
         cache = make_cache(config)
         access, seen = cache.access, set()
 
-        def watched_access(key, seq):
-            outcome = access(key, seq)
-            if key not in seen and outcome.hit:
+        def watched_access(key):
+            hit, evicted = access(key)
+            if key not in seen and hit:
                 early.append(key)
             seen.add(key)
-            return outcome
+            return hit, evicted
         cache.access = watched_access
         return cache
 
