@@ -8,7 +8,7 @@ import math
 import sys
 
 from . import bayes
-from .policies import POLICIES, CacheConfig, CacheState, PreEvictConfig
+from .policies import ARC, POLICIES, CacheConfig, CacheState, PreEvictConfig
 from .prefetch import PredictorConfig, PrefetchConfig
 from .simkit import DuplicateLabel, RunConfig, compare, emit_report
 from .trace import (
@@ -59,7 +59,7 @@ def _add_policy_flags(sub, many=False):
     else:
         sub.add_argument("--policy", choices=POLICIES, required=True)
         sub.add_argument("--capacity", type=_positive_int, required=True)
-    sub.add_argument("--arc-adaptation", choices=("unit", "ratio"), default="unit")
+    sub.add_argument("--arc-adaptation", choices=("unit", "ratio"))
     sub.add_argument("--pre-evict", choices=("halfway",), default=None)
     sub.add_argument("--address-space", type=_positive_int, default=None,
                      help="key-space bound for the halfway rule")
@@ -182,6 +182,7 @@ def cmd_compare(parser, args):
     for p in policies:
         if p not in POLICIES:
             parser.error(f"unknown policy {p!r}")
+    adaptation = _given(parser, args, ARC in policies, "an arc policy", ["arc_adaptation"])
     capacities = []
     for token in args.capacities.split(","):
         token = token.strip()
@@ -205,7 +206,7 @@ def cmd_compare(parser, args):
     pre = _pre_config(parser, args)
     prefetch, predictor = _prefetch_config(parser, args)
     configs = [
-        RunConfig(cache=CacheConfig(k, policy, args.arc_adaptation),
+        RunConfig(cache=CacheConfig(k, policy, **adaptation),
                   pre=pre, prefetch=prefetch, predictor=predictor,
                   label=f"{policy}@{k}")
         for policy in policies for k in capacities

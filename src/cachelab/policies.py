@@ -4,6 +4,7 @@ and the pre-eviction wrapper whose timer and halfway rules their replays run."""
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from .prefetch import decide_prefetch
 from .trace import InvalidParam, require_ints
 
 FIFO = "fifo"
@@ -60,25 +61,34 @@ class CacheState:
             self.entries.move_to_end(key)
         return True, ()
 
-    def replay(self, keys, pre=None) -> int:
+    def replay(self, keys, pre=None, fetch=None) -> int:
         """Demand-access each key in order, leaving the state that one access per key
         would; returns the hits. `pre`, a PreEvictingCache over this cache, has its
-        timer and halfway rules run inline before each access: keys that leave the
-        cache stay in its timer book until they come due or the replay ends."""
+        timer and halfway rules run inline before each access, and `fetch`, a
+        Prefetcher, its step after it. A key that leaves the cache keeps its timer entry
+        until it comes due or the replay ends, and its ledger entry until next read."""
         entries = self.entries
         popitem = entries.popitem
         move_to_end = entries.move_to_end if self._by_recency else None
         victim_last = self._victim_last
         room = self.capacity - len(entries)  # keys leave as victims or pre-evictions
-        hits = 0
-        wrapped = pre is not None
-        if wrapped:
-            timer_init, halfway, low = pre._timer_init, pre._halfway, pre.low
-            deadlines, tick, due = pre.deadlines, pre.ticks, pre._due
+        hits = expired = cleared = 0
+        timer_init, halfway = (0, None) if pre is None else (pre._timer_init, pre._halfway)
+        if pre is not None:
+            low, deadlines, tick, due = pre.low, pre.deadlines, pre.ticks, pre._due
             pop_due, requeue = deadlines.popitem, deadlines.move_to_end
-            expired = cleared = 0
+        if fetch is not None:
+            observe, predict = fetch.predictor.observe, fetch.predictor.predict_next
+            pending, by_victim = fetch.pending, fetch.by_victim
+            config, top_k, p_min, alpha, min_support, on_miss = fetch.settings
+            issued, useful, harmful = fetch.issued, fetch.useful, fetch.harmful
+        extra, row = pre is not None or fetch is not None, None  # row None: no step
         for key in keys:
-            if wrapped:
+            if extra:
+                if fetch is not None:
+                    row = observe(key)
+                    waiting = by_victim.get(key)  # the prefetches that evicted key, and
+                    live = waiting and len(entries.keys() & waiting)  # those resident now
                 if timer_init:
                     tick += 1
                     while tick >= due:  # pop the due prefix; keys already gone just leave
@@ -103,18 +113,56 @@ class CacheState:
                                 del entries[old]
                                 room, cleared = room + 1, cleared + 1
                         low.clear()
+                if fetch is not None:
+                    hit = key in entries
+                    if key in pending:  # useful if still resident, else evicted unused
+                        useful += hit
+                        by_victim[pending.pop(key)].discard(key)
+                    if live and not hit:  # a demand miss of their victim
+                        harmful += live
+                        for fetched in by_victim.pop(key):
+                            del pending[fetched]
+                    if hit and on_miss:
+                        row = None  # no prefetch step after this access
             if key in entries:
                 hits += 1
                 if move_to_end:
                     move_to_end(key)
-                continue
-            if room:
-                room -= 1
             else:
-                popitem(victim_last)
-            entries[key] = None
-        if wrapped:
+                if room:
+                    room -= 1
+                else:
+                    popitem(victim_last)
+                entries[key] = None
+            if row is None or row.total < min_support:
+                continue  # no prefetch step, or no row predict_next predicts anything from
+            if top_k > 1:
+                chosen = decide_prefetch(predict(None, top_k), config, entries)
+            elif ((row.top + alpha) / (row.total + alpha * len(row)) < p_min
+                  or row.leader in entries):  # decide_prefetch for top_k 1, inlined
+                continue
+            else:
+                chosen = (row.leader,)
+            for fetched in chosen:
+                if room:
+                    room, victim = room - 1, None
+                else:
+                    victim = popitem(victim_last)[0]
+                entries[fetched] = None
+                if timer_init:
+                    deadlines[fetched] = tick + timer_init
+                    requeue(fetched)
+                if halfway is not None and fetched < halfway:
+                    low.add(fetched)
+                issued += 1
+                if fetched in pending:
+                    by_victim[pending[fetched]].discard(fetched)
+                pending[fetched] = victim
+                by_victim[victim].add(fetched)
+        if pre is not None:
             pre._end_replay(tick, due, expired, cleared)
+        if fetch is not None:
+            fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
         return hits
 
     def insert(self, key) -> tuple:
@@ -161,24 +209,32 @@ class ArcState:
             return False, self.insert(key)
         return True, ()
 
-    def replay(self, keys, pre=None) -> int:
-        """As CacheState.replay, `pre` included: access and insert inlined, with the
-        four list sizes and p kept in locals, read once here and p written back at
-        the end. A pre-evicted key leaves t1 or t2 and enters no ghost list."""
+    def replay(self, keys, pre=None, fetch=None) -> int:
+        """As CacheState.replay: access and insert inlined, with the four list sizes and
+        p in locals, p written back around each prefetch's insert and at the end. A
+        pre-evicted key leaves t1 or t2 and enters no ghost list."""
         t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
         move_to_end = t2.move_to_end
         pop1, pop2, popb1, popb2 = t1.popitem, t2.popitem, b1.popitem, b2.popitem
         cap, unit, p = self.capacity, self.unit_adaptation, self.p
         n1, n2, m1, m2 = len(t1), len(t2), len(b1), len(b2)
-        hits = 0
-        wrapped = pre is not None
-        if wrapped:
-            timer_init, halfway, low = pre._timer_init, pre._halfway, pre.low
-            deadlines, tick, due = pre.deadlines, pre.ticks, pre._due
+        hits = expired = cleared = 0
+        timer_init, halfway = (0, None) if pre is None else (pre._timer_init, pre._halfway)
+        if pre is not None:
+            low, deadlines, tick, due = pre.low, pre.deadlines, pre.ticks, pre._due
             pop_due, requeue = deadlines.popitem, deadlines.move_to_end
-            expired = cleared = 0
+        if fetch is not None:
+            observe, predict = fetch.predictor.observe, fetch.predictor.predict_next
+            pending, by_victim = fetch.pending, fetch.by_victim
+            config, top_k, _, _, min_support, on_miss = fetch.settings  # no top-1 shortcut
+            issued, useful, harmful = fetch.issued, fetch.useful, fetch.harmful
+        extra, row = pre is not None or fetch is not None, None  # row None: no step
         for key in keys:
-            if wrapped:
+            if extra:
+                if fetch is not None:
+                    row = observe(key)
+                    waiting = by_victim.get(key)  # as in CacheState.replay
+                    live = waiting and len(t1.keys() & waiting) + len(t2.keys() & waiting)
                 if timer_init:
                     tick += 1
                     while tick >= due:  # as in CacheState.replay
@@ -209,12 +265,24 @@ class ArcState:
                                 del t2[old]
                                 n2, cleared = n2 - 1, cleared + 1
                         low.clear()
+                if fetch is not None:  # as in CacheState.replay
+                    hit = key in t2 or key in t1
+                    if key in pending:
+                        useful += hit
+                        by_victim[pending.pop(key)].discard(key)
+                    if live and not hit:
+                        harmful += live
+                        for fetched in by_victim.pop(key):
+                            del pending[fetched]
+                    if hit and on_miss:
+                        row = None
             if key in t2:
                 move_to_end(key)
+                hits += 1
             elif key in t1:
                 del t1[key]
                 t2[key] = None
-                n1, n2 = n1 - 1, n2 + 1
+                n1, n2, hits = n1 - 1, n2 + 1, hits + 1
             else:
                 dest = t2  # a ghost hit recalls the key to t2; a cold miss sets t1
                 if key in b1:
@@ -251,11 +319,28 @@ class ArcState:
                     n1 += 1
                 else:
                     n2 += 1
-                continue
-            hits += 1
+            if row is None or row.total < min_support:
+                continue  # as in CacheState.replay
+            chosen = decide_prefetch(predict(None, top_k), config, self)
+            self.p = p
+            for fetched in chosen:
+                victim, = self.insert(fetched) or (None,)  # it evicts at most one key
+                if timer_init:
+                    deadlines[fetched] = tick + timer_init
+                    requeue(fetched)
+                if halfway is not None and fetched < halfway:
+                    low.add(fetched)
+                issued += 1
+                if fetched in pending:
+                    by_victim[pending[fetched]].discard(fetched)
+                pending[fetched] = victim
+                by_victim[victim].add(fetched)
+            p, n1, n2, m1, m2 = self.p, len(t1), len(t2), len(b1), len(b2)
         self.p = p
-        if wrapped:
+        if pre is not None:
             pre._end_replay(tick, due, expired, cleared)
+        if fetch is not None:
+            fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
         return hits
 
     def insert(self, key) -> tuple:
@@ -395,10 +480,10 @@ class PreEvictingCache:
             deadlines.move_to_end(key)
         return hit, (*removed, *evicted) if removed else evicted
 
-    def replay(self, keys) -> int:
+    def replay(self, keys, fetch=None) -> int:
         """Demand-access every key in order, leaving the state that one access per
         key would leave; returns the hits. Both rules run inside the base's replay."""
-        return self.base.replay(keys, self)
+        return self.base.replay(keys, self, fetch)
 
     def _end_replay(self, tick, due, expired, cleared):
         """Take back the state a base replay kept in locals, and drop the keys that

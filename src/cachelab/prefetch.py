@@ -1,6 +1,7 @@
 """Markov next-key prediction, prefetch decisions, and prefetch coverage."""
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .trace import InvalidParam, require_ints
@@ -108,15 +109,27 @@ class PredictorConfig:
         _check_predictor_params(self.order, self.alpha, self.min_support)
 
 
+class Prefetcher:
+    """One run's prefetching, which a policy's replay steps after each demand access,
+    and its ledger. pending maps each prefetched key to the key its insertion
+    evicted, or None, and by_victim is its inverse, so the ledger never holds more
+    entries than the trace has keys. An entry is live while its key stays resident:
+    a demand hit on it is useful, a demand miss of its victim harmful if it was
+    resident when that access began, and an entry never judged so is useless."""
+
+    def __init__(self, config: PrefetchConfig, model: PredictorConfig):
+        self.predictor = MarkovPredictor(model.order, model.alpha, model.min_support)
+        self.settings = (config, config.top_k, config.p_min, model.alpha, model.min_support,
+                         config.trigger != ON_EVERY_ACCESS)
+        self.pending = {}                  # prefetched key -> the key it evicted, or None
+        self.by_victim = defaultdict(set)  # victim or None -> the pending keys it heads
+        self.issued = self.useful = self.harmful = 0
+
+
 def decide_prefetch(predictions, config: PrefetchConfig, resident) -> list:
     """Up to top_k predicted keys at or above p_min that are not resident, in rank order."""
-    chosen = []
-    for key, prob in predictions:
-        if prob >= config.p_min and key not in resident:
-            chosen.append(key)
-            if len(chosen) == config.top_k:
-                break
-    return chosen
+    chosen = [key for key, prob in predictions if prob >= config.p_min and key not in resident]
+    return chosen[:config.top_k]
 
 
 def coverage(useful, demand_misses) -> float:

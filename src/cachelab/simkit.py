@@ -7,14 +7,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .policies import CacheConfig, PreEvictConfig, PreEvictingCache, make_cache
-from .prefetch import (
-    ON_EVERY_ACCESS,
-    MarkovPredictor,
-    PredictorConfig,
-    PrefetchConfig,
-    coverage,
-    decide_prefetch,
-)
+from .prefetch import PredictorConfig, PrefetchConfig, Prefetcher, coverage
 from .trace import Trace
 
 
@@ -55,88 +48,21 @@ FLOAT_FIELDS = ("prefetch_coverage", "hit_ratio")
 
 
 def run_sim(trace: Trace, config: RunConfig) -> SimReport:
-    """One pass over the trace under one configuration.
-
-    Without prefetch the front cache (the pre-eviction wrapper when an axis is
-    enabled, else the policy) replays the key column. With prefetch, per event: the
-    predictor observes the key, the front cache serves it, then, if the trigger fires
-    and the new context's row has min_support, a prefetch is decided and inserted
-    (predict_next predicts nothing from any other row, so it is not called). Prefetches
-    resolve as their events occur, within an access in this order: the demand hit or
-    miss, the access's evictions, the new prefetch's victim; so a victim re-request
-    beats the eviction of the entry that displaced it. A prefetch only inserts a key
-    that an earlier access brought in, so a key's first access always misses:
-    compulsory misses are the distinct keys on every path. Each demand miss and each
-    prefetch inserts one key, so evictions of every cause are misses + issued -
-    residents. Deterministic for identical inputs.
+    """One pass over the trace under one configuration: the front cache (the
+    pre-eviction wrapper when an axis is enabled, else the policy) replays the key
+    column, with the prefetcher's step inside the replay when prefetch is on. A
+    prefetch only inserts a key that an earlier access brought in, so a key's first
+    access always misses: compulsory misses are the distinct keys on every path.
+    Each demand miss and each prefetch inserts one key, so evictions of every cause
+    are misses + issued - residents. Deterministic for identical inputs.
     """
     cache = make_cache(config.cache)
     pre = config.pre
     front = PreEvictingCache(cache, pre) if pre is not None and pre.enabled else cache
     keys = trace.keys
-
-    if config.prefetch is None:
-        hits = front.replay(keys)
-        issued = useful = harmful = 0
-    else:
-        pcfg = config.prefetch
-        predictor_cfg = config.predictor if config.predictor is not None else PredictorConfig()
-        predictor = MarkovPredictor(predictor_cfg.order, predictor_cfg.alpha,
-                                    predictor_cfg.min_support)
-        observe, predict = predictor.observe, predictor.predict_next
-        access, insert = front.access, front.insert
-        top_k, p_min = pcfg.top_k, pcfg.p_min
-        alpha, min_support = predictor_cfg.alpha, predictor_cfg.min_support
-        on_miss = pcfg.trigger != ON_EVERY_ACCESS
-        # The ledger. A pending prefetch is resident; it resolves exactly once, as
-        # useful on a demand hit, harmful on a demand miss of its victim or useless
-        # when evicted or at the end, and then leaves both indexes.
-        pending = {}    # prefetched key -> the key its insertion evicted, or None
-        by_victim = {}  # victim -> pending keys whose insertion evicted it
-
-        def settle(key):
-            victim = pending.pop(key)
-            if victim is not None:
-                waiting = by_victim[victim]
-                waiting.remove(key)
-                if not waiting:
-                    del by_victim[victim]
-
-        hits = issued = useful = harmful = 0
-        for key in keys:
-            row = observe(key)
-            hit, evicted = access(key)
-            if hit:
-                hits += 1
-                if key in pending:
-                    useful += 1
-                    settle(key)
-            elif key in by_victim:
-                for waiting in by_victim.pop(key):
-                    del pending[waiting]
-                    harmful += 1
-            for victim in evicted:
-                if victim in pending:
-                    settle(victim)
-            if hit and on_miss or row is None or row.total < min_support:
-                continue  # no trigger, or a row that predict_next predicts nothing from
-            if top_k == 1:
-                # predict_next and decide_prefetch for the leader alone, same float expression
-                leader = row.leader
-                if (row.top + alpha) / (row.total + alpha * len(row)) < p_min or leader in cache:
-                    continue
-                chosen = (leader,)
-            else:
-                chosen = decide_prefetch(predict(None, top_k), pcfg, cache)
-            for fetched in chosen:
-                issued += 1
-                pending[fetched] = None
-                for victim in insert(fetched):  # an insertion evicts at most one key
-                    pending[fetched] = victim
-                    by_victim.setdefault(victim, set()).add(fetched)
-                    if victim in pending:
-                        settle(victim)
-
+    fetch = config.prefetch and Prefetcher(config.prefetch, config.predictor or PredictorConfig())
+    hits = front.replay(keys, fetch=fetch)
+    issued, useful, harmful = (fetch.issued, fetch.useful, fetch.harmful) if fetch else (0, 0, 0)
     accesses = len(keys)
     misses = accesses - hits
     return SimReport(

@@ -295,14 +295,15 @@ def ref_prefetch_ledger(steps):
     useless, harmful, demand misses)).
     """
     records = []  # [key, victim, outcome]
+    pending = []  # the records whose outcome is still "pending"
     taken = []
     misses = 0
     for op, key, victim in steps:
-        pending = [r for r in records if r[2] == "pending"]
         if op == "issue":
             if any(r[0] == key for r in pending):
                 continue
             records.append([key, victim, "pending"])
+            pending.append(records[-1])
         elif op == "demand_miss":
             misses += 1
             for r in pending:
@@ -312,6 +313,7 @@ def ref_prefetch_ledger(steps):
             for r in pending:
                 if r[0] == key:
                     r[2] = "useful" if op == "demand_hit" else "useless"
+        pending = [r for r in pending if r[2] == "pending"]
         taken.append((op, key, victim))
     outcomes = [r[2] if r[2] != "pending" else "useless" for r in records]
     return taken, (len(records), outcomes.count("useful"), outcomes.count("useless"),
@@ -327,9 +329,15 @@ def ref_predict(history, order, alpha, min_support, top_k):
         return []
     context = history[len(history) - order:]
     counts = {}
-    for i in range(order, len(history)):
-        if history[i - order:i] == context:
-            counts[history[i]] = counts.get(history[i], 0) + 1
+    end = order - 1
+    while True:  # each earlier position where the context could end, left to right
+        try:
+            end = history.index(context[-1], end, len(history) - 1)
+        except ValueError:
+            break
+        if history[end + 1 - order:end + 1] == context:
+            counts[history[end + 1]] = counts.get(history[end + 1], 0) + 1
+        end += 1
     total = sum(counts.values())
     if not counts or total < min_support:
         return []
@@ -338,7 +346,7 @@ def ref_predict(history, order, alpha, min_support, top_k):
     return [(key, (count + alpha) / denom) for key, count in ranked[:top_k]]
 
 
-def ref_run_sim(keys, config):
+def ref_run_sim(keys, config, hit_log=None):
     """The SimReport fields of one run, as a dict, from the naive parts above.
 
     config is read by attribute: cache (capacity, policy, arc_adaptation), pre
@@ -349,7 +357,7 @@ def ref_run_sim(keys, config):
     order, each predicted key at or above p_min that was not resident after the
     access. The ledger oracle judges the prefetches from the hits, misses,
     evictions and issues in the order they happened. A compulsory miss is a
-    miss on a key's first access.
+    miss on a key's first access. hit_log, a list, gets each access's hit or miss.
     """
     cache, pre, prefetch = config.cache, config.pre, config.prefetch
     halfway = pre is not None and pre.halfway_enabled
@@ -367,7 +375,9 @@ def ref_run_sim(keys, config):
     for t, key in enumerate(keys):
         hit, evicted, held, timer_evictions, halfway_evictions = stepper.send(("access", key))
         hits += hit
-        compulsory += not hit and key not in keys[:t]
+        if hit_log is not None:
+            hit_log.append(hit)
+        compulsory += not hit and keys.index(key) == t
         evictions += len(evicted)
         ledger.append(("demand_hit" if hit else "demand_miss", key, None))
         ledger += [("evicted", victim, None) for victim in evicted]

@@ -214,6 +214,32 @@ def test_flag_without_its_axis_is_a_usage_error(tmp_path, capsys, flag, value, n
     assert err_text.splitlines()[-1].endswith(f"error: {flag} requires {needs}")
 
 
+@pytest.mark.parametrize("command", [["run", "--policy", "lru", "--capacity", "2"],
+                                     ["run", "--policy", "mru", "--capacity", "2"],
+                                     ["compare", "--policies", "fifo,lifo,lru,mru",
+                                      "--capacities", "2"]])
+@pytest.mark.parametrize("value", ["unit", "ratio"])
+def test_arc_adaptation_without_an_arc_policy_is_a_usage_error(tmp_path, capsys, command,
+                                                               value):
+    trace = write_trace(tmp_path, [0, 1, 2, 3] * 5)
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--trace", trace, "--arc-adaptation", value])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text.splitlines()[-1].endswith("error: --arc-adaptation requires an arc policy")
+
+
+@pytest.mark.parametrize("command", [["run", "--policy", "arc", "--capacity", "2"],
+                                     ["compare", "--policies", "lru,arc", "--capacities", "2"]])
+def test_arc_adaptation_with_an_arc_policy_is_taken(tmp_path, capsys, command):
+    trace = write_trace(tmp_path, [0, 1, 2, 0, 3, 1, 4, 0, 2] * 20)
+    unit = run_cli([*command, "--trace", trace, "--out", "csv"], capsys)
+    spelled = run_cli([*command, "--trace", trace, "--out", "csv", "--arc-adaptation", "unit"],
+                      capsys)
+    assert unit == spelled and unit[0] == 0
+
+
 def test_prefetch_flags_left_out_take_the_defaults(tmp_path, capsys):
     trace = write_trace(tmp_path, [0, 1, 2, 3, 1, 0] * 20)
     common = ["run", "--trace", trace, "--policy", "lru", "--capacity", "2", "--prefetch", "pgm"]

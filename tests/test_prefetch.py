@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachelab.bayes import Variable, learn_cpts
-from cachelab.policies import CacheConfig
+from cachelab.policies import CacheConfig, PreEvictConfig, PreEvictingCache, make_cache
 from cachelab.prefetch import (
     ON_EVERY_ACCESS,
     ON_MISS,
     MarkovPredictor,
     PredictorConfig,
     PrefetchConfig,
+    Prefetcher,
     coverage,
     decide_prefetch,
 )
 from cachelab.simkit import RunConfig, run_sim
 from cachelab.trace import InvalidParam, Trace, gen_markov_trace
+
+from reference import resident
 
 
 def feed(pred, keys):
@@ -287,6 +290,63 @@ def test_only_pending_records_sharing_a_victim_turn_harmful():
     # misses (harmful). The prefetch of 0 is hit, and the last prefetch of 1 is
     # pending at the end
     assert outcomes([0, 1, 0, 1, 0, 2, 0, 0], ON_EVERY_ACCESS) == (5, 2, 2, 1)
+
+
+def replayed_ledger(keys, capacity, policy="lru", top_k=1, pre=None):
+    """Replay keys with the prefetcher on; returns (prefetcher, the cache's residents)."""
+    fetch = Prefetcher(PrefetchConfig(top_k, 0.0), PredictorConfig(1, 1.0, 1))
+    cache = make_cache(CacheConfig(capacity, policy))
+    front = cache if pre is None else PreEvictingCache(cache, pre)
+    front.replay(keys, fetch=fetch)
+    return fetch, set(resident(cache))
+
+
+def ledger_entries(fetch):
+    return sum(len(waiting) for waiting in fetch.by_victim.values())
+
+
+def test_ledger_stays_bounded_when_victims_never_recur():
+    # 40 contexts 100+i each learn their target i; then only contexts are requested.
+    # Each context's prefetch of its target evicts older targets, which never come
+    # back on demand, so no demand miss ever drops what the ledger holds for them
+    rng = random.Random(7)
+    warm = [key for _ in range(30) for i in range(40) for key in (100 + i, i)]
+    keys = warm + [100 + rng.randrange(40) for _ in range(6000)]
+    fetch, held = replayed_ledger(keys, 12)
+    distinct, live = len(set(keys)), len(held & fetch.pending.keys())
+    assert fetch.issued - len(warm) > 40 * distinct  # one entry per prefetch would not fit
+    for size in (len(fetch.pending), len(fetch.by_victim), ledger_entries(fetch)):
+        assert size <= distinct + live
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "lru", "mru", "arc"])
+def test_ledger_by_victim_is_the_inverse_of_pending(policy):
+    rng = random.Random(policy)
+    for case in range(40):
+        keys = gen_markov_trace(case, rng.randint(2, 30), rng.randint(1, 600), 0.8).keys
+        pre = None if case % 2 else PreEvictConfig(timer_enabled=True,
+                                                   timer_init=rng.randint(1, 20))
+        fetch, _ = replayed_ledger(keys, rng.randint(1, 8), policy, rng.randint(1, 3), pre)
+        assert all(fetch.pending[key] == victim
+                   for victim, waiting in fetch.by_victim.items() for key in waiting)
+        assert ledger_entries(fetch) == len(fetch.pending)
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "lru", "mru", "arc"])
+def test_chunked_prefetch_replay_equals_one_replay(policy):
+    # a replay keeps the prefetcher's state in locals and hands it back at the end
+    keys = gen_markov_trace(3, 25, 900, 0.8).keys
+    pre = PreEvictConfig(halfway_enabled=True, address_space_size=30, timer_enabled=True,
+                         timer_init=11)
+    runs = []
+    for size in (len(keys), 7, 100):
+        fetch = Prefetcher(PrefetchConfig(2, 0.05, ON_MISS), PredictorConfig(2, 0.5, 1))
+        front = PreEvictingCache(make_cache(CacheConfig(5, policy)), pre)
+        hits = sum(front.replay(keys[i:i + size], fetch) for i in range(0, len(keys), size))
+        runs.append((hits, fetch.issued, fetch.useful, fetch.harmful, fetch.pending,
+                     resident(front.base), front.timer_evictions, front.halfway_evictions))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][2] and runs[0][3]
 
 
 def test_coverage_formula():

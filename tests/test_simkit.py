@@ -5,9 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachelab import PreEvictConfig, simkit
-from cachelab.policies import POLICIES, CacheConfig, make_cache
-from cachelab.prefetch import ON_EVERY_ACCESS, ON_MISS, PredictorConfig, PrefetchConfig
+from cachelab import PreEvictConfig
+from cachelab.policies import POLICIES, CacheConfig
+from cachelab.prefetch import (
+    ON_EVERY_ACCESS,
+    ON_MISS,
+    MarkovPredictor,
+    PredictorConfig,
+    PrefetchConfig,
+)
 from cachelab.simkit import (
     REPORT_FIELDS,
     DuplicateLabel,
@@ -370,6 +376,37 @@ def test_run_sim_matches_naive_oracle(case):
     assert dataclasses.asdict(run_sim(as_trace(keys), config)) == ref_run_sim(keys, config)
 
 
+NAMED_KEYS = 24
+NAMED_SHAPES = [  # (policy, pre-eviction, top_k, trigger, order), beside the drawn cases
+    ("arc", "timer", 3, ON_MISS, 2),  # the benchmark's churn shape
+    *[("arc", "halfway", top_k, trigger, 1) for top_k in (1, 3)
+      for trigger in (ON_MISS, ON_EVERY_ACCESS)],
+    *[(policy, None, top_k, trigger, 1) for policy in POLICIES for top_k in (1, 3)
+      for trigger in (ON_MISS, ON_EVERY_ACCESS)],
+]
+
+
+@pytest.mark.parametrize("policy, rule, top_k, trigger, order", NAMED_SHAPES)
+def test_run_sim_matches_naive_oracle_on_named_shapes(policy, rule, top_k, trigger, order):
+    pre = {None: None,
+           "timer": PreEvictConfig(timer_enabled=True, timer_init=15),
+           "halfway": PreEvictConfig(halfway_enabled=True, address_space_size=NAMED_KEYS)}[rule]
+    totals = dict.fromkeys(["prefetch_issued", "prefetch_useful", "prefetch_harmful",
+                            "timer_evictions", "halfway_evictions"], 0)
+    for seed in range(3):
+        keys = gen_markov_trace(seed, NAMED_KEYS, 300, 0.7).keys
+        config = RunConfig(cache=CacheConfig(6, policy), pre=pre, label="run",
+                           **pgm(top_k, 0.05, trigger, order, 1.0, 1))
+        report = dataclasses.asdict(run_sim(as_trace(keys), config))
+        assert report == ref_run_sim(keys, config)
+        for name in totals:
+            totals[name] += report[name]
+    # every outcome the ledger judges, and the rule's own evictions, happen here
+    assert totals["prefetch_useful"] and totals["prefetch_harmful"], totals
+    assert totals["prefetch_issued"] > totals["prefetch_useful"] + totals["prefetch_harmful"]
+    assert rule is None or totals[f"{rule}_evictions"], totals
+
+
 def naive_prediction_count(keys, hits, order, min_support, on_miss):
     """Events where the trigger fires and whose new context, the last `order` keys,
     has already been followed at least max(1, min_support) times."""
@@ -387,26 +424,15 @@ def naive_prediction_count(keys, hits, order, min_support, on_miss):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("trigger", [ON_MISS, ON_EVERY_ACCESS])
 def test_top_k_predicts_only_for_a_context_that_can(monkeypatch, top_k, order, trigger):
+    # a replayed run calls no stepped access, so each access's hit comes from the oracle
     calls, hits = [], []
-    predict_next = simkit.MarkovPredictor.predict_next
+    predict_next = MarkovPredictor.predict_next
 
     def counted(self, *args):
         calls.append(args)
         return predict_next(self, *args)
 
-    def watched(config):
-        cache = make_cache(config)
-        access = cache.access
-
-        def watched_access(key):
-            hit, evicted = access(key)
-            hits.append(hit)
-            return hit, evicted
-        cache.access = watched_access
-        return cache
-
-    monkeypatch.setattr(simkit.MarkovPredictor, "predict_next", counted)
-    monkeypatch.setattr(simkit, "make_cache", watched)
+    monkeypatch.setattr(MarkovPredictor, "predict_next", counted)
     keys = gen_markov_trace(order * 10 + top_k, 30, 400, 0.6).keys
     for min_support in range(6):
         policy = POLICIES[min_support % len(POLICIES)]
@@ -416,36 +442,28 @@ def test_top_k_predicts_only_for_a_context_that_can(monkeypatch, top_k, order, t
         calls.clear()
         hits.clear()
         report = run_sim(as_trace(keys), config)
+        assert dataclasses.asdict(report) == ref_run_sim(keys, config, hits)
         assert len(hits) == len(keys)
         assert len(calls) == naive_prediction_count(keys, hits, order, min_support,
                                                     trigger == ON_MISS), min_support
-        assert dataclasses.asdict(report) == ref_run_sim(keys, config)
 
 
-def test_first_access_misses_on_random_configs(monkeypatch):
+def test_first_access_misses_on_random_configs():
     # compulsory misses are counted as distinct keys, which holds only while no
-    # prefetch brings a key in ahead of its first request: watch every access
+    # prefetch brings a key in ahead of its first request: the oracle's hit on every
+    # access, for a run whose report equals run_sim's, shows none does
     early = []
-
-    def watched(config):
-        cache = make_cache(config)
-        access, seen = cache.access, set()
-
-        def watched_access(key):
-            hit, evicted = access(key)
-            if key not in seen and hit:
-                early.append(key)
-            seen.add(key)
-            return hit, evicted
-        cache.access = watched_access
-        return cache
-
-    monkeypatch.setattr(simkit, "make_cache", watched)
     rng = random.Random(1500)
     for _ in range(300):
         trace, config = hashes.random_case(rng, extras=True)
         report = run_sim(trace, config)
         assert report.compulsory_misses == report.distinct_keys == len(set(trace.keys))
+        hits, seen = [], set()
+        assert dataclasses.asdict(report) == ref_run_sim(trace.keys, config, hits)
+        for key, hit in zip(trace.keys, hits):
+            if key not in seen and hit:
+                early.append(key)
+            seen.add(key)
     assert early == []
 
 
@@ -457,7 +475,7 @@ def test_hashes_rejects_unknown_names(argv, capsys):
     assert capsys.readouterr().err.startswith("usage: hashes.py [--check] [NAME ...]")
 
 
-@pytest.mark.parametrize("name", ["plain", "churn", "bayes"])
+@pytest.mark.parametrize("name", ["plain", "churn", "bayes", "uplift"])
 def test_guard_hash_matches_recorded(name):
-    # the three quicker guard hashes; sweep and random run with `tests/hashes.py --check`
+    # the four quicker guard hashes; sweep and random run with `tests/hashes.py --check`
     assert hashes.sha(hashes.HASHES[name]()) == hashes.RECORDED[name]
