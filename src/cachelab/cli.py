@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 runtime error (I/O, parse, inference), 2 usage error.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -75,17 +76,22 @@ def _add_policy_flags(sub, many=False):
 
 
 def build_parser():
+    """Each subparser's handler takes that subparser, so that a usage error a handler
+    raises prints the subcommand's usage and prefix, as argparse's own errors do."""
     parser = argparse.ArgumentParser(prog="cachelab",
                                      description="cache replacement and prefetching lab")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="simulate one configuration over a trace")
-    _add_policy_flags(run)
+    def add(name, handler, summary):
+        sub = subs.add_parser(name, help=summary)
+        sub.set_defaults(handler=functools.partial(handler, sub))
+        return sub
 
-    cmp_ = subs.add_parser("compare", help="sweep policies x capacities over one trace")
-    _add_policy_flags(cmp_, many=True)
+    _add_policy_flags(add("run", cmd_run, "simulate one configuration over a trace"))
+    _add_policy_flags(add("compare", cmd_compare,
+                          "sweep policies x capacities over one trace"), many=True)
 
-    gen = subs.add_parser("gen-trace", help="write a seeded synthetic trace")
+    gen = add("gen-trace", cmd_gen_trace, "write a seeded synthetic trace")
     gen.add_argument("--model", choices=("markov",), required=True)
     gen.add_argument("--states", type=_positive_int, required=True)
     gen.add_argument("--length", type=_positive_int, required=True)
@@ -93,9 +99,9 @@ def build_parser():
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True, help="output path")
 
-    subs.add_parser("lru-sim", help="LRU print-state simulator over standard input")
+    add("lru-sim", cmd_lru_sim, "LRU print-state simulator over standard input")
 
-    bay = subs.add_parser("bayes", help="query a Bayesian network file")
+    bay = add("bayes", cmd_bayes, "query a Bayesian network file")
     bay.add_argument("--net", required=True, help="JSON net file")
     bay.add_argument("--query", required=True, help="query variable")
     bay.add_argument("--evidence", default="", help="VAR=VAL[,VAR=VAL...]")
@@ -289,19 +295,9 @@ def cmd_bayes(parser, args):
     return 0
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "compare": cmd_compare,
-    "gen-trace": cmd_gen_trace,
-    "lru-sim": cmd_lru_sim,
-    "bayes": cmd_bayes,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command](parser, args)
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 def run_main():

@@ -55,11 +55,14 @@ class CacheState:
 
     def access(self, key, seq=None) -> tuple:
         """(hit, evicted keys) as an exact tuple; seq is ignored, as no policy keeps a clock."""
-        if key not in self.entries:
-            return False, self.insert(key)
-        if self._by_recency:
-            self.entries.move_to_end(key)
-        return True, ()
+        entries = self.entries
+        if key in entries:
+            if self._by_recency:
+                entries.move_to_end(key)
+            return True, ()
+        evicted = (entries.popitem(self._victim_last)[0],) if len(entries) >= self.capacity else ()
+        entries[key] = None
+        return False, evicted
 
     def replay(self, keys, pre=None, fetch=None) -> int:
         """Demand-access each key in order, leaving the state that one access per key
@@ -165,16 +168,6 @@ class CacheState:
             fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
         return hits
 
-    def insert(self, key) -> tuple:
-        """Insertion path shared by demand misses and prefetches; returns evicted keys."""
-        entries = self.entries
-        if len(entries) < self.capacity:
-            entries[key] = None
-            return ()
-        victim = entries.popitem(self._victim_last)[0]
-        entries[key] = None
-        return (victim,)
-
     def evict_key(self, key):
         del self.entries[key]
 
@@ -199,19 +192,18 @@ class ArcState:
         return len(self.t1) + len(self.t2)
 
     def access(self, key, seq=None) -> tuple:
-        """As CacheState.access; seq is ignored, as no policy keeps a clock."""
-        if key in self.t2:
-            self.t2.move_to_end(key)
-        elif key in self.t1:
-            del self.t1[key]
-            self.t2[key] = None
-        else:
-            return False, self.insert(key)
-        return True, ()
+        """As CacheState.access, as a replay of the one key: replay holds ARC's only copy
+        of its rules. A miss evicts at most one key, the LRU of t1 or of t2, so the
+        evicted keys are the heads no longer resident after it."""
+        heads = [next(iter(t)) for t in (self.t1, self.t2) if t]
+        if self.replay((key,)):
+            return True, ()
+        return False, tuple(head for head in heads if head not in self)
 
     def replay(self, keys, pre=None, fetch=None) -> int:
-        """As CacheState.replay: access and insert inlined, with the four list sizes and
-        p in locals, p written back around each prefetch's insert and at the end. A
+        """As CacheState.replay, with the four list sizes and p in locals. p is written
+        back before each prefetch step, which inserts through a stepped access (a
+        nested one-key replay), read again after it, and written back at the end. A
         pre-evicted key leaves t1 or t2 and enters no ghost list."""
         t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
         move_to_end = t2.move_to_end
@@ -324,7 +316,7 @@ class ArcState:
             chosen = decide_prefetch(predict(None, top_k), config, self)
             self.p = p
             for fetched in chosen:
-                victim, = self.insert(fetched) or (None,)  # it evicts at most one key
+                victim, = self.access(fetched)[1] or (None,)  # it evicts at most one key
                 if timer_init:
                     deadlines[fetched] = tick + timer_init
                     requeue(fetched)
@@ -342,42 +334,6 @@ class ArcState:
         if fetch is not None:
             fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
         return hits
-
-    def insert(self, key) -> tuple:
-        """Miss-path insertion: ghost recall with adaptation, or cold insert at t1 MRU."""
-        cap = self.capacity
-        t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
-        n1, n2, m1, m2 = len(t1), len(t2), len(b1), len(b2)
-        evicted = ()
-        dest = t2  # a ghost hit recalls the key to t2; a cold miss sets t1
-        if key in b1:
-            p = self.p + (1 if self.unit_adaptation else (m2 // m1 or 1))
-            self.p = p if p < cap else cap
-            del b1[key]
-        elif key in b2:
-            p = self.p - (1 if self.unit_adaptation else (m1 // m2 or 1))
-            self.p = p if p > 0 else 0
-            del b2[key]
-        else:
-            dest = t1
-            if n1 + m1 == cap:
-                if m1:
-                    b1.popitem(False)
-                else:  # t1 full: its LRU falls out of the directory entirely
-                    evicted = (t1.popitem(False)[0],)
-                    n1 -= 1
-            elif n1 + n2 + m1 + m2 >= 2 * cap:
-                b2.popitem(False)
-        if n1 + n2 >= cap:
-            if n1 and n1 >= self.p:
-                victim = t1.popitem(False)[0]
-                b1[victim] = None
-            else:
-                victim = t2.popitem(False)[0]
-                b2[victim] = None
-            evicted = (victim,)
-        dest[key] = None
-        return evicted
 
     def evict_key(self, key):
         """Forced removal (pre-eviction); the key does not enter a ghost list."""
@@ -496,7 +452,9 @@ class PreEvictingCache:
             del deadlines[key]
 
     def insert(self, key) -> tuple:
-        evicted = self.base.insert(key)
+        """Prefetch insertion without a tick; returns the evicted keys. The key must not
+        be resident: a resident key is served as a base hit, out of the timer's order."""
+        evicted = self.base.access(key)[1]
         if self._timer_init:
             deadlines = self.deadlines
             for victim in evicted:

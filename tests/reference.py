@@ -26,21 +26,25 @@ def book(cache):
 def ref_policy_run(keys, capacity, policy):
     """Step a classical policy over a key sequence.
 
-    Returns (hits, misses, outcome list of 'H'/'M', final resident set).
+    Returns (hits, misses, outcome list of 'H'/'M', final resident set, victims):
+    victims holds each access's evicted keys, () for a hit or a miss with room.
     """
     resident = []
     inserted = {}
     last_used = {}
     outcomes = []
+    victims = []
     hits = misses = 0
     for t, key in enumerate(keys):
         if key in resident:
             hits += 1
             outcomes.append("H")
+            victims.append(())
             last_used[key] = t
             continue
         misses += 1
         outcomes.append("M")
+        victims.append(())
         if len(resident) == capacity:
             if policy == "fifo":
                 victim = min(resident, key=lambda k: inserted[k])
@@ -53,10 +57,11 @@ def ref_policy_run(keys, capacity, policy):
             else:
                 raise ValueError(policy)
             resident.remove(victim)
+            victims[-1] = (victim,)
         resident.append(key)
         inserted[key] = t
         last_used[key] = t
-    return hits, misses, outcomes, set(resident)
+    return hits, misses, outcomes, set(resident), victims
 
 
 def ref_lru_order(keys, capacity):
@@ -78,11 +83,15 @@ def ref_arc_run(keys, capacity, adaptation="unit"):
     ghost-size ratio); replacement takes the t1 LRU into b1 while |t1| >= max(1, p),
     otherwise the t2 LRU into b2. A cold miss with t1 and b1 jointly at capacity
     and b1 empty drops the t1 LRU without ghosting it.
+
+    Returns (hits, misses, outcome list of 'H'/'M', (t1, t2, b1, b2, p), victims):
+    victims holds each access's evicted keys, the replaced or dropped key or ().
     """
     t1, t2, b1, b2 = [], [], [], []
     p = 0
     hits = misses = 0
     outcomes = []
+    victims = []
 
     def replace():
         if len(t1) >= max(1, p):
@@ -91,9 +100,10 @@ def ref_arc_run(keys, capacity, adaptation="unit"):
         else:
             victim = t2.pop(0)
             b2.append(victim)
-        return victim
+        victims[-1] = (victim,)
 
     for key in keys:
+        victims.append(())
         if key in t1:
             hits += 1
             outcomes.append("H")
@@ -131,7 +141,7 @@ def ref_arc_run(keys, capacity, adaptation="unit"):
                     if len(t1) + len(t2) >= capacity:
                         replace()
                 else:
-                    t1.pop(0)
+                    victims[-1] = (t1.pop(0),)
             else:
                 total = len(t1) + len(t2) + len(b1) + len(b2)
                 if total >= capacity:
@@ -140,7 +150,7 @@ def ref_arc_run(keys, capacity, adaptation="unit"):
                     if len(t1) + len(t2) >= capacity:
                         replace()
             t1.append(key)
-    return hits, misses, outcomes, (t1, t2, b1, b2, p)
+    return hits, misses, outcomes, (t1, t2, b1, b2, p), victims
 
 
 def ref_preevict_run(steps, capacity, policy, adaptation="unit",

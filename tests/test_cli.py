@@ -230,6 +230,26 @@ def test_arc_adaptation_without_an_arc_policy_is_a_usage_error(tmp_path, capsys,
     assert err_text.splitlines()[-1].endswith("error: --arc-adaptation requires an arc policy")
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("run", ["--policy", "lru", "--capacity", "2", "--prefetch", "pgm", "--min-support", "-1"],
+     "min_support must be >= 0, got -1"),
+    ("run", ["--policy", "lru", "--capacity", "2", "--top-k", "2"],
+     "--top-k requires --prefetch pgm"),
+    ("compare", ["--policies", "lru", "--capacities", "2,0"], "capacity must be >= 1, got 0"),
+    ("compare", ["--policies", "lru,lru", "--capacities", "2"], "duplicate label 'lru@2'"),
+])
+def test_handler_usage_error_names_its_subcommand(tmp_path, capsys, command, flags, message):
+    # as argparse's own errors do: the subcommand's usage, then its prefix
+    trace = write_trace(tmp_path, [0, 1, 2, 3] * 5)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--trace", trace, *flags])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text.startswith(f"usage: cachelab {command} [-h] --trace TRACE")
+    assert err_text.splitlines()[-1] == f"cachelab {command}: error: {message}"
+
+
 @pytest.mark.parametrize("command", [["run", "--policy", "arc", "--capacity", "2"],
                                      ["compare", "--policies", "lru,arc", "--capacities", "2"]])
 def test_arc_adaptation_with_an_arc_policy_is_taken(tmp_path, capsys, command):

@@ -21,18 +21,21 @@ ARC_SEQ = [0, 1, 2, 3, 0, 4, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 4, 3]
 
 
 def run_policy(keys, capacity, policy, adaptation="unit"):
+    """Step a fresh cache over keys: (cache, hits, misses, outcomes, victims), in the
+    shape of the oracles' results, with each access's evicted keys as victims."""
     cache = make_cache(CacheConfig(capacity, policy, adaptation))
     hits = misses = 0
-    outcomes = []
+    outcomes, victims = [], []
     for key in keys:
-        hit, _ = cache.access(key)
+        hit, evicted = cache.access(key)
+        victims.append(evicted)
         if hit:
             hits += 1
             outcomes.append("H")
         else:
             misses += 1
             outcomes.append("M")
-    return cache, hits, misses, outcomes
+    return cache, hits, misses, outcomes, victims
 
 
 def test_config_validation():
@@ -46,7 +49,7 @@ def test_config_validation():
 
 def test_lru_reference_string():
     # frozen from the hand-step oracle: 8 misses, 4 hits, residents {2,3,4,5}
-    cache, hits, misses, outcomes = run_policy(REF_12, 4, "lru")
+    cache, hits, misses, outcomes, _ = run_policy(REF_12, 4, "lru")
     assert (hits, misses) == (4, 8)
     assert set(cache.entries) == {2, 3, 4, 5}
     assert outcomes == ref_policy_run(REF_12, 4, "lru")[2]
@@ -54,20 +57,20 @@ def test_lru_reference_string():
 
 def test_single_slot_repeat_hits():
     for policy in ("fifo", "lifo", "lru", "mru", "arc"):
-        _, hits, misses, _ = run_policy(["X", "X", "X"], 1, policy)
+        _, hits, misses, _, _ = run_policy(["X", "X", "X"], 1, policy)
         assert (misses, hits) == (1, 2), policy
 
 
 def test_fifo_ten_reference_string():
     # frozen from the hand-step oracle: 9 misses on the ten-access prefix
-    _, hits, misses, _ = run_policy(REF_10, 3, "fifo")
+    _, hits, misses, _, _ = run_policy(REF_10, 3, "fifo")
     assert misses == 9
     assert (hits, misses) == ref_policy_run(REF_10, 3, "fifo")[:2]
 
 
 def test_fifo_twenty_reference_string():
     # frozen: 15 misses, matching the classic 20-reference count
-    _, _, misses, _ = run_policy(REF_20, 3, "fifo")
+    _, _, misses, _, _ = run_policy(REF_20, 3, "fifo")
     assert misses == 15
 
 
@@ -101,7 +104,7 @@ def test_lifo_victim_insertion_order_not_recency():
 
 def test_lifo_reference_run():
     # frozen from the hand-step oracle: misses 1..5, hits on 1 and 2
-    cache, hits, misses, outcomes = run_policy([1, 2, 3, 4, 5, 1, 2], 3, "lifo")
+    cache, hits, misses, outcomes, _ = run_policy([1, 2, 3, 4, 5, 1, 2], 3, "lifo")
     assert (hits, misses) == (2, 5)
     assert outcomes == ["M", "M", "M", "M", "M", "H", "H"]
     assert set(cache.entries) == {1, 2, 5}
@@ -119,7 +122,7 @@ def test_lru_mru_victims():
 
 def test_mru_reference_run():
     # frozen from the hand-step oracle: every access misses
-    _, hits, misses, outcomes = run_policy(list("ABCB"), 2, "mru")
+    _, hits, misses, outcomes, _ = run_policy(list("ABCB"), 2, "mru")
     assert (hits, misses) == (0, 4)
     assert outcomes == ref_policy_run(list("ABCB"), 2, "mru")[2]
 
@@ -167,11 +170,13 @@ def test_classical_policies_match_reference_oracle():
         keys = [rng.randrange(12) for _ in range(n)]
         capacity = rng.randrange(1, 9)
         for policy in ("fifo", "lifo", "lru", "mru"):
-            _, hits, misses, outcomes = run_policy(keys, capacity, policy)
-            ref_hits, ref_misses, ref_outcomes, ref_resident = ref_policy_run(
+            cache, hits, misses, outcomes, victims = run_policy(keys, capacity, policy)
+            ref_hits, ref_misses, ref_outcomes, ref_resident, ref_victims = ref_policy_run(
                 keys, capacity, policy)
             assert (hits, misses, outcomes) == (ref_hits, ref_misses, ref_outcomes), (
                 trial, policy)
+            assert victims == ref_victims, (trial, policy)
+            assert set(cache.entries) == ref_resident, (trial, policy)
 
 
 def test_residency_bound_all_policies():
@@ -212,15 +217,15 @@ def test_lru_hits_monotone_in_capacity():
     keys = [rng.randrange(50) for _ in range(2000)]
     hit_counts = []
     for k in (2, 4, 8, 16, 32):
-        _, hits, _, _ = run_policy(keys, k, "lru")
+        _, hits, _, _, _ = run_policy(keys, k, "lru")
         hit_counts.append(hits)
     assert hit_counts == sorted(hit_counts)
 
 
 def test_fifo_belady_anomaly():
     # frozen from the hand-step oracle: 9 misses at k=3, 10 at k=4
-    _, _, m3, _ = run_policy(REF_12, 3, "fifo")
-    _, _, m4, _ = run_policy(REF_12, 4, "fifo")
+    _, _, m3, _, _ = run_policy(REF_12, 3, "fifo")
+    _, _, m4, _, _ = run_policy(REF_12, 4, "fifo")
     assert (m3, m4) == (9, 10)
 
 
@@ -256,15 +261,15 @@ def arc_invariants(cache: ArcState):
 def test_arc_scan_sequence_tally():
     # frozen from the hand-step oracle: the scan never reuses within the window,
     # so every access misses and p never adapts
-    cache, hits, misses, outcomes = run_policy(ARC_SEQ, 3, "arc")
-    ref_hits, ref_misses, ref_outcomes, _ = ref_arc_run(ARC_SEQ, 3)
+    cache, hits, misses, outcomes, _ = run_policy(ARC_SEQ, 3, "arc")
+    ref_hits, ref_misses, ref_outcomes, _, _ = ref_arc_run(ARC_SEQ, 3)
     assert (hits, misses) == (0, 18)
     assert (hits, misses, outcomes) == (ref_hits, ref_misses, ref_outcomes)
     assert cache.p == 0
 
 
 def test_arc_repeated_key_no_adaptation():
-    cache, hits, misses, _ = run_policy(["X"] * 4, 3, "arc")
+    cache, hits, misses, _, _ = run_policy(["X"] * 4, 3, "arc")
     assert (misses, hits) == (1, 3)
     assert cache.p == 0
 
@@ -303,10 +308,12 @@ def test_arc_matches_reference_oracle_on_random_traces():
         for _ in range(25):
             keys = [rng.randrange(14) for _ in range(600)]
             capacity = rng.randrange(1, 9)
-            cache, hits, misses, outcomes = run_policy(keys, capacity, "arc", adaptation)
-            ref_hits, ref_misses, ref_outcomes, (t1, t2, b1, b2, p) = ref_arc_run(
-                keys, capacity, adaptation)
+            cache, hits, misses, outcomes, victims = run_policy(keys, capacity, "arc",
+                                                                adaptation)
+            ref_hits, ref_misses, ref_outcomes, (t1, t2, b1, b2, p), ref_victims = (
+                ref_arc_run(keys, capacity, adaptation))
             assert (hits, misses, outcomes) == (ref_hits, ref_misses, ref_outcomes)
+            assert victims == ref_victims  # replaced and t1-dropped keys alike
             assert list(cache.t1) == t1 and list(cache.t2) == t2
             assert list(cache.b1) == b1 and list(cache.b2) == b2
             assert cache.p == p
@@ -357,13 +364,17 @@ def replay_cases(draw):
 @settings(max_examples=500, deadline=None, database=None)
 @given(replay_cases())
 def test_replay_equals_stepped_access(case):
+    # ARC's stepped access is itself a replay, so its book is also checked against
+    # the naive oracle over every access made so far, insertions included
     config, rounds = case
     replayed, stepped = make_cache(config), make_cache(config)
+    accessed = []
     for prefetched, keys in rounds:
-        for cache in (replayed, stepped):
-            for key in prefetched:
-                if key not in cache:
-                    cache.insert(key)
+        for key in prefetched:
+            if key not in stepped:  # a key that is not resident inserts as a miss does
+                accessed.append(key)
+                for cache in (replayed, stepped):
+                    cache.access(key)
         before = len(stepped)
         outs = [stepped.access(key) for key in keys]
         hits = sum(hit for hit, _ in outs)
@@ -371,6 +382,10 @@ def test_replay_equals_stepped_access(case):
         assert replayed.replay(iter(keys)) == hits
         assert evictions == len(keys) - hits - (len(stepped) - before)
         assert book(replayed) == book(stepped)
+        accessed += keys
+        if config.policy == "arc":
+            assert book(replayed) == ref_arc_run(accessed, config.capacity,
+                                                 config.arc_adaptation)[3]
 
 
 # Ghost hits whose step would carry p past a bound; the test checks that each one
@@ -397,7 +412,7 @@ def test_arc_p_clamps_at_both_bounds(adaptation, capacity, keys, bounds):
         hit, _ = stepped.access(key)
         stepped_hits += hit
     assert hit_bounds == bounds
-    ref_hits, _, _, final = ref_arc_run(keys, capacity, adaptation)
+    ref_hits, _, _, final, _ = ref_arc_run(keys, capacity, adaptation)
     assert (stepped_hits, book(stepped)) == (ref_hits, final)
     for size in (len(keys), 1, 2, 5):  # one replay, then replays of chunks
         replayed = ArcState(config)
@@ -427,7 +442,7 @@ def test_arc_chunked_replay_matches_naive_oracle(case):
     hits = 0
     for start, stop in zip([0, *cuts], [*cuts, len(keys)]):
         hits += replayed.replay(iter(keys[start:stop]))
-    ref_hits, _, _, final = ref_arc_run(keys, config.capacity, config.arc_adaptation)
+    ref_hits, _, _, final, _ = ref_arc_run(keys, config.capacity, config.arc_adaptation)
     assert hits == ref_hits
     assert book(replayed) == final
     stepped = ArcState(config)
