@@ -6,9 +6,12 @@ T-first convention used throughout this package: index 0 renders as "T", index 1
 as "F".
 """
 
+import contextlib
 import itertools
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +58,9 @@ class Variable:
     cardinality: int
 
     def __post_init__(self):
+        if not isinstance(self.cardinality, (int, np.integer)):
+            raise InvalidNet(f"variable {self.name!r}: cardinality must be an int, "
+                             f"got {self.cardinality!r}")
         if self.cardinality < 2:
             raise InvalidNet(f"variable {self.name!r}: cardinality must be >= 2")
 
@@ -312,8 +318,8 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     """Count-based CPT estimation over complete assignments:
     P(v | u) = (count(v, u) + a) / (count(u) + a * cardinality(child)).
     Every data value must be an int in 0..cardinality-1."""
-    if pseudocount < 0:
-        raise BayesError(f"pseudocount must be >= 0, got {pseudocount}")
+    if not (isinstance(pseudocount, numbers.Real) and 0 <= pseudocount < math.inf):
+        raise BayesError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
     variables = list(variables)
     cards = {v.name: v.cardinality for v in variables}
     data = list(data)
@@ -329,19 +335,28 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
         for p in parents:
             if p not in cards:
                 raise BayesError(f"cpt {v.name!r}: unknown parent {p!r}")
-    names = set(cards)
-    for i, row in enumerate(data):
-        if set(row) != names:
-            raise IncompleteAssignment(f"data row {i} does not assign every variable")
-    columns = {}
-    for name, card in cards.items():
-        values = [row[name] for row in data]
-        if not set(map(type, values)) <= {int} or not all(0 <= x < card for x in set(values)):
+    columns = None  # every value in one C-level pull; any doubt leaves it to the loops below
+    with contextlib.suppress(KeyError, TypeError, OverflowError):  # no name, no names, 2**70
+        # plain dicts only: a defaultdict would fill a missing name when read
+        if set(map(type, data)) <= {dict} and set(map(len, data)) <= {len(cards)}:
+            pull = map(operator.itemgetter(*cards), data)  # one name: bare values
+            flat = list(pull if len(cards) == 1 else itertools.chain.from_iterable(pull))
+            if set(map(type, flat)) <= {int}:
+                table = np.fromiter(flat, np.intp, len(flat)).reshape(len(data), len(cards))
+                if ((table >= 0) & (table < list(cards.values()))).all():
+                    columns = dict(zip(cards, table.T))
+    if columns is None:  # names the first bad row, or takes bools and numpy integers
+        for i, row in enumerate(data):
+            if set(row) != set(cards):
+                raise IncompleteAssignment(f"data row {i} does not assign every variable")
+        columns = {}
+        for name, card in cards.items():
+            values = [row[name] for row in data]
             for i, x in enumerate(values):  # before the cast: np.intp turns 0.5 into 0
                 if not (isinstance(x, (int, np.integer)) and 0 <= x < card):
                     raise BayesError(
                         f"data row {i}: {name!r} has value {x!r}, not an int in 0..{card - 1}")
-        columns[name] = np.fromiter(values, np.intp, len(values))
+            columns[name] = np.fromiter(values, np.intp, len(values))
     cpts = []
     for v in variables:
         parents = list(structure.get(v.name, []))

@@ -6,6 +6,8 @@ code with the package under test.
 
 import itertools
 
+import numpy as np
+
 
 def resident(cache):
     """The keys a package cache holds, read from its own lists: t1 and t2 for arc,
@@ -501,6 +503,30 @@ def ref_learn_rows(variables, parents, data, pseudocount):
                              for v in range(card)])
         learned[name] = rows
     return learned
+
+
+def ref_learn_error(variables, data, pseudocount):
+    """The error learn_cpts raises for these data rows, as (exception class name,
+    message), or None when the rows are accepted.
+
+    Checked in this order: no rows at pseudocount 0; then every row, first to last,
+    must have exactly the variables as its keys; then, variable by variable and row by
+    row within each, every value must be an int (bool included) or a numpy integer
+    (np.bool_ is neither) in 0..cardinality-1. variables: {name: cardinality}.
+    """
+    if not data and pseudocount == 0:
+        return "EmptyData", "no data and no pseudocount: rows are undefined"
+    for i, row in enumerate(data):
+        if sorted(row.keys()) != sorted(variables):
+            return "IncompleteAssignment", f"data row {i} does not assign every variable"
+    for name, card in variables.items():
+        for i, row in enumerate(data):
+            x = row[name]
+            integral = isinstance(x, bool) or type(x) is int or isinstance(x, np.integer)
+            if not (integral and 0 <= x <= card - 1):
+                return "BayesError", (f"data row {i}: {name!r} has value {x!r}, "
+                                      f"not an int in 0..{card - 1}")
+    return None
 
 
 # the characters str.splitlines ends a line at; "\r\n" ends one line

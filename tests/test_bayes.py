@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -35,7 +36,7 @@ from cachelab.bayes import (
     value_label,
 )
 
-from reference import ref_learn_rows, ref_min_scope_order, ref_posterior
+from reference import ref_learn_error, ref_learn_rows, ref_min_scope_order, ref_posterior
 
 TOL = 1e-9
 
@@ -149,12 +150,55 @@ def learning_cases(draw):
     return cards, parents, data, pseudocount
 
 
+@st.composite
+def raw_learning_cases(draw):
+    """Rows as a caller might pass them: valid values as ints, True or np.int64, in
+    about half the cases mixed with values learn_cpts rejects, and at most one row
+    that misses a name, carries an extra one, or swaps one for a wrong one."""
+    cards, parents = draw(structures(4))
+    clean = draw(st.booleans())
+
+    def value(card):
+        good = st.integers(0, card - 1)
+        good = st.one_of(good, st.just(True), good.map(np.int64))
+        bad = st.sampled_from([np.bool_(True), np.bool_(False), -1, card, 0.5, 1.0, "1",
+                               2 ** 70, None])
+        return good if clean else st.integers(0, 5).flatmap(lambda r: bad if r == 0 else good)
+
+    data = draw(st.lists(st.fixed_dictionaries(
+        {name: value(card) for name, card in cards.items()}), max_size=12))
+    damage = draw(st.sampled_from(["none"] * 3 + ["missing", "extra", "wrong"]))
+    if data and damage != "none":
+        row = data[draw(st.integers(0, len(data) - 1))]
+        if damage != "extra":
+            del row[draw(st.sampled_from(sorted(row)))]
+        if damage != "missing":
+            row["Z"] = 0
+    pseudocount = draw(st.sampled_from([0, 1, 0.5]))
+    return cards, parents, data, pseudocount
+
+
 # --- construction and validation ---
 
 
 def test_variable_cardinality_bound():
     with pytest.raises(InvalidNet):
         Variable("X", 1)
+
+
+@pytest.mark.parametrize("card", [2.5, 3.0, "2", None, np.float64(2.0), np.bool_(True)],
+                         ids=["fraction", "integral-float", "str", "none", "np-float",
+                              "np-bool"])
+def test_variable_rejects_non_integer_cardinality(card):
+    # a float reached numpy and a str reached `<`, each as a bare TypeError
+    with pytest.raises(InvalidNet) as err:
+        Variable("A", card)
+    assert str(err.value) == f"variable 'A': cardinality must be an int, got {card!r}"
+
+
+def test_variable_accepts_numpy_integer_cardinality():
+    net = learn_cpts([Variable("A", np.int64(3))], {"A": []}, [{"A": 2}], pseudocount=1)
+    assert net.cpts["A"].rows[0] == pytest.approx([0.25, 0.25, 0.5])
 
 
 def test_net_rejects_bad_row_sum():
@@ -552,13 +596,70 @@ def test_learn_rejects_string_parents():
                    [{"A": 0, "B": 1, "C": 0}], 1)
 
 
-@pytest.mark.parametrize("value", [2, -1, 0.5, 1.0, "1"])
+@pytest.mark.parametrize("value", [2, -1, 0.5, 1.0, "1", 2 ** 70, np.bool_(True)])
 def test_learn_rejects_bad_data_values(value):
-    # out of range, negative, fractional, integral float, string
+    # out of range, negative, fractional, integral float, string, past np.intp,
+    # numpy's bool (not a numpy integer)
     with pytest.raises(BayesError, match=re.escape(
             f"data row 1: 'B' has value {value!r}, not an int in 0..1")):
         learn_cpts([Variable("A", 2), Variable("B", 2)], {"A": [], "B": ["A"]},
                    [{"A": 0, "B": 1}, {"A": 1, "B": value}], pseudocount=1)
+
+
+@pytest.mark.parametrize("pseudocount", [math.nan, math.inf, -math.inf, -1, -0.5, "1", None],
+                         ids=["nan", "inf", "-inf", "-1", "-0.5", "str", "none"])
+def test_learn_rejects_bad_pseudocount(pseudocount):
+    # checked first: the unknown parent and the bad value go unreported
+    with pytest.raises(BayesError) as err:
+        learn_cpts([Variable("A", 2)], {"A": ["Z"]}, [{"A": 5}], pseudocount)
+    assert type(err.value) is BayesError
+    assert str(err.value) == f"pseudocount must be finite and >= 0, got {pseudocount!r}"
+
+
+@pytest.mark.parametrize("names, data, error, message", [
+    ("AB", [{"A": 5, "B": 0}, {"A": 0}], IncompleteAssignment,
+     "data row 1 does not assign every variable"),
+    ("AB", [{"A": 0, "B": 0}, {"A": 0, "B": 0, "C": 0}], IncompleteAssignment,
+     "data row 1 does not assign every variable"),
+    ("AB", [{"A": 0, "B": 0}, {"A": 0, "C": 0}], IncompleteAssignment,
+     "data row 1 does not assign every variable"),
+    ("AB", [{"A": 0, "B": 0}, collections.defaultdict(int, A=0, C=0)], IncompleteAssignment,
+     "data row 1 does not assign every variable"),
+    ("AB", [{"A": 0, "B": 5}, {"A": 7, "B": 0}], BayesError,
+     "data row 1: 'A' has value 7, not an int in 0..1"),
+    ("AB", [{"A": 0, "B": 5}, {"A": 0, "B": 7}], BayesError,
+     "data row 0: 'B' has value 5, not an int in 0..1"),
+    ("A", [{"A": 0}, {"A": 2}], BayesError, "data row 1: 'A' has value 2, not an int in 0..1"),
+    ("A", [{"A": (0,)}, {"A": (1,)}], BayesError,
+     "data row 0: 'A' has value (0,), not an int in 0..1"),
+    ("A", [{"A": 0}, {"B": 0}], IncompleteAssignment,
+     "data row 1 does not assign every variable"),
+], ids=["rows-before-values", "extra-name", "wrong-name", "defaultdict-wrong-name",
+        "variable-before-row",
+        "row-order", "one-variable", "one-variable-tuple",
+        "one-variable-wrong-name"])
+def test_learn_diagnostic_order(names, data, error, message):
+    # completeness over all rows first; then the first bad value in variable order,
+    # then in row order
+    with pytest.raises(BayesError) as err:
+        learn_cpts([Variable(n, 2) for n in names], {}, data, pseudocount=1)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=raw_learning_cases())
+def test_learn_matches_reference_on_raw_rows(case):
+    cards, parents, data, pseudocount = case
+    expected = ref_learn_error(cards, data, pseudocount)
+    try:
+        net = learn_cpts([Variable(n, c) for n, c in cards.items()], parents, data,
+                         pseudocount)
+    except BayesError as exc:
+        assert (type(exc).__name__, str(exc)) == expected
+    else:
+        assert expected is None
+        learned = {name: cpt.rows for name, cpt in net.cpts.items()}
+        assert learned == ref_learn_rows(cards, parents, data, pseudocount)
 
 
 @settings(max_examples=200, deadline=None, database=None)
