@@ -63,6 +63,7 @@ class Variable:
                              f"got {self.cardinality!r}")
         if self.cardinality < 2:
             raise InvalidNet(f"variable {self.name!r}: cardinality must be >= 2")
+        object.__setattr__(self, "cardinality", int(self.cardinality))  # not a numpy scalar
 
 
 @dataclass

@@ -3,6 +3,7 @@ and the pre-eviction wrapper whose timer and halfway rules their replays run."""
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 from .prefetch import decide_prefetch
 from .trace import InvalidParam, require_ints
@@ -52,6 +53,9 @@ class CacheState:
 
     def __len__(self):
         return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
 
     def access(self, key, seq=None) -> tuple:
         """(hit, evicted keys) as an exact tuple; seq is ignored, as no policy keeps a clock."""
@@ -168,9 +172,6 @@ class CacheState:
             fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
         return hits
 
-    def evict_key(self, key):
-        del self.entries[key]
-
 
 class ArcState:
     """Two resident LRU lists (t1 recency, t2 frequency), two ghost lists, and the
@@ -190,6 +191,9 @@ class ArcState:
 
     def __len__(self):
         return len(self.t1) + len(self.t2)
+
+    def __iter__(self):
+        return chain(self.t1, self.t2)
 
     def access(self, key, seq=None) -> tuple:
         """As CacheState.access, as a replay of the one key: replay holds ARC's only copy
@@ -335,13 +339,6 @@ class ArcState:
             fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
         return hits
 
-    def evict_key(self, key):
-        """Forced removal (pre-eviction); the key does not enter a ghost list."""
-        if key in self.t1:
-            del self.t1[key]
-        else:
-            del self.t2[key]
-
 
 def make_cache(config: CacheConfig):
     if config.policy == ARC:
@@ -372,17 +369,14 @@ class PreEvictingCache:
     """Pre-eviction over a base cache: per-entry expiry timers and halfway
     address-range clearing; with both axes disabled, an identity wrapper.
 
-    Timers tick once per access call (no method reads a seq); an access or insert
-    sets its key's timer to timer_init. One period for all timers means keys expire
-    in touch order, so `deadlines` is a queue and each access pops its due prefix.
-    With the timer on it holds exactly the residents at every method boundary. The
-    residents below halfway are among `low`, the keys below halfway inserted since
-    the last clearing. A stepped `access` runs expiry, clearing and the base access
-    as one block, as the replays do, and returns an exact (hit, evicted) tuple:
-    expiries, then clearings, each in ascending key order, then the policy's
-    victims. `replay` runs both rules inside the base policy's replay loop, where
-    nothing is reported and the book is lazy until the replay ends. The base cache
-    must start empty and take every insertion through it."""
+    Timers tick once per demand access; an access or a prefetch sets its key's timer
+    to timer_init. One period for all timers means keys expire in touch order, so
+    `deadlines` is a queue and each access pops its due prefix. With the timer on it
+    holds exactly the residents at every method boundary. The residents below
+    halfway are among `low`, the keys below halfway inserted since the last
+    clearing. Both rules run only inside the base policy's replay loop, where nothing
+    is reported and the book is lazy until the replay ends; a stepped `access` is a
+    one-key replay. The base cache must start empty and take every insertion through it."""
 
     def __init__(self, base, config: PreEvictConfig):
         self.base = base
@@ -395,46 +389,17 @@ class PreEvictingCache:
         self._due = self._timer_init  # never above the earliest deadline in the book
 
     def access(self, key, seq=None) -> tuple:
-        """The base's access after expiry and clearing; seq is ignored, as ticks count calls."""
-        base, removed = self.base, ()
-        timer_init, halfway, deadlines = self._timer_init, self._halfway, self.deadlines
-        if timer_init:
-            self.ticks = tick = self.ticks + 1
-            if tick >= self._due:
-                removed = []
-                while deadlines:  # pop the due prefix; every key in the book is resident
-                    old, due = deadlines.popitem(False)
-                    if due > tick:
-                        deadlines[old] = due
-                        deadlines.move_to_end(old, False)
-                        break
-                    base.evict_key(old)
-                    removed.append(old)
-                else:
-                    due = tick + timer_init  # every later touch runs out then or after
-                self._due = due
-                removed.sort()
-                self.timer_evictions += len(removed)
-        if halfway is not None:
-            low = self.low
-            if key < halfway:
-                low.add(key)  # a resident low key is already there
-            elif low and key not in base:
-                cleared = sorted(old for old in low if old in base)
-                low.clear()
-                for old in cleared:
-                    base.evict_key(old)
-                    if timer_init:
-                        del deadlines[old]
-                self.halfway_evictions += len(cleared)
-                removed = [*removed, *cleared]
-        hit, evicted = base.access(key)
-        if timer_init:
-            for victim in evicted:
-                del deadlines[victim]
-            deadlines[key] = tick + timer_init
-            deadlines.move_to_end(key)
-        return hit, (*removed, *evicted) if removed else evicted
+        """A replay of the one key as an exact (hit, evicted) tuple; seq is ignored. The
+        evicted keys are the residents gone after it and the key itself if it expired:
+        expiries, then clearings or the policy's victim (never both: a miss after a
+        pre-eviction has room), each in ascending key order. With the timer on, the book
+        lists the residents in touch order, and its first timer_evictions more expired."""
+        before, base = self.timer_evictions, self.base
+        held = list(self.deadlines if self._timer_init else base)
+        hit = self.replay((key,)) == 1
+        expired = self.timer_evictions - before
+        return hit, (*sorted(held[:expired]),
+                     *sorted(old for old in held[expired:] if old not in base))
 
     def replay(self, keys, fetch=None) -> int:
         """Demand-access every key in order, leaving the state that one access per
@@ -450,16 +415,3 @@ class PreEvictingCache:
         base, deadlines = self.base, self.deadlines
         for key in [key for key in deadlines if key not in base]:
             del deadlines[key]
-
-    def insert(self, key) -> tuple:
-        """Prefetch insertion without a tick; returns the evicted keys. The key must not
-        be resident: a resident key is served as a base hit, out of the timer's order."""
-        evicted = self.base.access(key)[1]
-        if self._timer_init:
-            deadlines = self.deadlines
-            for victim in evicted:
-                del deadlines[victim]
-            deadlines[key] = self.ticks + self._timer_init  # not resident: joins the back
-        if self._halfway is not None and key < self._halfway:
-            self.low.add(key)
-        return evicted

@@ -1,6 +1,7 @@
 """Markov next-key prediction, prefetch decisions, and prefetch coverage."""
 
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -14,8 +15,8 @@ def _check_predictor_params(order, alpha, min_support):
     require_ints(order=order, min_support=min_support)
     if order not in (1, 2):
         raise InvalidParam(f"order must be 1 or 2, got {order}")
-    if not 0 <= alpha < math.inf:
-        raise InvalidParam(f"alpha must be finite and >= 0, got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0 <= alpha < math.inf):
+        raise InvalidParam(f"alpha must be finite and >= 0, got {alpha!r}")
     if min_support < 0:
         raise InvalidParam(f"min_support must be >= 0, got {min_support}")
 
@@ -93,8 +94,8 @@ class PrefetchConfig:
         require_ints(top_k=self.top_k)
         if self.top_k < 1:
             raise InvalidParam(f"top_k must be >= 1, got {self.top_k}")
-        if not 0.0 <= self.p_min <= 1.0:
-            raise InvalidParam(f"p_min must be in [0, 1], got {self.p_min}")
+        if not (isinstance(self.p_min, numbers.Real) and 0.0 <= self.p_min <= 1.0):
+            raise InvalidParam(f"p_min must be in [0, 1], got {self.p_min!r}")
         if self.trigger not in (ON_MISS, ON_EVERY_ACCESS):
             raise InvalidParam(f"unknown trigger {self.trigger!r}")
 

@@ -197,8 +197,12 @@ def test_variable_rejects_non_integer_cardinality(card):
 
 
 def test_variable_accepts_numpy_integer_cardinality():
-    net = learn_cpts([Variable("A", np.int64(3))], {"A": []}, [{"A": 2}], pseudocount=1)
-    assert net.cpts["A"].rows[0] == pytest.approx([0.25, 0.25, 0.5])
+    # stored as an int, so the rows are Python floats as with a plain int
+    variable = Variable("A", np.int64(3))
+    assert type(variable.cardinality) is int and variable.cardinality == 3
+    net = learn_cpts([variable], {"A": []}, [{"A": 2}], pseudocount=1)
+    assert net.cpts["A"].rows == [[0.25, 0.25, 0.5]]
+    assert all(type(cell) is float for row in net.cpts["A"].rows for cell in row)
 
 
 def test_net_rejects_bad_row_sum():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cachelab import PreEvictConfig, PreEvictingCache
 from cachelab.policies import POLICIES, CacheConfig, make_cache
+from cachelab.prefetch import PredictorConfig, PrefetchConfig, Prefetcher
 from cachelab.trace import InvalidParam
 
 from reference import book, ref_preevict_run, resident
@@ -13,11 +14,12 @@ HALFWAY_1000 = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
 
 
 def holding(keys, config=HALFWAY_1000, capacity=5):
-    """A wrapped lru cache with keys placed by prefetch insertion, which never
-    applies the halfway rule."""
+    """A wrapped lru cache with keys placed by demand accesses, those at or above
+    halfway first, so that no clearing fires."""
     wrapped = PreEvictingCache(make_cache(CacheConfig(capacity, "lru")), config)
-    for key in keys:
-        wrapped.insert(key)
+    halfway = config.address_space_size // 2
+    for key in sorted(keys, key=lambda key: key < halfway):
+        assert wrapped.access(key) == (False, ())
     return wrapped
 
 
@@ -113,16 +115,20 @@ def test_timer_ticks_count_accesses_not_seq():
     assert 7 in wrapped.access(3)[1]
 
 
-def test_prefetch_insert_sets_timer_without_ticking():
-    # T=2: inserts after the first access neither tick nor outlive its timer
-    wrapped = PreEvictingCache(make_cache(CacheConfig(8, "lru")),
-                               PreEvictConfig(timer_enabled=True, timer_init=2))
-    wrapped.access(1)
-    for key in (15, 12, 14, 11, 13):
-        wrapped.insert(key)
-    assert wrapped.access(2)[1] == ()
-    assert wrapped.access(3)[1] == (1, 11, 12, 13, 14, 15)
-    assert wrapped.timer_evictions == 6
+@pytest.mark.parametrize("policy", POLICIES)
+def test_keys_that_expire_together_leave_in_ascending_order(policy):
+    # T=3: a prefetching replay ends on a miss of 0 at tick 12 that prefetches 0's
+    # successors in rank order, 7 (seen twice), then 5 and 6, so the book holds 0, 7,
+    # 5 and 6 with one deadline. A stepped access at tick 15 expires all four.
+    wrapped = PreEvictingCache(make_cache(CacheConfig(8, policy)),
+                               PreEvictConfig(timer_enabled=True, timer_init=3))
+    fetch = Prefetcher(PrefetchConfig(3, 0.0), PredictorConfig(1, 0.0, 1))
+    wrapped.replay([0, 7, 0, 7, 0, 5, 0, 6, 1, 2, 3, 0], fetch)
+    assert list(wrapped.deadlines.items()) == [(2, 13), (3, 14), (0, 15), (7, 15),
+                                               (5, 15), (6, 15)]
+    assert [wrapped.access(key) for key in (8, 9, 4)] == [
+        (False, (2,)), (False, (3,)), (False, (0, 5, 6, 7))]
+    assert resident(wrapped.base) == {8, 9, 4}
 
 
 def test_timer_hit_requeues_key_behind_later_touches():
@@ -162,15 +168,41 @@ def test_timer_reset_on_hit_prevents_expiry():
     assert "A" in wrapped.base and "B" in wrapped.base
 
 
-def test_expiring_key_misses_on_its_own_tick():
-    # the expiry tick precedes the access, so the re-request is a miss
-    wrapped = PreEvictingCache(make_cache(CacheConfig(4, "lru")),
+@pytest.mark.parametrize("policy", POLICIES)
+def test_expiring_key_misses_on_its_own_tick(policy):
+    # the expiry tick precedes the access, so the re-request is a miss; the key is
+    # resident both before and after it, yet reported as evicted
+    wrapped = PreEvictingCache(make_cache(CacheConfig(4, policy)),
                                PreEvictConfig(timer_enabled=True, timer_init=2))
     wrapped.access(5)
     wrapped.access(6)
-    hit, evicted = wrapped.access(5)
-    assert not hit
-    assert 5 in evicted  # expired this tick, then reinserted
+    assert wrapped.access(5) == (False, (5,))
+    assert resident(wrapped.base) == {5, 6}
+    assert wrapped.timer_evictions == 1
+    steps = [("access", key) for key in (5, 6, 5)]
+    assert ref_preevict_run(steps, 4, policy, timer_init=2)[-1][:2] == (False, (5,))
+
+
+BOTH_10_3 = PreEvictConfig(halfway_enabled=True, address_space_size=10,
+                           timer_enabled=True, timer_init=3)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("key, hit", [(8, False), (9, False), (2, True)])
+def test_expiry_and_clearing_in_one_access(policy, key, hit):
+    # T=3, halfway 5, a full cache of 9, 1 and 2: at tick 4 the key 9 runs out before
+    # the access. A miss at 8 or on 9 itself then clears 1 and 2, and the expiry comes
+    # first although 9 is the largest key. No policy victim joins them: each
+    # pre-eviction frees the slot that the miss would take. A hit on 2 clears nothing.
+    wrapped = PreEvictingCache(make_cache(CacheConfig(3, policy)), BOTH_10_3)
+    for held in (9, 1, 2):
+        assert wrapped.access(held) == (False, ())
+    expected = (9, 1, 2) if not hit else (9,)
+    assert wrapped.access(key) == (hit, expected)
+    steps = [("access", held) for held in (9, 1, 2, key)]
+    record = ref_preevict_run(steps, 3, policy, address_space=10, timer_init=3)[-1]
+    assert record == (hit, expected, resident(wrapped.base), 1, 0 if hit else 2)
+    assert (wrapped.timer_evictions, wrapped.halfway_evictions) == record[3:]
 
 
 def test_disabled_wrapper_identical_to_base():
@@ -181,6 +213,25 @@ def test_disabled_wrapper_identical_to_base():
         wrapped = PreEvictingCache(make_cache(CacheConfig(4, policy)), PreEvictConfig())
         for key in keys:
             assert plain.access(key) == wrapped.access(key), policy
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("rule", [None, "timer", "halfway"])
+def test_access_ignores_a_second_argument(policy, rule):
+    # callers written when access took a seq still pass one, and no policy reads it
+    rules = {"timer": PreEvictConfig(timer_enabled=True, timer_init=7),
+             "halfway": PreEvictConfig(halfway_enabled=True, address_space_size=40)}
+    caches = [make_cache(CacheConfig(5, policy)) for _ in range(2)]
+    if rule is not None:
+        caches = [PreEvictingCache(cache, rules[rule]) for cache in caches]
+    rng = random.Random(policy)
+    for seq in range(600):
+        key = rng.randrange(40)
+        assert caches[0].access(key, seq) == caches[1].access(key), (key, seq)
+    if rule is None:
+        assert book(caches[0]) == book(caches[1])
+    else:
+        assert wrapper_state(caches[0]) == wrapper_state(caches[1])
 
 
 def test_halfway_wrap_evicts_then_inserts():
@@ -282,13 +333,12 @@ def test_wrap_composes_with_arc():
 @st.composite
 def outcome_cases(draw):
     """A base policy, bare or under the timer, the halfway rule or both, and a run
-    of demand accesses with prefetch insertions between them."""
+    of demand accesses."""
     base = CacheConfig(draw(st.integers(1, 8)), draw(st.sampled_from(POLICIES)),
                        draw(st.sampled_from(("unit", "ratio"))))
     wrap = draw(st.sampled_from((None, "timer", "halfway", "both")))
-    ops = st.sampled_from(("access", "access", "insert"))
     keys = st.integers(0, draw(st.integers(1, 39)))
-    return base, wrap, draw(st.lists(st.tuples(ops, keys), max_size=150))
+    return base, wrap, draw(st.lists(keys, max_size=150))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -296,35 +346,29 @@ def outcome_cases(draw):
 def test_stepped_access_returns_an_exact_tuple(case):
     # run_sim unpacks every outcome; Python 3.11 does so on its fast path only for
     # an exact tuple, not for a subclass such as a NamedTuple
-    base, wrap, steps = case
-    cache = held = make_cache(base)
+    base, wrap, keys = case
+    cache = make_cache(base)
     if wrap is not None:
-        cache = PreEvictingCache(held, PreEvictConfig(
+        cache = PreEvictingCache(cache, PreEvictConfig(
             halfway_enabled=wrap != "timer", address_space_size=40,
             timer_enabled=wrap != "halfway", timer_init=5))
-    for op, key in steps:
-        if op == "access":
-            out = cache.access(key)
-            assert type(out) is tuple and len(out) == 2, out
-            assert type(out[0]) is bool and type(out[1]) is tuple, out
-        elif key not in held:  # a prefetch inserts only a key that is not resident
-            # a bare cache inserts it as a demand miss does, so through access
-            evicted = cache.access(key)[1] if wrap is None else cache.insert(key)
-            assert type(evicted) is tuple
+    for key in keys:
+        out = cache.access(key)
+        assert type(out) is tuple and len(out) == 2, out
+        assert type(out[0]) is bool and type(out[1]) is tuple, out
 
 
 @st.composite
 def preevict_cases(draw):
     """A base policy, both, one or neither pre-eviction axis, and a run of demand
-    accesses with prefetch insertions between them."""
+    accesses."""
     policy = draw(st.sampled_from(POLICIES))
     adaptation = draw(st.sampled_from(("unit", "ratio")))
     capacity = draw(st.integers(1, 8))
     address_space = draw(st.none() | st.integers(2, 40))
     timer_init = draw(st.none() | st.integers(1, 6) | st.integers(1, 40))
-    ops = st.sampled_from(("access", "access", "insert"))
     keys = st.integers(0, draw(st.integers(1, 39)))  # a narrow range brings reuse
-    steps = draw(st.lists(st.tuples(ops, keys), max_size=150))
+    steps = draw(st.lists(st.tuples(st.just("access"), keys), max_size=150))
     return policy, adaptation, capacity, address_space, timer_init, steps
 
 
@@ -338,14 +382,9 @@ def test_wrapper_matches_naive_oracle_on_every_event(case):
                             timer_init=timer_init or 2048)
     wrapped = PreEvictingCache(make_cache(CacheConfig(capacity, policy, adaptation)), config)
     records = ref_preevict_run(steps, capacity, policy, adaptation, address_space, timer_init)
-    for seq, ((op, key), record) in enumerate(zip(steps, records)):
+    for seq, ((_, key), record) in enumerate(zip(steps, records)):
         hit, evicted, held, timer_evictions, halfway_evictions = record
-        if op == "insert":
-            present = key in wrapped.base
-            got = (None, () if present else wrapped.insert(key))
-        else:
-            got = wrapped.access(key)
-        assert got == (hit, evicted), (op, key, seq)
+        assert wrapped.access(key) == (hit, evicted), (key, seq)
         assert resident(wrapped.base) == held
         if timer_init is not None:  # the timer book holds exactly the residents
             assert set(wrapped.deadlines) == held
@@ -355,8 +394,8 @@ def test_wrapper_matches_naive_oracle_on_every_event(case):
 
 @st.composite
 def wrapper_replay_cases(draw):
-    """A wrapped cache config with both, one or neither pre-eviction axis, keys to
-    insert first (as prefetches do), and a demand key run."""
+    """A wrapped cache config with both, one or neither pre-eviction axis, and a
+    demand key run."""
     capacity = draw(st.integers(1, 8))
     base = CacheConfig(capacity, draw(st.sampled_from(POLICIES)),
                        draw(st.sampled_from(("unit", "ratio"))))
@@ -366,8 +405,7 @@ def wrapper_replay_cases(draw):
                             timer_enabled=timer,
                             timer_init=draw(st.integers(1, 3 * capacity + 5)))
     keys = st.integers(0, draw(st.integers(1, 39)))  # a narrow range brings reuse
-    return (base, config, draw(st.lists(keys, max_size=5)),
-            draw(st.lists(keys, max_size=150)))
+    return base, config, draw(st.lists(keys, max_size=150))
 
 
 def wrapper_state(wrapped):
@@ -378,18 +416,13 @@ def wrapper_state(wrapped):
 @settings(max_examples=500, deadline=None, database=None)
 @given(wrapper_replay_cases())
 def test_wrapper_replay_equals_stepped_access(case):
-    base, config, prefetched, keys = case
+    base, config, keys = case
     replayed, stepped = (PreEvictingCache(make_cache(base), config) for _ in range(2))
-    for wrapped in (replayed, stepped):
-        for key in prefetched:
-            if key not in wrapped.base:
-                wrapped.insert(key)
-    before = len(stepped.base)
     outs = [stepped.access(key) for key in keys]
     hits = sum(hit for hit, _ in outs)
     evictions = sum(len(evicted) for _, evicted in outs)
     assert replayed.replay(iter(keys)) == hits
-    assert evictions == len(keys) - hits - (len(stepped.base) - before)
+    assert evictions == len(keys) - hits - len(stepped.base)
     assert wrapper_state(replayed) == wrapper_state(stepped)
     if config.timer_enabled:
         assert set(replayed.deadlines) == resident(replayed.base)
@@ -398,8 +431,7 @@ def test_wrapper_replay_equals_stepped_access(case):
 @st.composite
 def chunked_replay_cases(draw):
     """A wrapped cache config with one or both pre-eviction axes on, a demand key run
-    cut into 1-4 chunks, each after a few insertions (as prefetches make), and a
-    tail of demand keys."""
+    cut into 1-4 chunks, and a tail of demand keys."""
     capacity = draw(st.integers(1, 8))
     base = CacheConfig(capacity, draw(st.sampled_from(POLICIES)),
                        draw(st.sampled_from(("unit", "ratio"))))
@@ -409,7 +441,7 @@ def chunked_replay_cases(draw):
                             timer_enabled=timer,
                             timer_init=draw(st.integers(1, 3 * capacity + 5)))
     keys = st.integers(0, draw(st.integers(1, 39)))
-    chunks = st.tuples(st.lists(keys, max_size=3), st.lists(keys, max_size=60))
+    chunks = st.lists(keys, max_size=60)
     return (base, config, draw(st.lists(chunks, min_size=1, max_size=4)),
             draw(st.lists(keys, max_size=40)))
 
@@ -422,15 +454,11 @@ def assert_due_bounds_book(wrapped):
 @settings(max_examples=500, deadline=None, database=None)
 @given(chunked_replay_cases())
 def test_chunked_replay_then_access_equals_stepped_access(case):
-    # The book is lazy only within a replay: what a later insert, replay or access
-    # reads of it must be what stepping every key would have left.
+    # The book is lazy only within a replay: what a later replay or access reads
+    # of it must be what stepping every key would have left.
     base, config, chunks, tail = case
     replayed, stepped = (PreEvictingCache(make_cache(base), config) for _ in range(2))
-    for prefetched, keys in chunks:
-        for wrapped in (replayed, stepped):
-            for key in prefetched:
-                if key not in wrapped.base:
-                    wrapped.insert(key)
+    for keys in chunks:
         hits = sum(hit for hit, _ in map(stepped.access, keys))
         assert replayed.replay(keys) == hits
         assert wrapper_state(replayed) == wrapper_state(stepped)
@@ -453,7 +481,7 @@ def test_wrapper_replay_makes_no_call_into_its_base(policy, halfway, timer):
     keys = [rng.randrange(64) for _ in range(2000)]
     replayed, stepped = (PreEvictingCache(make_cache(CacheConfig(16, policy)), config)
                          for _ in range(2))
-    replayed.base.access = replayed.base.evict_key = refuse
+    replayed.base.access = refuse
     hits = sum(hit for hit, _ in map(stepped.access, keys))
     assert replayed.replay(keys) == hits
     assert wrapper_state(replayed) == wrapper_state(stepped)

@@ -180,10 +180,17 @@ def test_module_level_wrappers():
 
 @pytest.mark.parametrize("kwargs", [
     {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": -1.0}, {"order": 3}, {"min_support": -1},
+    {"alpha": "1"}, {"alpha": None},
 ])
 def test_predictor_config_rejects_bad_params(kwargs):
     with pytest.raises(InvalidParam):
         PredictorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("p_min", ["0.5", None, math.nan, -0.1])
+def test_prefetch_config_rejects_bad_p_min(p_min):
+    with pytest.raises(InvalidParam, match=r"^p_min must be in \[0, 1\], got "):
+        PrefetchConfig(p_min=p_min)
 
 
 def test_predictor_param_validation():
@@ -193,8 +200,8 @@ def test_predictor_param_validation():
         MarkovPredictor(alpha=-1)
     with pytest.raises(InvalidParam):
         MarkovPredictor(min_support=-1)
-    for alpha in (math.nan, math.inf):
-        with pytest.raises(InvalidParam):
+    for alpha in (math.nan, math.inf, "1", None):
+        with pytest.raises(InvalidParam, match=r"^alpha must be finite and >= 0, got "):
             MarkovPredictor(alpha=alpha)
     with pytest.raises(InvalidParam):
         PrefetchConfig(top_k=0)

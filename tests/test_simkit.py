@@ -379,6 +379,8 @@ def test_run_sim_matches_naive_oracle(case):
 NAMED_KEYS = 24
 NAMED_SHAPES = [  # (policy, pre-eviction, top_k, trigger, order), beside the drawn cases
     ("arc", "timer", 3, ON_MISS, 2),  # the benchmark's churn shape
+    # a classical policy's prefetch insertion under each rule
+    ("mru", "timer", 1, ON_EVERY_ACCESS, 1), ("lru", "halfway", 3, ON_MISS, 1),
     *[("arc", "halfway", top_k, trigger, 1) for top_k in (1, 3)
       for trigger in (ON_MISS, ON_EVERY_ACCESS)],
     *[(policy, None, top_k, trigger, 1) for policy in POLICIES for top_k in (1, 3)
