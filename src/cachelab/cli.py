@@ -289,6 +289,8 @@ def cmd_bayes(parser, args):
         dist = infer(net, args.query, evidence)
     except bayes.ZeroEvidence as exc:
         return _fail(str(exc))
+    except MemoryError:
+        return _fail(f"bayes: not enough memory for --method {args.method}")
     variable = net.variables[args.query]
     for value, prob in enumerate(dist):
         sys.stdout.write(f"{bayes.value_label(variable, value)} {prob:.6f}\n")

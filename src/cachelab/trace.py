@@ -1,6 +1,7 @@
 """Access-trace parsing, emission, and seeded synthetic workload generation."""
 
 import enum
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import count, repeat
@@ -151,7 +152,9 @@ def parse_smpc(text: Union[str, bytes]) -> Trace:
 
 
 def emit_plain(trace: Trace) -> str:
-    return "".join(f"{key}\n" for key in trace.keys)
+    """One key per line, as str() writes it: decimal for the int keys parse_plain reads."""
+    keys = trace.keys
+    return ("%s\n" * len(keys)) % tuple(keys)
 
 
 def parse_lru_problem(text: Union[str, bytes]) -> list:
@@ -199,8 +202,8 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     """Order-1 chain over {0..num_keys-1}: follow s -> (s+1) mod num_keys with the
     given probability, otherwise jump to a uniformly random key."""
     seed, num_keys, length = require_ints(seed=seed, num_keys=num_keys, length=length)
-    if not 0.0 <= determinism <= 1.0:
-        raise InvalidParam(f"determinism must be in [0, 1], got {determinism}")
+    if not (isinstance(determinism, numbers.Real) and 0.0 <= determinism <= 1.0):
+        raise InvalidParam(f"determinism must be in [0, 1], got {determinism!r}")
     if not 2 <= num_keys <= 2**63:  # numpy draws the jumps as int64
         raise InvalidParam(f"num_keys must be in [2, 2**63], got {num_keys}")
     max_length = np.iinfo(np.intp).max // 8 + 1  # numpy cannot size a longer float64 draw

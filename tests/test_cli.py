@@ -473,6 +473,18 @@ def test_bayes_zero_evidence(tmp_path, capsys):
     assert code == 1 and "zero" in err
 
 
+@pytest.mark.parametrize("method, infer", [("enum", "infer_enumeration"),
+                                           ("ve", "infer_variable_elimination")])
+def test_bayes_out_of_memory_fails_in_one_line(method, infer, monkeypatch, capsys):
+    def exhausted(net, query, evidence):
+        raise MemoryError  # as numpy's allocation of a factor too large for memory
+    monkeypatch.setattr(f"cachelab.bayes.{infer}", exhausted)
+    code, out, err = run_cli(
+        ["bayes", "--net", SPRINKLER, "--query", "Rain", "--method", method], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"bayes: not enough memory for --method {method}\n"
+
+
 def test_bayes_ternary_values_render_as_indices(tmp_path, capsys):
     net = tmp_path / "ternary.json"
     net.write_text(json.dumps({

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachelab import PreEvictConfig
-from cachelab.policies import POLICIES, CacheConfig
+from cachelab.policies import POLICIES, CacheConfig, PreEvictingCache, make_cache
 from cachelab.prefetch import (
     ON_EVERY_ACCESS,
     ON_MISS,
     MarkovPredictor,
     PredictorConfig,
     PrefetchConfig,
+    Prefetcher,
 )
 from cachelab.simkit import (
     REPORT_FIELDS,
@@ -327,7 +328,7 @@ def test_plain_report_equals_per_event_loop_and_oracles(case):
     cache, keys = case
     trace = as_trace(keys)
     plain = run_sim(trace, RunConfig(cache=cache, label="plain"))
-    # a timer that never runs out sends the same run through the per-event loop
+    # a timer that never runs out sends the same run through the replay's full loop
     inert = PreEvictConfig(timer_enabled=True, timer_init=len(trace) + 1)
     stepped = run_sim(trace, RunConfig(cache=cache, pre=inert, label="stepped"))
     assert dataclasses.replace(plain, label="stepped") == stepped
@@ -337,6 +338,48 @@ def test_plain_report_equals_per_event_loop_and_oracles(case):
         hits, misses = ref_policy_run(keys, cache.capacity, cache.policy)[:2]
     assert (plain.demand_hits, plain.demand_misses) == (hits, misses)
     assert plain.compulsory_misses == plain.distinct_keys == len(set(keys))
+
+
+@st.composite
+def prefetch_runs(draw):
+    """A classical policy with the prefetcher and no rule, every prefetch setting
+    drawn, and 0-3 cuts that split the trace into replay chunks."""
+    num_keys = draw(st.integers(2, 16))
+    keys = draw(st.lists(st.integers(0, num_keys - 1), max_size=120)
+                | st.builds(lambda *args: gen_markov_trace(*args).keys,
+                            st.integers(0, 99), st.just(num_keys), st.integers(1, 120),
+                            st.sampled_from((0.5, 0.9, 1.0))))
+    cache = CacheConfig(draw(st.integers(1, 6)),
+                        draw(st.sampled_from([p for p in POLICIES if p != "arc"])))
+    prefetch = PrefetchConfig(draw(st.integers(1, 3)),
+                              draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0, 1)),
+                              draw(st.sampled_from((ON_MISS, ON_EVERY_ACCESS))))
+    predictor = PredictorConfig(draw(st.integers(1, 2)),
+                                draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0, 4)),
+                                draw(st.integers(0, 4)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=3)))
+    return keys, RunConfig(cache=cache, prefetch=prefetch, predictor=predictor,
+                           label="run"), cuts
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(prefetch_runs())
+def test_prefetch_loop_equals_full_loop(case):
+    keys, config, cuts = case
+    trace = as_trace(keys)
+    # a timer that never runs out sends the same run through the replay's full loop
+    inert = PreEvictConfig(timer_enabled=True, timer_init=len(trace) + 1)
+    assert run_sim(trace, config) == run_sim(trace, dataclasses.replace(config, pre=inert))
+    chunks = [keys[i:j] for i, j in zip([0, *cuts], [*cuts, len(keys)])]
+    states = []
+    for pre, replayed in ((inert, [keys]), (None, [keys]), (None, chunks)):
+        cache = make_cache(config.cache)
+        front = cache if pre is None else PreEvictingCache(cache, pre)
+        fetch = Prefetcher(config.prefetch, config.predictor)
+        hits = sum(front.replay(chunk, fetch=fetch) for chunk in replayed)
+        states.append((hits, fetch.issued, fetch.useful, fetch.harmful, fetch.predictor.counts,
+                       fetch.pending, fetch.by_victim, list(cache.entries)))
+    assert states[0] == states[1] == states[2]
 
 
 @st.composite

@@ -166,6 +166,14 @@ def test_plain_emit_parse_idempotent():
         assert twice.keys == once.keys == keys
 
 
+def test_emit_plain_bytes():
+    keys = [0, 7, MAX_KEY, np.int64(42), np.uint64(MAX_KEY), np.int32(3), 10**12]
+    text = emit_plain(Trace(keys))
+    assert text == "".join(f"{key}\n" for key in keys)
+    assert text == "0\n7\n18446744073709551615\n42\n18446744073709551615\n3\n1000000000000\n"
+    assert emit_plain(Trace([])) == ""
+
+
 def test_parse_lru_problem_golden_input():
     cases = parse_lru_problem("5 GHI!JKGL!H!\n3 OPOQR!QROQP!PQPQ!\n5 KMKMN!\n0\n")
     assert cases == [
@@ -265,6 +273,8 @@ def test_traces_hold_keys_not_per_event_objects():
     dict(seed=1, num_keys=4, length=0, determinism=0.5),
     dict(seed=1, num_keys=2**63 + 1, length=5, determinism=0.5),  # past numpy's int64 draw
     dict(seed=1, num_keys=4, length=10**19, determinism=0.5),  # a draw numpy cannot size
+    dict(seed=1, num_keys=10, length=5, determinism="0.5"),  # not a real number
+    dict(seed=1, num_keys=10, length=5, determinism=None),
 ])
 def test_gen_markov_invalid_params(kwargs):
     with pytest.raises(InvalidParam):
