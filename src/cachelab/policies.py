@@ -74,14 +74,26 @@ class CacheState:
         timer and halfway rules run inline before each access, and `fetch`, a
         Prefetcher, its step after it. A key that leaves the cache keeps its timer entry
         until it comes due or the replay ends, and its ledger entry until next read.
-        A run with no rule takes one of two shorter loops, the plain loop or, with a
-        prefetcher, the prefetch loop; a run with a rule takes the full loop."""
+        A run with neither takes the plain loop, any other run the extras loop."""
         entries = self.entries
         popitem = entries.popitem
         move_to_end = entries.move_to_end if self._by_recency else None
         victim_last = self._victim_last
         room = self.capacity - len(entries)  # keys leave as victims or pre-evictions
         hits = expired = cleared = 0
+        if pre is None and fetch is None:  # the plain loop
+            for key in keys:
+                if key in entries:
+                    hits += 1
+                    if move_to_end:
+                        move_to_end(key)
+                else:
+                    if room:
+                        room -= 1
+                    else:
+                        popitem(victim_last)
+                    entries[key] = None
+            return hits
         timer_init, halfway = (0, None) if pre is None else (pre._timer_init, pre._halfway)
         if pre is not None:
             low, deadlines, tick, due = pre.low, pre.deadlines, pre.ticks, pre._due
@@ -91,74 +103,12 @@ class CacheState:
             pending, by_victim = fetch.pending, fetch.by_victim
             config, top_k, p_min, alpha, min_support, on_miss = fetch.settings
             issued, useful, harmful = fetch.issued, fetch.useful, fetch.harmful
-        extra, row = pre is not None or fetch is not None, None  # row None: no step
-        if not extra:  # the plain loop
-            for key in keys:
-                if key in entries:
-                    hits += 1
-                    if move_to_end:
-                        move_to_end(key)
-                else:
-                    if room:
-                        room -= 1
-                    else:
-                        popitem(victim_last)
-                    entries[key] = None
-            return hits
-        if pre is None:  # the prefetch loop: the full loop's steps, without the rules
-            for key in keys:
+        row = None  # None: no prefetch step after this access
+        for key in keys:  # the extras loop
+            if fetch is not None:
                 row = observe(key)
-                if key in entries:
-                    hits += 1
-                    if move_to_end:
-                        move_to_end(key)
-                    if key in pending:  # useful
-                        useful += 1
-                        by_victim[pending.pop(key)].discard(key)
-                    if on_miss:
-                        continue
-                else:
-                    if key in pending:  # evicted unused
-                        by_victim[pending.pop(key)].discard(key)
-                    # with no rule, the residents here are those the access began with
-                    waiting = by_victim.get(key)
-                    live = waiting and len(entries.keys() & waiting)
-                    if live:  # a demand miss of their victim
-                        harmful += live
-                        for fetched in by_victim.pop(key):
-                            del pending[fetched]
-                    if room:
-                        room -= 1
-                    else:
-                        popitem(victim_last)
-                    entries[key] = None
-                if row is None or row.total < min_support:
-                    continue
-                if top_k > 1:
-                    chosen = decide_prefetch(predict(None, top_k), config, entries)
-                elif ((row.top + alpha) / (row.total + alpha * len(row)) < p_min
-                      or row.leader in entries):
-                    continue
-                else:
-                    chosen = (row.leader,)
-                for fetched in chosen:
-                    if room:
-                        room, victim = room - 1, None
-                    else:
-                        victim = popitem(victim_last)[0]
-                    entries[fetched] = None
-                    issued += 1
-                    if fetched in pending:
-                        by_victim[pending[fetched]].discard(fetched)
-                    pending[fetched] = victim
-                    by_victim[victim].add(fetched)
-            fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
-            return hits
-        # the full loop, which a run with a rule takes
-        for key in keys:
-            if extra:
-                if fetch is not None:
-                    row = observe(key)
+            if pre is not None:
+                if fetch is not None:  # a rule may remove a prefetch before its victim misses
                     waiting = by_victim.get(key)  # the prefetches that evicted key, and
                     live = waiting and len(entries.keys() & waiting)  # those resident now
                 if timer_init:
@@ -185,22 +135,27 @@ class CacheState:
                                 del entries[old]
                                 room, cleared = room + 1, cleared + 1
                         low.clear()
-                if fetch is not None:
-                    hit = key in entries
-                    if key in pending:  # useful if still resident, else evicted unused
-                        useful += hit
-                        by_victim[pending.pop(key)].discard(key)
-                    if live and not hit:  # a demand miss of their victim
-                        harmful += live
-                        for fetched in by_victim.pop(key):
-                            del pending[fetched]
-                    if hit and on_miss:
-                        row = None  # no prefetch step after this access
             if key in entries:
                 hits += 1
                 if move_to_end:
                     move_to_end(key)
+                if fetch is not None:
+                    if key in pending:  # useful
+                        useful += 1
+                        by_victim[pending.pop(key)].discard(key)
+                    if on_miss:
+                        continue
             else:
+                if fetch is not None:
+                    if key in pending:  # evicted unused
+                        by_victim[pending.pop(key)].discard(key)
+                    if pre is None:  # with no rule, the residents the access began with
+                        waiting = by_victim.get(key)
+                        live = waiting and len(entries.keys() & waiting)
+                    if live:  # a demand miss of their victim
+                        harmful += live
+                        for fetched in by_victim.pop(key):
+                            del pending[fetched]
                 if room:
                     room -= 1
                 else:

@@ -58,15 +58,22 @@ class TraceEvent(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Trace:
-    """The requested keys in order; ops, one Op per event, only from parse_smpc; distinct,
-    len(set(keys)), counted once when built. Every run shares the key list, so it must
-    not be changed after the trace is built: distinct would not follow it."""
+    """The requested keys in order, each an int in [0, MAX_KEY] as a trace file holds
+    them; ops, one Op per event, only from parse_smpc; distinct, len(set(keys)), counted
+    once when built. Every run shares the key list, so it must not be changed after the
+    trace is built: distinct would not follow it."""
     keys: list
     ops: list = None
     distinct: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "distinct", len(set(self.keys)))
+        keys = self.keys
+        # types over the whole list: 1, 1.0 and True are one element of a set
+        distinct = set(keys) if set(map(type, keys)) <= {int} else None
+        if distinct is None or distinct and not 0 <= min(distinct) <= max(distinct) <= MAX_KEY:
+            bad = next(k for k in keys if type(k) is not int or not 0 <= k <= MAX_KEY)
+            raise InvalidParam(f"trace keys must be ints in [0, 2**64 - 1], got {bad!r}")
+        object.__setattr__(self, "distinct", len(distinct))
 
     @property
     def events(self) -> list:
@@ -112,10 +119,8 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
     """One key per line, decimal or 0x-hex; '#' comments and blank lines allowed."""
     text = _as_text(text)
     try:  # the bulk path: int(t) takes exactly the tokens int(t, 10) takes
-        keys = [int(t) for t in map(str.strip, text.splitlines()) if t and t[0] != "#"]
-        if not keys or 0 <= min(keys) and max(keys) <= MAX_KEY:
-            return Trace(keys)
-    except ValueError:
+        return Trace([int(t) for t in map(str.strip, text.splitlines()) if t and t[0] != "#"])
+    except ValueError:  # a hex or bad token, or a key out of range, which Trace refuses
         pass
     # hex keys and bad lines go line by line, which names the first bad line
     keys = []

@@ -28,7 +28,7 @@ from cachelab.simkit import (
 from cachelab.trace import Trace, gen_markov_trace, parse_plain
 
 import hashes
-from reference import ref_arc_run, ref_policy_run, ref_run_sim
+from reference import book, ref_arc_run, ref_policy_run, ref_run_sim
 
 REF_12 = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
 REF_20 = [7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1]
@@ -107,6 +107,25 @@ def test_prefetch_driver_harmful_case():
     assert report.prefetch_useful == 0
     assert report.prefetch_useless == 1
     assert (report.demand_hits, report.demand_misses) == (2, 4)
+
+
+@pytest.mark.parametrize("keys, pre, counts", [
+    # the prefetch of 1 displaces 2; demanding 2 clears 0 and 1 (below halfway 2)
+    # before its miss, and 2's own step prefetches 0, pending at the end
+    ([0, 1, 2, 0, 2], PreEvictConfig(halfway_enabled=True, address_space_size=4),
+     dict(prefetch_issued=2, prefetch_harmful=1, prefetch_useless=1, halfway_evictions=4,
+          demand_hits=0)),
+    # the prefetch of 1 displaces 2, and 1's timer runs out as 2 is demanded
+    ([0, 1, 2, 0, 0, 2], PreEvictConfig(timer_enabled=True, timer_init=2),
+     dict(prefetch_issued=1, prefetch_harmful=1, prefetch_useless=0, timer_evictions=3,
+          demand_hits=1)),
+], ids=["halfway", "timer"])
+def test_prefetch_harmful_when_a_rule_removes_it_before_its_victim_misses(keys, pre, counts):
+    # the harmful count is taken at the top of the access, before the rules run
+    config = lru(2, pre=pre, **pgm(alpha=0.0, min_support=1, p_min=0.0))
+    report = dataclasses.asdict(run_sim(as_trace(keys), config))
+    assert {name: report[name] for name in counts} == counts
+    assert report == ref_run_sim(keys, config)
 
 
 def test_prefetch_driver_useless_case():
@@ -328,7 +347,7 @@ def test_plain_report_equals_per_event_loop_and_oracles(case):
     cache, keys = case
     trace = as_trace(keys)
     plain = run_sim(trace, RunConfig(cache=cache, label="plain"))
-    # a timer that never runs out sends the same run through the replay's full loop
+    # a timer that never runs out sends the same run through the replay's extras loop
     inert = PreEvictConfig(timer_enabled=True, timer_init=len(trace) + 1)
     stepped = run_sim(trace, RunConfig(cache=cache, pre=inert, label="stepped"))
     assert dataclasses.replace(plain, label="stepped") == stepped
@@ -342,15 +361,14 @@ def test_plain_report_equals_per_event_loop_and_oracles(case):
 
 @st.composite
 def prefetch_runs(draw):
-    """A classical policy with the prefetcher and no rule, every prefetch setting
-    drawn, and 0-3 cuts that split the trace into replay chunks."""
+    """Any policy with the prefetcher and no rule, every prefetch setting drawn,
+    and 0-3 cuts that split the trace into replay chunks."""
     num_keys = draw(st.integers(2, 16))
     keys = draw(st.lists(st.integers(0, num_keys - 1), max_size=120)
                 | st.builds(lambda *args: gen_markov_trace(*args).keys,
                             st.integers(0, 99), st.just(num_keys), st.integers(1, 120),
                             st.sampled_from((0.5, 0.9, 1.0))))
-    cache = CacheConfig(draw(st.integers(1, 6)),
-                        draw(st.sampled_from([p for p in POLICIES if p != "arc"])))
+    cache = CacheConfig(draw(st.integers(1, 6)), draw(st.sampled_from(POLICIES)))
     prefetch = PrefetchConfig(draw(st.integers(1, 3)),
                               draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0, 1)),
                               draw(st.sampled_from((ON_MISS, ON_EVERY_ACCESS))))
@@ -364,10 +382,11 @@ def prefetch_runs(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(prefetch_runs())
-def test_prefetch_loop_equals_full_loop(case):
+def test_prefetch_run_without_rule_equals_inert_timer_run_whole_and_chunked(case):
     keys, config, cuts = case
     trace = as_trace(keys)
-    # a timer that never runs out sends the same run through the replay's full loop
+    # without a rule, CacheState.replay counts harmful prefetches on the miss, and
+    # under a timer that never runs out, at the top of each access
     inert = PreEvictConfig(timer_enabled=True, timer_init=len(trace) + 1)
     assert run_sim(trace, config) == run_sim(trace, dataclasses.replace(config, pre=inert))
     chunks = [keys[i:j] for i, j in zip([0, *cuts], [*cuts, len(keys)])]
@@ -378,7 +397,7 @@ def test_prefetch_loop_equals_full_loop(case):
         fetch = Prefetcher(config.prefetch, config.predictor)
         hits = sum(front.replay(chunk, fetch=fetch) for chunk in replayed)
         states.append((hits, fetch.issued, fetch.useful, fetch.harmful, fetch.predictor.counts,
-                       fetch.pending, fetch.by_victim, list(cache.entries)))
+                       fetch.pending, fetch.by_victim, book(cache)))
     assert states[0] == states[1] == states[2]
 
 
