@@ -18,6 +18,8 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9
 ENUM_BLOCK = 4096  # most hidden completions infer_enumeration holds at once
+MAX_ENUM_COMPLETIONS = 2**24  # most completions infer_enumeration sums (0.7 s for 2**24)
+MAX_FACTOR_CELLS = 2**22  # most cells of a product variable elimination builds (32 MiB)
 
 
 class BayesError(ValueError):
@@ -50,6 +52,10 @@ class EmptyData(BayesError):
 
 class InvalidNet(BayesError):
     pass
+
+
+class TooLarge(BayesError):
+    """An inference refused before it starts work that would not finish or fit."""
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,10 @@ def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarr
     product of the factors in cpt order, added one by one as a plain loop would."""
     _check_query(net, query_var, evidence)
     hidden = [v for n, v in net.variables.items() if n != query_var and n not in evidence]
+    completions = net.variables[query_var].cardinality * math.prod(v.cardinality for v in hidden)
+    if completions > MAX_ENUM_COMPLETIONS:
+        raise TooLarge(f"enumeration over {len(hidden) + 1} variables would sum more than "
+                       f"{MAX_ENUM_COMPLETIONS} completions; use --method ve")
     split = len(hidden)
     while split and math.prod(v.cardinality for v in hidden[split - 1:]) <= ENUM_BLOCK:
         split -= 1
@@ -253,16 +263,27 @@ def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarr
     return totals / denom
 
 
+def _product(factors):
+    """The product of the factors, refused when its scope exceeds MAX_FACTOR_CELLS;
+    every partial product's scope is part of that one."""
+    cards = {v.name: v.cardinality for f in factors for v in f.scope}
+    cells = math.prod(cards.values())
+    if cells > MAX_FACTOR_CELLS:
+        raise TooLarge(f"variable elimination would build a factor over {len(cards)} "
+                       f"variables, more than {MAX_FACTOR_CELLS} cells")
+    product = factors[0]
+    for f in factors[1:]:
+        product = product * f
+    return product
+
+
 def eliminate_variable(factors, var: str):
     """Multiply every factor mentioning var, sum var out, pass the rest through."""
     touched = [f for f in factors if var in f.names]
     if not touched:
         raise UnknownVariable(f"{var!r} appears in no factor")
     rest = [f for f in factors if var not in f.names]
-    product = touched[0]
-    for f in touched[1:]:
-        product = product * f
-    rest.append(product.sum_out(var))
+    rest.append(_product(touched).sum_out(var))
     return rest
 
 
@@ -281,23 +302,26 @@ def infer_variable_elimination(net: BayesNet, query_var: str, evidence: dict,
     if order is not None and sorted(order) != sorted(eliminable):
         raise InvalidOrder(
             f"order must cover exactly {sorted(eliminable)}, got {sorted(order)}")
+    # greedy without an order: the variable whose factors join into the smallest
+    # scope, ties by name; the factors name only the query and the variables still
+    # to go, and a step changes the joined scopes of only the names it joined
+    joined = {name: set() for name in eliminable} if order is None else {}
+    stale = set(joined)
     for step in range(len(eliminable)):
         if order is None:
-            # greedy: the variable whose factors join into the smallest scope, ties by
-            # name; the factors name only the query and the variables still to go
-            joined = {}
             for f in factors:
                 for name in f.names:
-                    if name != query_var:
-                        joined.setdefault(name, set()).update(f.names)
+                    if name in stale:
+                        joined[name].update(f.names)
             var = min(sorted(joined), key=lambda name: len(joined[name]))
+            stale = joined.pop(var) - {var, query_var}
+            for name in stale:
+                joined[name] = set()
         else:
             var = order[step]
         factors = eliminate_variable(factors, var)
     result = Factor([net.variables[query_var]], np.ones(net.variables[query_var].cardinality))
-    for f in factors:
-        result = result * f
-    values = result.values.reshape(-1)
+    values = _product([result, *factors]).values.reshape(-1)
     denom = values.sum()
     if denom <= 0.0:
         raise ZeroEvidence("evidence has probability zero")

@@ -38,15 +38,18 @@ class CacheConfig:
 class CacheState:
     """Resident keys in one ordered book, each mapped to None: insertion order
     for fifo and lifo, recency order (least recent first) for lru and mru. The
-    victim is the book's first key for fifo and lru and its last key for lifo and mru."""
+    victim is the book's first key for fifo and lru and its last key for lifo and mru.
+    The victim-last policies keep the book as a plain dict, which pops its own last
+    key; the victim-first ones need an OrderedDict, which pops its first key in O(1)."""
 
     def __init__(self, config: CacheConfig):
         if config.policy == ARC:
             raise InvalidParam("use ArcState for the arc policy")
         self.capacity = config.capacity
-        self.entries = OrderedDict()  # key -> None, oldest or least recent first
         self._by_recency = config.policy in (LRU, MRU)
         self._victim_last = config.policy in (LIFO, MRU)
+        # key -> None, oldest or least recent first
+        self.entries = {} if self._victim_last else OrderedDict()
 
     def __contains__(self, key):
         return key in self.entries
@@ -62,9 +65,16 @@ class CacheState:
         entries = self.entries
         if key in entries:
             if self._by_recency:
-                entries.move_to_end(key)
+                if self._victim_last:  # mru: a plain dict moves a key by reinserting it
+                    del entries[key]
+                    entries[key] = None
+                else:
+                    entries.move_to_end(key)
             return True, ()
-        evicted = (entries.popitem(self._victim_last)[0],) if len(entries) >= self.capacity else ()
+        if len(entries) < self.capacity:
+            evicted = ()
+        else:
+            evicted = ((entries.popitem() if self._victim_last else entries.popitem(False))[0],)
         entries[key] = None
         return False, evicted
 
@@ -77,8 +87,10 @@ class CacheState:
         A run with neither takes the plain loop, any other run the extras loop."""
         entries = self.entries
         popitem = entries.popitem
-        move_to_end = entries.move_to_end if self._by_recency else None
         victim_last = self._victim_last
+        # lru moves a hit with move_to_end; mru, a plain dict, deletes and reinserts it
+        move_to_end = entries.move_to_end if self._by_recency and not victim_last else None
+        mru = self._by_recency and victim_last
         room = self.capacity - len(entries)  # keys leave as victims or pre-evictions
         hits = expired = cleared = 0
         if pre is None and fetch is None:  # the plain loop
@@ -87,11 +99,16 @@ class CacheState:
                     hits += 1
                     if move_to_end:
                         move_to_end(key)
+                    elif mru:
+                        del entries[key]
+                        entries[key] = None
                 else:
                     if room:
                         room -= 1
+                    elif victim_last:
+                        popitem()
                     else:
-                        popitem(victim_last)
+                        popitem(False)
                     entries[key] = None
             return hits
         timer_init, halfway = (0, None) if pre is None else (pre._timer_init, pre._halfway)
@@ -139,6 +156,9 @@ class CacheState:
                 hits += 1
                 if move_to_end:
                     move_to_end(key)
+                elif mru:
+                    del entries[key]
+                    entries[key] = None
                 if fetch is not None:
                     if key in pending:  # useful
                         useful += 1
@@ -158,8 +178,10 @@ class CacheState:
                             del pending[fetched]
                 if room:
                     room -= 1
+                elif victim_last:
+                    popitem()
                 else:
-                    popitem(victim_last)
+                    popitem(False)
                 entries[key] = None
             if row is None or row.total < min_support:
                 continue  # no prefetch step, or no row predict_next predicts anything from
@@ -173,8 +195,10 @@ class CacheState:
             for fetched in chosen:
                 if room:
                     room, victim = room - 1, None
+                elif victim_last:
+                    victim = popitem()[0]
                 else:
-                    victim = popitem(victim_last)[0]
+                    victim = popitem(False)[0]
                 entries[fetched] = None
                 if timer_init:
                     deadlines[fetched] = tick + timer_init

@@ -28,8 +28,10 @@ def book(cache):
 def ref_policy_run(keys, capacity, policy):
     """Step a classical policy over a key sequence.
 
-    Returns (hits, misses, outcome list of 'H'/'M', final resident set, victims):
-    victims holds each access's evicted keys, () for a hit or a miss with room.
+    Returns (hits, misses, outcome list of 'H'/'M', final resident set, victims,
+    book): victims holds each access's evicted keys, () for a hit or a miss with
+    room; book lists the residents in insertion order for fifo and lifo, and least
+    recently used first for lru and mru.
     """
     resident = []
     inserted = {}
@@ -63,7 +65,9 @@ def ref_policy_run(keys, capacity, policy):
         resident.append(key)
         inserted[key] = t
         last_used[key] = t
-    return hits, misses, outcomes, set(resident), victims
+    stamp = inserted if policy in ("fifo", "lifo") else last_used
+    book = sorted(resident, key=lambda k: stamp[k])
+    return hits, misses, outcomes, set(resident), victims, book
 
 
 def ref_lru_order(keys, capacity):

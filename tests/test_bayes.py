@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from cachelab.bayes import (
     InvalidNet,
     InvalidOrder,
     InvalidQuery,
+    TooLarge,
     UnknownVariable,
     Variable,
     ZeroEvidence,
@@ -480,6 +482,97 @@ def test_random_nets_enumeration_equals_ve():
             assert np.allclose(
                 infer_variable_elimination(net, query, evidence, order=order),
                 expected, atol=TOL)
+
+
+# --- size bounds ---
+
+
+def roots_net(n):
+    """n independent binary roots: 2**n completions, and no factor larger than 2."""
+    names = [f"R{i}" for i in range(n)]
+    return BayesNet([Variable(r, 2) for r in names], [CPT(r, [], [[0.5, 0.5]]) for r in names])
+
+
+def dense_net(n):
+    """n binary roots and one child per pair of them: once the children are summed
+    out, eliminating any root joins all n roots, a factor of 2**n cells."""
+    roots = [f"R{i}" for i in range(n)]
+    pairs = list(itertools.combinations(roots, 2))
+    return BayesNet(
+        [Variable(r, 2) for r in roots] + [Variable(f"C{a}{b}", 2) for a, b in pairs],
+        [CPT(r, [], [[0.5, 0.5]]) for r in roots]
+        + [CPT(f"C{a}{b}", [a, b], [[0.3, 0.7]] * 4) for a, b in pairs])
+
+
+def refused_in(seconds, infer, *args):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as err:
+        infer(*args)
+    assert time.perf_counter() - start < seconds
+    return str(err.value)
+
+
+def test_enumeration_refuses_above_the_completion_bound():
+    # 40 roots: 2**40 completions, which VE answers at once
+    message = refused_in(1.0, infer_enumeration, roots_net(40), "R0", {})
+    assert message == (f"enumeration over 40 variables would sum more than "
+                       f"{bayes.MAX_ENUM_COMPLETIONS} completions; use --method ve")
+    assert infer_variable_elimination(roots_net(40), "R0", {}).tolist() == [0.5, 0.5]
+
+
+def test_enumeration_bound_counts_query_and_hidden_but_not_evidence(monkeypatch):
+    monkeypatch.setattr(bayes, "MAX_ENUM_COMPLETIONS", 8)
+    net = roots_net(4)
+    assert infer_enumeration(net, "R0", {"R3": 1}).tolist() == [0.5, 0.5]  # 2**3
+    refused_in(1.0, infer_enumeration, net, "R0", {})  # 2**4
+
+
+def test_elimination_refuses_a_factor_above_the_cell_bound():
+    # 34 roots and 561 children; evidence on one child, as an observed pair would be
+    net = dense_net(34)
+    message = refused_in(1.0, infer_variable_elimination, net, "R0", {"CR0R1": 1})
+    assert message == ("variable elimination would build a factor over 34 variables, "
+                       f"more than {bayes.MAX_FACTOR_CELLS} cells")
+
+
+def test_elimination_bound_admits_a_factor_at_the_bound(monkeypatch):
+    # with R1 first, each root's product joins three roots and two children: 2**5 cells
+    net = dense_net(3)
+    order = ["R1", "R2", "CR0R1", "CR0R2", "CR1R2"]
+    monkeypatch.setattr(bayes, "MAX_FACTOR_CELLS", 2**5)
+    assert np.allclose(infer_variable_elimination(net, "R0", {}, order), [0.5, 0.5], atol=TOL)
+    monkeypatch.setattr(bayes, "MAX_FACTOR_CELLS", 2**5 - 1)
+    refused_in(1.0, infer_variable_elimination, net, "R0", {}, order)
+
+
+@pytest.mark.parametrize("bound", [2, 4, 8, 16, 64])
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=queries())
+def test_ve_refuses_exactly_the_nets_whose_greedy_product_exceeds_the_bound(bound, case):
+    # the oracle's greedy order gives each product's scope; under the bound, VE still
+    # equals the naive posterior
+    cards, parents, rows, query, evidence = case
+    net = BayesNet([Variable(n, c) for n, c in cards.items()],
+                   [CPT(n, parents[n], rows[n]) for n in cards])
+    scopes = [{child, *ps} - set(evidence) for child, ps in parents.items()]
+    largest = cards[query]  # the final product's scope is the query alone
+    for var in ref_min_scope_order(parents, query, evidence):
+        joined = set().union(*(scope for scope in scopes if var in scope))
+        largest = max(largest, math.prod(cards[n] for n in joined))
+        scopes = [scope for scope in scopes if var not in scope] + [joined - {var}]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bayes, "MAX_FACTOR_CELLS", bound)
+        if largest > bound:
+            with pytest.raises(TooLarge):
+                infer_variable_elimination(net, query, evidence)
+            return
+        try:
+            got = infer_variable_elimination(net, query, evidence)
+        except ZeroEvidence:
+            with pytest.raises(ZeroDivisionError):
+                ref_posterior(cards, parents, rows, query, evidence)
+            return
+    assert np.allclose(got, ref_posterior(cards, parents, rows, query, evidence), atol=TOL)
 
 
 def test_ve_default_order_is_min_scope(monkeypatch):

@@ -1,9 +1,11 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -483,6 +485,44 @@ def test_bayes_out_of_memory_fails_in_one_line(method, infer, monkeypatch, capsy
         ["bayes", "--net", SPRINKLER, "--query", "Rain", "--method", method], capsys)
     assert (code, out) == (1, "")
     assert err == f"bayes: not enough memory for --method {method}\n"
+
+
+def write_net(path, roots, pairs=False):
+    """Binary roots R0.. and, with pairs, one child per pair of roots, as net JSON."""
+    names = [f"R{i}" for i in range(roots)]
+    children = list(itertools.combinations(names, 2)) if pairs else []
+    path.write_text(json.dumps({
+        "variables": [{"name": n, "cardinality": 2}
+                      for n in names + [f"C{a}{b}" for a, b in children]],
+        "cpts": [{"child": n, "parents": [], "rows": [[0.5, 0.5]]} for n in names]
+        + [{"child": f"C{a}{b}", "parents": [a, b], "rows": [[0.3, 0.7]] * 4}
+           for a, b in children],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("method, roots, pairs, evidence, message", [
+    # 40 independent roots: enumeration would sum 2**40 completions
+    ("enum", 40, False, "", "enumeration over 40 variables would sum more than 16777216 "
+                            "completions; use --method ve"),
+    # 34 roots and a child per pair: eliminating a root joins all 34 roots
+    ("ve", 34, True, "CR0R1=F", "variable elimination would build a factor over 34 "
+                                "variables, more than 4194304 cells"),
+])
+def test_bayes_too_large_is_refused_in_one_line(tmp_path, capsys, method, roots, pairs,
+                                                 evidence, message):
+    net = write_net(tmp_path / "net.json", roots, pairs)
+    start = time.perf_counter()
+    code, out, err = run_cli(["bayes", "--net", net, "--query", "R0", "--method", method,
+                              "--evidence", evidence], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+def test_bayes_wide_net_answers_by_elimination(tmp_path, capsys):
+    net = write_net(tmp_path / "net.json", 40)
+    code, out, err = run_cli(["bayes", "--net", net, "--query", "R0"], capsys)
+    assert (code, out, err) == (0, "T 0.500000\nF 0.500000\n", "")
 
 
 def test_bayes_ternary_values_render_as_indices(tmp_path, capsys):

@@ -171,12 +171,13 @@ def test_classical_policies_match_reference_oracle():
         capacity = rng.randrange(1, 9)
         for policy in ("fifo", "lifo", "lru", "mru"):
             cache, hits, misses, outcomes, victims = run_policy(keys, capacity, policy)
-            ref_hits, ref_misses, ref_outcomes, ref_resident, ref_victims = ref_policy_run(
-                keys, capacity, policy)
+            ref_hits, ref_misses, ref_outcomes, ref_resident, ref_victims, ref_book = (
+                ref_policy_run(keys, capacity, policy))
             assert (hits, misses, outcomes) == (ref_hits, ref_misses, ref_outcomes), (
                 trial, policy)
             assert victims == ref_victims, (trial, policy)
             assert set(cache.entries) == ref_resident, (trial, policy)
+            assert list(cache.entries) == ref_book, (trial, policy)
 
 
 def test_residency_bound_all_policies():
@@ -386,6 +387,25 @@ def test_replay_equals_stepped_access(case):
         if config.policy == "arc":
             assert book(replayed) == ref_arc_run(accessed, config.capacity,
                                                  config.arc_adaptation)[3]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(policy=st.sampled_from(("fifo", "lifo", "lru", "mru")), capacity=st.integers(1, 8),
+       chunks=st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 12), max_size=40)),
+                       max_size=6))
+def test_classical_book_equals_reference_after_replays_and_steps(policy, capacity, chunks):
+    # each chunk is replayed whole or stepped key by key; the book after every chunk
+    # is the oracle's for all keys so far
+    cache = CacheState(CacheConfig(capacity, policy))
+    accessed = []
+    for replayed, keys in chunks:
+        if replayed:
+            cache.replay(iter(keys))
+        else:
+            for key in keys:
+                cache.access(key)
+        accessed += keys
+        assert list(cache.entries) == ref_policy_run(accessed, capacity, policy)[5]
 
 
 # Ghost hits whose step would carry p past a bound; the test checks that each one

@@ -85,6 +85,37 @@ def test_parse_plain_malformed(text, line):
     assert err.value.line_no == line
 
 
+# Named cases for each of parse_plain's paths: bare decimal lines take the first bulk
+# path, which leaves whitespace, signs, underscores and non-ASCII digits to int();
+# blank and comment lines take the second; hex and bad lines go line by line.
+@pytest.mark.parametrize("text, keys", [
+    (" 5\t\n", [5]),
+    ("+5\n", [5]),
+    ("1_000\n", [1000]),
+    ("\u0663\n", [3]),
+    ("\u20035\u3000\n6", [5, 6]),
+    ("1\r\n2\r\n", [1, 2]),
+    ("1\n2\n\n", [1, 2]),
+    ("4\n \n5", [4, 5]),
+    ("1\n# mid\n2\n", [1, 2]),
+    ("1\n0x1f\n", [1, 31]),
+], ids=["padded", "plus", "underscore", "arabic-indic", "unicode-space", "crlf",
+        "trailing-blank", "blank-spaces", "mid-comment", "hex"])
+def test_parse_plain_named_cases(text, keys):
+    assert parse_plain(text).keys == keys
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("1 2\n", 1, "bad key '1 2': not a decimal or 0x-hex integer"),
+    ("1\n2\n\n3 4\n", 4, "bad key '3 4': not a decimal or 0x-hex integer"),
+    ("7\n8\n-9\n", 3, "bad key '-9': key outside unsigned 64-bit range"),
+], ids=["two-tokens", "two-tokens-after-blank", "negative"])
+def test_parse_plain_named_bad_lines(text, line, message):
+    with pytest.raises(MalformedLine) as err:
+        parse_plain(text)
+    assert (err.value.line_no, err.value.message) == (line, message)
+
+
 # Pieces of plain-trace text: digits, base prefixes and letters, signs, separators,
 # line breaks, non-ASCII digits, keys at and past the 64-bit bounds, and a token
 # over int()'s 4,300-digit limit.
