@@ -118,17 +118,13 @@ def _parse_key(token: str) -> int:
 def parse_plain(text: Union[str, bytes]) -> Trace:
     """One key per line, decimal or 0x-hex; '#' comments and blank lines allowed."""
     text = _as_text(text)
-    # the bulk paths: int(t) takes exactly the tokens int(t, 10) takes, and strips the
-    # whitespace around them itself; the first takes a file of bare decimal lines
+    # the bulk path: int(t) takes exactly the tokens int(t, 10) takes, and strips the
+    # whitespace around them itself, so a file of bare decimal lines is one map
     try:
         return Trace(list(map(int, text.splitlines())))
     except ValueError:  # a blank, comment, hex or bad line, or a key out of range
         pass
-    try:  # the same with blank and comment lines skipped
-        return Trace([int(t) for t in map(str.strip, text.splitlines()) if t and t[0] != "#"])
-    except ValueError:  # a hex or bad token, or a key out of range, which Trace refuses
-        pass
-    # hex keys and bad lines go line by line, which names the first bad line
+    # the rest go line by line, which skips blanks and comments and names the first bad line
     keys = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         token = line.strip()

@@ -512,6 +512,7 @@ def write_net(path, roots, pairs=False):
 def test_bayes_too_large_is_refused_in_one_line(tmp_path, capsys, method, roots, pairs,
                                                  evidence, message):
     net = write_net(tmp_path / "net.json", roots, pairs)
+    # refused in 0.12-0.20 s (ve) and 0.003 s (enum) on 2 vCPU: a 5x margin or more
     start = time.perf_counter()
     code, out, err = run_cli(["bayes", "--net", net, "--query", "R0", "--method", method,
                               "--evidence", evidence], capsys)
