@@ -149,9 +149,11 @@ class BayesNet:
                 raise InvalidNet(f"cpt for unknown variable {cpt.child!r}")
             if cpt.child in self.cpts:
                 raise InvalidNet(f"duplicate cpt for {cpt.child!r}")
-            for p in cpt.parents:
+            for i, p in enumerate(cpt.parents):
                 if p not in self.variables:
                     raise InvalidNet(f"cpt {cpt.child!r}: unknown parent {p!r}")
+                if p in cpt.parents[:i]:
+                    raise InvalidNet(f"cpt {cpt.child!r}: parent {p!r} named twice")
             cpt.validate(cards)
             self.cpts[cpt.child] = cpt
         missing = set(self.variables) - set(self.cpts)
@@ -176,14 +178,6 @@ class BayesNet:
                     ready.append(c)
         if seen != len(self.variables):
             raise InvalidNet("the parent graph has a cycle")
-
-    def parents(self, name):
-        self._require(name)
-        return list(self.cpts[name].parents)
-
-    def children(self, name):
-        self._require(name)
-        return [c for c, cpt in self.cpts.items() if name in cpt.parents]
 
     def factor(self, name) -> Factor:
         """The CPT as a factor with scope parents + [child]."""
@@ -331,10 +325,11 @@ def infer_variable_elimination(net: BayesNet, query_var: str, evidence: dict,
 def markov_blanket(net: BayesNet, var: str) -> set:
     """Parents, children, and the children's other parents."""
     net._require(var)
-    blanket = set(net.parents(var))
-    for child in net.children(var):
-        blanket.add(child)
-        blanket.update(net.parents(child))
+    blanket = set(net.cpts[var].parents)
+    for child, cpt in net.cpts.items():
+        if var in cpt.parents:
+            blanket.add(child)
+            blanket.update(cpt.parents)
     blanket.discard(var)
     return blanket
 

@@ -61,22 +61,16 @@ class CacheState:
         return iter(self.entries)
 
     def access(self, key, seq=None) -> tuple:
-        """(hit, evicted keys) as an exact tuple; seq is ignored, as no policy keeps a clock."""
+        """(hit, evicted keys) as an exact tuple, as a replay of the one key: replay holds
+        the only copy of the four rules. seq is ignored, as no policy keeps a clock. A
+        miss on a full book evicts its victim end, which access notes first."""
         entries = self.entries
-        if key in entries:
-            if self._by_recency:
-                if self._victim_last:  # mru: a plain dict moves a key by reinserting it
-                    del entries[key]
-                    entries[key] = None
-                else:
-                    entries.move_to_end(key)
+        full = len(entries) >= self.capacity
+        if full:
+            head = next(reversed(entries) if self._victim_last else iter(entries))
+        if self.replay((key,)):
             return True, ()
-        if len(entries) < self.capacity:
-            evicted = ()
-        else:
-            evicted = ((entries.popitem() if self._victim_last else entries.popitem(False))[0],)
-        entries[key] = None
-        return False, evicted
+        return False, (head,) if full else ()
 
     def replay(self, keys, pre=None, fetch=None) -> int:
         """Demand-access each key in order, leaving the state that one access per key

@@ -686,6 +686,13 @@ def test_learn_rejects_unknown_parent():
         learn_cpts([Variable("A", 2)], {"A": ["Z"]}, [{"A": 0}], 1)
 
 
+def test_learn_rejects_repeated_parent():
+    # counted as given, it builds a net whose factor has two axes for one variable
+    with pytest.raises(BayesError, match=re.escape("cpt 'C': parent 'A' named twice")):
+        learn_cpts([Variable("A", 2), Variable("C", 2)], {"C": ["A", "A"]},
+                   [{"A": 0, "C": 1}], 1)
+
+
 def test_learn_rejects_unknown_child():
     with pytest.raises(BayesError, match=re.escape("structure names unknown child 'Z'")):
         learn_cpts([Variable("A", 2), Variable("B", 2)], {"Z": ["A"], "B": ["A"]},
@@ -850,7 +857,11 @@ def test_parse_net_diagnostics():
                {"child": "B", "parents": [], "rows": [[0.5, 0.5]]},
                {"child": "C", "parents": "AB", "rows": [[0.5, 0.5]] * 4}]},
      "cpts[2]: parents must be a list of strings, got 'AB'"),
-], ids=["cardinality-float", "parents-str"])
+    ({"variables": [{"name": n, "cardinality": 2} for n in "AC"],
+      "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
+               {"child": "C", "parents": ["A", "A"], "rows": [[0.5, 0.5]] * 4}]},
+     "cpt 'C': parent 'A' named twice"),
+], ids=["cardinality-float", "parents-str", "parent-twice"])
 def test_parse_net_rejects_fields_it_would_reshape(doc, message):
     # int() would read 2.7 as 2, and iterating "AB" would give the parents A and B
     with pytest.raises(InvalidNet, match=re.escape(message)):

@@ -596,6 +596,19 @@ def test_bayes_malformed_net_one_line_diagnostic(tmp_path, capsys, doc, message)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["ve", "enum"])
+def test_bayes_repeated_parent_one_line(tmp_path, capsys, method):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "variables": [{"name": n, "cardinality": 2} for n in "AC"],
+        "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
+                 {"child": "C", "parents": ["A", "A"], "rows": [[0.5, 0.5]] * 4}]}))
+    code, out, err = run_cli(["bayes", "--net", str(net), "--query", "C", "--method", method],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == f"{net}: cpt 'C': parent 'A' named twice\n"
+
+
 def test_bayes_non_utf8_net_file(tmp_path, capsys):
     net = tmp_path / "net.json"
     net.write_bytes(b'{"variables": []\xff}')

@@ -8,6 +8,8 @@ from cachelab.policies import (
     ArcState,
     CacheConfig,
     CacheState,
+    PreEvictConfig,
+    PreEvictingCache,
     make_cache,
 )
 from cachelab.trace import InvalidParam, letter_key
@@ -178,6 +180,26 @@ def test_classical_policies_match_reference_oracle():
             assert victims == ref_victims, (trial, policy)
             assert set(cache.entries) == ref_resident, (trial, policy)
             assert list(cache.entries) == ref_book, (trial, policy)
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "pre-evicting"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_stepped_access_is_one_key_replay(monkeypatch, policy, wrapped):
+    # replay holds the only copy of each policy's rules and of the wrapper's
+    cache = make_cache(CacheConfig(3, policy))
+    if wrapped:
+        cache = PreEvictingCache(cache, PreEvictConfig(timer_enabled=True, timer_init=4))
+    calls, replay = [], type(cache).replay
+
+    def recorder(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return replay(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(cache), "replay", recorder)
+    for key in REF_20:
+        calls.clear()
+        cache.access(key)
+        assert calls == [(((key,),), {})], key
 
 
 def test_residency_bound_all_policies():
