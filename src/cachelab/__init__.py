@@ -1,7 +1,6 @@
 """Trace-driven cache replacement and prefetching laboratory."""
 
 from .trace import (
-    Op,
     Trace,
     TraceEvent,
     LruCase,

@@ -395,6 +395,13 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     return BayesNet(variables, cpts)
 
 
+def _string_field(entry, key):
+    value = entry[key]
+    if not isinstance(value, str):  # not str(): null would name a variable "None"
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def parse_net(text: str) -> BayesNet:
     """JSON net: {"variables": [{"name", "cardinality"}],
     "cpts": [{"child", "parents", "rows"}]} with rows in lexicographic parent order."""
@@ -414,17 +421,21 @@ def parse_net(text: str) -> BayesNet:
             card = entry["cardinality"]
             if type(card) is not int:  # not int(): 2.7 would pass as 2, true as 1
                 raise TypeError(f"cardinality must be an int, got {card!r}")
-            variables.append(Variable(str(entry["name"]), card))
+            variables.append(Variable(_string_field(entry, "name"), card))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNet(f"variables[{i}]: {exc}") from None
     cpts = []
     for i, entry in enumerate(doc.get("cpts", [])):
         try:
-            rows = [[float(x) for x in row] for row in entry["rows"]]
+            rows = entry["rows"]
+            bad = [x for row in rows for x in row if type(x) not in (int, float)]
+            if bad:  # not float(): "0.2" would pass as 0.2, true as 1.0
+                raise TypeError(f"probabilities must be numbers, got {bad[0]!r}")
+            rows = [[float(x) for x in row] for row in rows]
             parents = entry["parents"]
             if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
                 raise TypeError(f"parents must be a list of strings, got {parents!r}")
-            cpts.append(CPT(str(entry["child"]), parents, rows))
+            cpts.append(CPT(_string_field(entry, "child"), parents, rows))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidNet(f"cpts[{i}]: {exc}") from None
     return BayesNet(variables, cpts)

@@ -417,6 +417,8 @@ class PreEvictingCache:
     one-key replay. The base cache must start empty and take every insertion through it."""
 
     def __init__(self, base, config: PreEvictConfig):
+        if len(base):  # its residents would have no timer and no place in `low`
+            raise InvalidParam(f"the base cache must start empty, got {len(base)} residents")
         self.base = base
         self.timer_evictions = self.halfway_evictions = 0
         self.ticks = 0

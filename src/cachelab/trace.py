@@ -1,10 +1,9 @@
 """Access-trace parsing, emission, and seeded synthetic workload generation."""
 
-import enum
 import numbers
 import operator
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -43,27 +42,17 @@ def require_ints(**params):
     return ints
 
 
-class Op(enum.Enum):
-    INSTR_FETCH = "instr_fetch"
-    DATA_READ = "data_read"
-    DATA_WRITE = "data_write"
-    UNSPECIFIED = "unspecified"
-
-
 class TraceEvent(NamedTuple):
     seq: int
     key: int
-    op: Op = Op.UNSPECIFIED
 
 
 @dataclass(frozen=True, slots=True)
 class Trace:
     """The requested keys in order, each an int in [0, MAX_KEY] as a trace file holds
-    them; ops, one Op per event, only from parse_smpc; distinct, len(set(keys)), counted
-    once when built. Every run shares the key list, so it must not be changed after the
-    trace is built: distinct would not follow it."""
+    them; distinct, len(set(keys)), counted once when built. Every run shares the key
+    list, so it must not be changed after the trace is built: distinct would not follow it."""
     keys: list
-    ops: list = None
     distinct: int = field(init=False)
 
     def __post_init__(self):
@@ -78,8 +67,7 @@ class Trace:
     @property
     def events(self) -> list:
         """TraceEvents numbered from 0, built on each read."""
-        ops = repeat(Op.UNSPECIFIED) if self.ops is None else self.ops
-        return list(map(TraceEvent, count(), self.keys, ops))
+        return list(map(TraceEvent, count(), self.keys))
 
     def __len__(self):
         return len(self.keys)
@@ -90,8 +78,8 @@ class LruCase(NamedTuple):
     script: str
 
 
-# SMPCache-style op codes: instruction fetch / data read / data write.
-_SMPC_OPS = {"0": Op.INSTR_FETCH, "2": Op.DATA_READ, "3": Op.DATA_WRITE}
+# SMPCache-style op codes: instruction fetch / data read / data write; checked, not kept.
+_SMPC_OPS = ("0", "2", "3")
 
 
 def _as_text(data: Union[str, bytes]) -> str:
@@ -139,23 +127,20 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
 
 def parse_smpc(text: Union[str, bytes]) -> Trace:
     """Two-column 'op address' lines with op in {0,2,3}; all accesses hit the cache."""
-    keys, ops = [], []
+    keys = []
     for line_no, line in enumerate(_as_text(text).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split()
         if len(fields) != 2:
             raise MalformedLine(line_no, f"expected 'op address', got {line.strip()!r}")
-        op = _SMPC_OPS.get(fields[0])
-        if op is None:
+        if fields[0] not in _SMPC_OPS:
             raise MalformedLine(line_no, f"unknown op code {fields[0]!r}")
         try:
-            key = _parse_key(fields[1])
+            keys.append(_parse_key(fields[1]))
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad address {fields[1]!r}: {exc}") from None
-        keys.append(key)
-        ops.append(op)
-    return Trace(keys, ops)
+    return Trace(keys)
 
 
 def emit_plain(trace: Trace) -> str:
@@ -222,6 +207,6 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     jumps = rng.integers(0, num_keys, size=length - 1).tolist()
     keys = [state]
     for f, j in zip(follow, jumps):
-        state = (state + 1) % num_keys if f else int(j)
+        state = (state + 1) % num_keys if f else j
         keys.append(state)
     return Trace(keys)

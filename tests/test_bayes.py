@@ -861,9 +861,26 @@ def test_parse_net_diagnostics():
       "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
                {"child": "C", "parents": ["A", "A"], "rows": [[0.5, 0.5]] * 4}]},
      "cpt 'C': parent 'A' named twice"),
-], ids=["cardinality-float", "parents-str", "parent-twice"])
+    ({"variables": [{"name": None, "cardinality": 2}, {"name": "B", "cardinality": 2}],
+      "cpts": [{"child": "None", "parents": [], "rows": [[0.5, 0.5]]},
+               {"child": "B", "parents": ["None"], "rows": [[0.5, 0.5]] * 2}]},
+     "variables[0]: name must be a string, got None"),
+    ({"variables": [{"name": ["A"], "cardinality": 2}]},
+     "variables[0]: name must be a string, got ['A']"),
+    ({"variables": [{"name": "A", "cardinality": 2}],
+      "cpts": [{"child": None, "parents": [], "rows": [[0.5, 0.5]]}]},
+     "cpts[0]: child must be a string, got None"),
+    ({"variables": [{"name": "A", "cardinality": 2}],
+      "cpts": [{"child": "A", "parents": [], "rows": [["0.2", "0.8"]]}]},
+     "cpts[0]: probabilities must be numbers, got '0.2'"),
+    ({"variables": [{"name": "A", "cardinality": 2}],
+      "cpts": [{"child": "A", "parents": [], "rows": [[True, False]]}]},
+     "cpts[0]: probabilities must be numbers, got True"),
+], ids=["cardinality-float", "parents-str", "parent-twice", "name-null", "name-list",
+        "child-null", "cell-str", "cell-bool"])
 def test_parse_net_rejects_fields_it_would_reshape(doc, message):
-    # int() would read 2.7 as 2, and iterating "AB" would give the parents A and B
+    # int() would read 2.7 as 2, iterating "AB" would give the parents A and B, str()
+    # would name a variable "None" or "['A']", and float() would read "0.2" and true
     with pytest.raises(InvalidNet, match=re.escape(message)):
         parse_net(json.dumps(doc))
 

@@ -32,6 +32,19 @@ def test_config_validation():
     assert PreEvictConfig(timer_enabled=True).enabled
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_wrapper_refuses_a_base_that_holds_keys(policy):
+    # a held key would have no timer, and the wrapper would not report the base's victims
+    base = make_cache(CacheConfig(3, policy))
+    for key in (1, 2, 3):
+        base.access(key)
+    timer = PreEvictConfig(timer_enabled=True, timer_init=2)
+    with pytest.raises(InvalidParam, match="^the base cache must start empty, got 3 residents$"):
+        PreEvictingCache(base, timer)
+    assert sorted(base) == [1, 2, 3]  # the refusal leaves the base as it was
+    assert PreEvictingCache(make_cache(CacheConfig(3, policy)), timer).access(4) == (False, ())
+
+
 def test_halfway_filter_clears_low_block():
     wrapped = holding([10, 200, 900])
     _, evicted = wrapped.access(700)

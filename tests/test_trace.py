@@ -12,7 +12,6 @@ from cachelab.trace import (
     LruCase,
     MalformedCase,
     MalformedLine,
-    Op,
     Trace,
     TraceError,
     TraceEvent,
@@ -28,8 +27,6 @@ from cachelab.trace import (
 from cachelab import CacheConfig, PredictorConfig, PreEvictConfig, PrefetchConfig
 from reference import ref_parse_plain
 
-SMPC_OPS = {0: Op.INSTR_FETCH, 2: Op.DATA_READ, 3: Op.DATA_WRITE}
-
 
 def assert_events_follow_keys(trace):
     # the reads perfbench makes of a trace outside its timed regions
@@ -41,7 +38,12 @@ def test_parse_plain_reference_string():
     trace = parse_plain("7\n0\n1\n2\n0\n3\n0\n4\n2\n3\n")
     assert trace.keys == [7, 0, 1, 2, 0, 3, 0, 4, 2, 3]
     assert [e.seq for e in trace.events] == list(range(10))
-    assert all(e.op is Op.UNSPECIFIED for e in trace.events)
+
+
+def test_trace_event_is_seq_and_key():
+    # a trace is its key column: an event holds its place and its key, nothing more
+    assert TraceEvent._fields == ("seq", "key")
+    assert parse_smpc("3 9\n").events == [TraceEvent(0, 9)] == parse_plain("9\n").events
 
 
 def test_parse_plain_empty():
@@ -158,20 +160,27 @@ def test_other_parsers_raise_only_trace_errors(parse, data):
 def test_parse_smpc_field_mapping():
     trace = parse_smpc("0 100\n2 100\n3 104\n")
     assert trace.keys == [100, 100, 104]
-    assert [e.op for e in trace.events] == [Op.INSTR_FETCH, Op.DATA_READ, Op.DATA_WRITE]
+    assert trace.events == [TraceEvent(0, 100), TraceEvent(1, 100), TraceEvent(2, 104)]
 
 
-def test_parse_smpc_unknown_op():
+# Named cases for each diagnostic parse_smpc gives: the op code is checked though
+# no trace keeps it, so an unknown code still names its line.
+@pytest.mark.parametrize("data, line, message", [
+    ("1 100\n", 1, "unknown op code '1'"),
+    ("5 100\n", 1, "unknown op code '5'"),
+    ("0 1\n4 100\n", 2, "unknown op code '4'"),
+    ("0 1\n\nx 100\n", 3, "unknown op code 'x'"),
+    ("0 1\n100\n", 2, "expected 'op address', got '100'"),
+    (" 0 100 extra \n", 1, "expected 'op address', got '0 100 extra'"),
+    ("0 abc\n", 1, "bad address 'abc': not a decimal or 0x-hex integer"),
+    ("0 1\n3 -5\n", 2, "bad address '-5': key outside unsigned 64-bit range"),
+    (b"0 1\n3 \xff\n", 2, "not UTF-8: byte 0xff"),
+], ids=["op-1", "op-5", "op-4", "op-x", "one-field", "three-fields", "bad-address",
+        "negative-address", "non-utf8"])
+def test_parse_smpc_named_bad_lines(data, line, message):
     with pytest.raises(MalformedLine) as err:
-        parse_smpc("5 100\n")
-    assert err.value.line_no == 1
-
-
-def test_parse_smpc_bad_address():
-    with pytest.raises(MalformedLine):
-        parse_smpc("0 abc\n")
-    with pytest.raises(MalformedLine):
-        parse_smpc("0 100 extra\n")
+        parse_smpc(data)
+    assert (err.value.line_no, err.value.message) == (line, message)
 
 
 def test_smpc_plain_round_trip():
@@ -183,7 +192,7 @@ def test_smpc_plain_round_trip():
         again = parse_plain(emit_plain(smpc))
         assert again.keys == smpc.keys
         assert smpc.distinct == again.distinct == len(set(smpc.keys))
-        assert [e.op for e in smpc.events] == [SMPC_OPS[int(line.split()[0])] for line in lines]
+        assert smpc.keys == [int(line.split()[1]) for line in lines]
         assert_events_follow_keys(smpc)
         assert_events_follow_keys(again)
 
@@ -249,7 +258,7 @@ def test_gen_markov_deterministic_cycle():
     keys = trace.keys
     assert len(keys) == 5
     assert trace.events == [TraceEvent(i, k) for i, k in enumerate(keys)]
-    assert all(type(e) is TraceEvent and e.op is Op.UNSPECIFIED for e in trace.events)
+    assert all(type(e) is TraceEvent for e in trace.events)
     for prev, cur in zip(keys, keys[1:]):
         assert cur == (prev + 1) % 4
 
