@@ -182,6 +182,8 @@ def cmd_compare(parser, args):
         return _fail(f"{args.trace}: {exc.strerror or exc}")
     except MalformedLine as exc:
         return _fail(f"{args.trace}:{exc.line_no}: {exc.message}")
+    except MemoryError:
+        return _fail(f"{args.trace}: not enough memory to load the trace")
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         parser.error("--policies is empty")
@@ -221,6 +223,8 @@ def cmd_compare(parser, args):
         reports = compare(trace, configs)
     except DuplicateLabel as exc:
         parser.error(str(exc))
+    except MemoryError:
+        return _fail(f"{args.command}: not enough memory to replay {args.trace}")
     sys.stdout.write(emit_report(reports, args.out))
     return 0
 
@@ -246,6 +250,8 @@ def cmd_lru_sim(parser, args):
         cases = parse_lru_problem(getattr(sys.stdin, "buffer", sys.stdin).read())
     except (MalformedCase, MalformedLine) as exc:
         return _fail(f"stdin: {exc}")
+    except MemoryError:
+        return _fail("stdin: not enough memory to read the cases")
     out = sys.stdout
     for number, case in enumerate(cases, start=1):
         out.write(f"Simulation {number}\n")

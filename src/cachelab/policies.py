@@ -76,9 +76,10 @@ class CacheState:
         """Demand-access each key in order, leaving the state that one access per key
         would; returns the hits. `pre`, a PreEvictingCache over this cache, has its
         timer and halfway rules run inline before each access, and `fetch`, a
-        Prefetcher, its step after it. A key that leaves the cache keeps its timer entry
-        until it comes due or the replay ends, and its ledger entry until next read.
-        A run with neither takes the plain loop, any other run the extras loop."""
+        Prefetcher, its step after it, from leaders listed up front for top-1 runs.
+        A key that leaves the cache keeps its timer entry until it comes due or the
+        replay ends, and its ledger entry until next read. A run with neither takes
+        the plain loop, any other run the extras loop."""
         entries = self.entries
         popitem = entries.popitem
         victim_last = self._victim_last
@@ -112,12 +113,13 @@ class CacheState:
         if fetch is not None:
             observe, predict = fetch.predictor.observe, fetch.predictor.predict_next
             pending, by_victim = fetch.pending, fetch.by_victim
-            config, top_k, p_min, alpha, min_support, on_miss = fetch.settings
+            config, top_k, min_support, on_miss = fetch.settings
             issued, useful, harmful = fetch.issued, fetch.useful, fetch.harmful
-        row = None  # None: no prefetch step after this access
+            keys, lead = fetch.leads(keys)
+        ahead = None  # the top-1 leader or the top-k row; None: no prefetch step
         for key in keys:  # the extras loop
             if fetch is not None:
-                row = observe(key)
+                ahead = lead() if lead else observe(key)
             if pre is not None:
                 if fetch is not None:  # a rule may remove a prefetch before its victim misses
                     waiting = by_victim.get(key)  # the prefetches that evicted key, and
@@ -177,15 +179,16 @@ class CacheState:
                 else:
                     popitem(False)
                 entries[key] = None
-            if row is None or row.total < min_support:
-                continue  # no prefetch step, or no row predict_next predicts anything from
-            if top_k > 1:
-                chosen = decide_prefetch(predict(None, top_k), config, entries)
-            elif ((row.top + alpha) / (row.total + alpha * len(row)) < p_min
-                  or row.leader in entries):  # decide_prefetch for top_k 1, inlined
-                continue
+            if ahead is None:
+                continue  # no prefetch step, or nothing predicted above p_min
+            if lead:
+                if ahead in entries:
+                    continue
+                chosen = (ahead,)
+            elif ahead.total < min_support:
+                continue  # no row predict_next predicts anything from
             else:
-                chosen = (row.leader,)
+                chosen = decide_prefetch(predict(None, top_k), config, entries)
             for fetched in chosen:
                 if room:
                     room, victim = room - 1, None
@@ -260,13 +263,14 @@ class ArcState:
         if fetch is not None:
             observe, predict = fetch.predictor.observe, fetch.predictor.predict_next
             pending, by_victim = fetch.pending, fetch.by_victim
-            config, top_k, _, _, min_support, on_miss = fetch.settings  # no top-1 shortcut
+            config, top_k, min_support, on_miss = fetch.settings
             issued, useful, harmful = fetch.issued, fetch.useful, fetch.harmful
-        extra, row = pre is not None or fetch is not None, None  # row None: no step
+            keys, lead = fetch.leads(keys)
+        extra, ahead = pre is not None or fetch is not None, None  # as in CacheState.replay
         for key in keys:
             if extra:
                 if fetch is not None:
-                    row = observe(key)
+                    ahead = lead() if lead else observe(key)
                     waiting = by_victim.get(key)  # as in CacheState.replay
                     live = waiting and len(t1.keys() & waiting) + len(t2.keys() & waiting)
                 if timer_init:
@@ -309,7 +313,7 @@ class ArcState:
                         for fetched in by_victim.pop(key):
                             del pending[fetched]
                     if hit and on_miss:
-                        row = None
+                        ahead = None
             if key in t2:
                 move_to_end(key)
                 hits += 1
@@ -353,9 +357,16 @@ class ArcState:
                     n1 += 1
                 else:
                     n2 += 1
-            if row is None or row.total < min_support:
+            if ahead is None:
                 continue  # as in CacheState.replay
-            chosen = decide_prefetch(predict(None, top_k), config, self)
+            if lead:
+                if ahead in t2 or ahead in t1:
+                    continue
+                chosen = (ahead,)
+            elif ahead.total < min_support:
+                continue
+            else:
+                chosen = decide_prefetch(predict(None, top_k), config, self)
             self.p = p
             for fetched in chosen:
                 victim, = self.access(fetched)[1] or (None,)  # it evicts at most one key

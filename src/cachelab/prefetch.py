@@ -35,7 +35,9 @@ class _Successors(dict):
 
 class MarkovPredictor:
     """Order-1 or order-2 successor counts over trace keys with pseudocount
-    smoothing. Purely a function of the observed key sequence."""
+    smoothing. Purely a function of the observed key sequence. `observe` counts one
+    key; `leaders` counts a whole key column and answers each event's top-1 question
+    in the same pass, since that answer never depends on the cache."""
 
     def __init__(self, order=1, alpha=1.0, min_support=2):
         _check_predictor_params(order, alpha, min_support)
@@ -48,7 +50,8 @@ class MarkovPredictor:
 
     def observe(self, key):
         """Count key after the current context, then slide the context over key.
-        Returns the new context's row, the one predict_next reads, or None."""
+        Returns the new context's row, the one predict_next reads, or None.
+        `leaders` repeats this counting rule for a whole key column."""
         ctx = self.context
         if len(ctx) == self.order:
             row = self.row
@@ -65,6 +68,43 @@ class MarkovPredictor:
         self.context = ctx = ctx + (key,)
         self.row = row = self.counts.get(ctx)
         return row
+
+    def leaders(self, keys, p_min):
+        """Observe every key in order and list, per key, what predict_next(None, 1)
+        ranks first after it if the row has min_support and that key's probability is
+        at least p_min, else None. It leaves counts, context and row as one observe
+        per key would, so chunked passes carry on as stepped calls do. observe's
+        counting rule is repeated here, in one loop over locals."""
+        order, alpha, min_support = self.order, self.alpha, self.min_support
+        counts, ctx, row = self.counts, self.context, self.row
+        get = counts.get
+        out = []
+        append = out.append
+        for key in keys:
+            if row is not None:
+                if key == row.leader:  # the leader's count grows, so it stays the head
+                    row[key] = row.top = row.top + 1
+                else:
+                    count = row[key] = row.get(key, 0) + 1
+                    if count > row.top or (count == row.top and key < row.leader):
+                        row.leader = key
+                        row.top = count
+                row.total += 1
+            elif len(ctx) < order:  # the first keys only fill the context
+                ctx += (key,)
+                append(None)
+                continue
+            else:
+                counts[ctx] = _Successors(key)
+            ctx = (key,) if order == 1 else (ctx[1], key)
+            row = get(ctx)
+            if row is None or row.total < min_support:
+                append(None)
+            else:  # predict_next's top-1 probability, the same float
+                append(row.leader if (row.top + alpha) / (row.total + alpha * len(row)) >= p_min
+                       else None)
+        self.context, self.row = ctx, row
+        return out
 
     def predict_next(self, context=None, top_k=1):
         """Ranked (key, probability) pairs for the context's seen successors,
@@ -120,11 +160,24 @@ class Prefetcher:
 
     def __init__(self, config: PrefetchConfig, model: PredictorConfig):
         self.predictor = MarkovPredictor(model.order, model.alpha, model.min_support)
-        self.settings = (config, config.top_k, config.p_min, model.alpha, model.min_support,
+        self.settings = (config, config.top_k, model.min_support,
                          config.trigger != ON_EVERY_ACCESS)
         self.pending = {}                  # prefetched key -> the key it evicted, or None
         self.by_victim = defaultdict(set)  # victim or None -> the pending keys it heads
         self.issued = self.useful = self.harmful = 0
+
+    def leads(self, keys):
+        """(keys, lead) for one replay of keys. A top-1 run's leaders depend on the
+        keys alone, so one pass lists them and lead() hands out the next event's; keys
+        that iterate only once come back listed, for the replay to read again. A top-k
+        run observes each key in the replay and ranks its row only where the step
+        fires, so an on-miss hit never sorts; its lead is None."""
+        config = self.settings[0]
+        if config.top_k > 1:
+            return keys, None
+        if iter(keys) is keys:
+            keys = list(keys)
+        return keys, iter(self.predictor.leaders(keys, config.p_min)).__next__
 
 
 def decide_prefetch(predictions, config: PrefetchConfig, resident) -> list:

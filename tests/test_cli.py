@@ -487,6 +487,33 @@ def test_bayes_out_of_memory_fails_in_one_line(method, infer, monkeypatch, capsy
     assert err == f"bayes: not enough memory for --method {method}\n"
 
 
+def out_of_memory(*args):
+    raise MemoryError  # as an allocation too large for the process's address space
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("stage, message", [
+    ("_load_trace", "{trace}: not enough memory to load the trace\n"),
+    ("compare", "{command}: not enough memory to replay {trace}\n"),
+])
+def test_run_and_compare_out_of_memory_fail_in_one_line(command, stage, message, tmp_path,
+                                                        monkeypatch, capsys):
+    trace = write_trace(tmp_path, [1, 2, 1, 2])
+    monkeypatch.setattr(f"cachelab.cli.{stage}", out_of_memory)
+    flags = (["--policy", "lru", "--capacity", "2"] if command == "run"
+             else ["--policies", "lru,arc", "--capacities", "2"])
+    code, out, err = run_cli([command, "--trace", trace, "--prefetch", "pgm", *flags], capsys)
+    assert (code, out) == (1, "")
+    assert err == message.format(trace=trace, command=command)
+
+
+def test_lru_sim_out_of_memory_fails_in_one_line(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", mock.Mock(buffer=mock.Mock(read=out_of_memory)))
+    code, out, err = run_cli(["lru-sim"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "stdin: not enough memory to read the cases\n"
+
+
 def write_net(path, roots, pairs=False):
     """Binary roots R0.. and, with pairs, one child per pair of roots, as net JSON."""
     names = [f"R{i}" for i in range(roots)]

@@ -126,6 +126,57 @@ def test_observe_returns_the_new_contexts_row(order):
     assert rows > 250
 
 
+def predictor_state(pred):
+    """Everything observe leaves behind: each row's counts, total and ranking head,
+    the context, and the row it points at."""
+    rows = {ctx: (dict(row), row.total, row.leader, row.top) for ctx, row in pred.counts.items()}
+    assert pred.row is pred.counts.get(pred.context)
+    return rows, pred.context, pred.row
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.sampled_from((1, 2)), st.sampled_from((0, 0.5, 1.0)) | st.floats(0, 4),
+       st.integers(0, 3), st.sampled_from((0.0, 1 / 3, 0.5, 2 / 3, 1.0)) | st.floats(0, 1),
+       st.lists(st.integers(-2, 6), max_size=150), st.lists(st.integers(0, 150), max_size=4))
+def test_leaders_equal_stepped_top1_predictions(order, alpha, min_support, p_min, keys, cuts):
+    # leaders repeats observe's counting rule; few keys make tied counts and
+    # probabilities exactly at p_min common, and the cuts split the pass into chunks
+    stepped = MarkovPredictor(order, alpha, min_support)
+    expected = []
+    for key in keys:
+        stepped.observe(key)
+        top = stepped.predict_next(None, 1)
+        expected.append(top[0][0] if top and top[0][1] >= p_min else None)
+    passed = MarkovPredictor(order, alpha, min_support)
+    bounds = sorted(min(cut, len(keys)) for cut in cuts)
+    chunks = [keys[i:j] for i, j in zip([0, *bounds], [*bounds, len(keys)])]
+    assert [leader for chunk in chunks for leader in passed.leaders(chunk, p_min)] == expected
+    assert predictor_state(passed) == predictor_state(stepped)
+
+
+def test_leaders_keep_a_leader_at_exactly_p_min():
+    # at the second 1, context (1,) has seen 2 and 3 once each: 2 leads at exactly 0.5
+    keys = [1, 2, 1, 3, 1]
+    assert MarkovPredictor(1, 0, 0).leaders(keys, 0.5) == [None, None, 2, None, 2]
+    assert MarkovPredictor(1, 0, 0).leaders(keys, 0.5000001) == [None, None, 2, None, None]
+    assert MarkovPredictor(1, 0, 3).leaders(keys, 0.0) == [None] * 5
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "lru", "mru", "arc"])
+def test_top1_replay_of_a_one_shot_iterator_equals_the_lists(policy):
+    # the leaders pass reads the keys before the replay does
+    keys = gen_markov_trace(5, 12, 300, 0.8).keys
+    runs = []
+    for replayed in (keys, iter(keys)):
+        fetch = Prefetcher(PrefetchConfig(1, 0.2), PredictorConfig(1, 1.0, 1))
+        cache = make_cache(CacheConfig(4, policy))
+        hits = cache.replay(replayed, fetch=fetch)
+        runs.append((hits, fetch.issued, fetch.useful, fetch.harmful, resident(cache),
+                     predictor_state(fetch.predictor)))
+    assert runs[0] == runs[1]
+    assert runs[0][1]
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_predictor_is_the_chain_nets_cpt(order):
     # At alpha=0 an order-o predictor's row is the CPT row of the chain net

@@ -512,6 +512,25 @@ def test_top_k_predicts_only_for_a_context_that_can(monkeypatch, top_k, order, t
                                                     trigger == ON_MISS), min_support
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("trigger", [ON_MISS, ON_EVERY_ACCESS])
+def test_top1_replay_makes_one_leaders_pass_and_no_stepped_call(monkeypatch, policy, trigger):
+    calls = []
+    for name in ("observe", "predict_next", "leaders"):
+        method = getattr(MarkovPredictor, name)
+        monkeypatch.setattr(MarkovPredictor, name,
+                            lambda self, *args, name=name, method=method:
+                            calls.append(name) or method(self, *args))
+    monkeypatch.setattr("cachelab.policies.decide_prefetch", None)
+    keys = gen_markov_trace(6, 30, 400, 0.7).keys
+    pre = PreEvictConfig(timer_enabled=True, timer_init=9)
+    config = RunConfig(cache=CacheConfig(6, policy), pre=pre, label="run",
+                       **pgm(1, 0.05, trigger, 2, 0.5, 1))
+    report = run_sim(as_trace(keys), config)
+    assert dataclasses.asdict(report) == ref_run_sim(keys, config)
+    assert calls == ["leaders"] and report.prefetch_issued
+
+
 def test_first_access_misses_on_random_configs():
     # compulsory misses are counted as distinct keys, which holds only while no
     # prefetch brings a key in ahead of its first request: the oracle's hit on every
