@@ -5,7 +5,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 
-from .prefetch import decide_prefetch
 from .trace import InvalidParam, require_ints
 
 FIFO = "fifo"
@@ -76,7 +75,7 @@ class CacheState:
         """Demand-access each key in order, leaving the state that one access per key
         would; returns the hits. `pre`, a PreEvictingCache over this cache, has its
         timer and halfway rules run inline before each access, and `fetch`, a
-        Prefetcher, its step after it, from leaders listed up front for top-1 runs.
+        Prefetcher, its step after it, from entries one leaders pass lists up front.
         A key that leaves the cache keeps its timer entry until it comes due or the
         replay ends, and its ledger entry until next read. A run with neither takes
         the plain loop, any other run the extras loop."""
@@ -111,15 +110,14 @@ class CacheState:
             low, deadlines, tick, due = pre.low, pre.deadlines, pre.ticks, pre._due
             pop_due, requeue = deadlines.popitem, deadlines.move_to_end
         if fetch is not None:
-            observe, predict = fetch.predictor.observe, fetch.predictor.predict_next
-            pending, by_victim = fetch.pending, fetch.by_victim
-            config, top_k, min_support, on_miss = fetch.settings
+            pending, by_victim, on_miss = fetch.pending, fetch.by_victim, fetch.on_miss
+            top1 = fetch.config.top_k == 1
             issued, useful, harmful = fetch.issued, fetch.useful, fetch.harmful
             keys, lead = fetch.leads(keys)
-        ahead = None  # the top-1 leader or the top-k row; None: no prefetch step
+        ahead = None  # the top-1 leader or the top-k keys; None: no prefetch step
         for key in keys:  # the extras loop
             if fetch is not None:
-                ahead = lead() if lead else observe(key)
+                ahead = lead()
             if pre is not None:
                 if fetch is not None:  # a rule may remove a prefetch before its victim misses
                     waiting = by_victim.get(key)  # the prefetches that evicted key, and
@@ -181,14 +179,12 @@ class CacheState:
                 entries[key] = None
             if ahead is None:
                 continue  # no prefetch step, or nothing predicted above p_min
-            if lead:
+            if top1:
                 if ahead in entries:
                     continue
                 chosen = (ahead,)
-            elif ahead.total < min_support:
-                continue  # no row predict_next predicts anything from
             else:
-                chosen = decide_prefetch(predict(None, top_k), config, entries)
+                chosen = [k for k in ahead if k not in entries]
             for fetched in chosen:
                 if room:
                     room, victim = room - 1, None
@@ -261,16 +257,15 @@ class ArcState:
             low, deadlines, tick, due = pre.low, pre.deadlines, pre.ticks, pre._due
             pop_due, requeue = deadlines.popitem, deadlines.move_to_end
         if fetch is not None:
-            observe, predict = fetch.predictor.observe, fetch.predictor.predict_next
-            pending, by_victim = fetch.pending, fetch.by_victim
-            config, top_k, min_support, on_miss = fetch.settings
+            pending, by_victim, on_miss = fetch.pending, fetch.by_victim, fetch.on_miss
+            top1 = fetch.config.top_k == 1
             issued, useful, harmful = fetch.issued, fetch.useful, fetch.harmful
             keys, lead = fetch.leads(keys)
         extra, ahead = pre is not None or fetch is not None, None  # as in CacheState.replay
         for key in keys:
             if extra:
                 if fetch is not None:
-                    ahead = lead() if lead else observe(key)
+                    ahead = lead()
                     waiting = by_victim.get(key)  # as in CacheState.replay
                     live = waiting and len(t1.keys() & waiting) + len(t2.keys() & waiting)
                 if timer_init:
@@ -359,14 +354,12 @@ class ArcState:
                     n2 += 1
             if ahead is None:
                 continue  # as in CacheState.replay
-            if lead:
+            if top1:
                 if ahead in t2 or ahead in t1:
                     continue
                 chosen = (ahead,)
-            elif ahead.total < min_support:
-                continue
             else:
-                chosen = decide_prefetch(predict(None, top_k), config, self)
+                chosen = [k for k in ahead if k not in self]
             self.p = p
             for fetched in chosen:
                 victim, = self.access(fetched)[1] or (None,)  # it evicts at most one key

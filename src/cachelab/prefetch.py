@@ -33,11 +33,23 @@ class _Successors(dict):
         self.top = 1
 
 
+def _ranked(row, alpha, top_k):
+    """A row's top_k (key, probability) pairs, descending probability, ties by
+    ascending key: predict_next's ranking, and that of a leaders pass wider than 1."""
+    denom = row.total + alpha * len(row)
+    # the shared denominator makes count order and probability order identical
+    if top_k == 1:
+        return [(row.leader, (row.top + alpha) / denom)]
+    # a stable sort by count, descending, keeps tied keys in ascending order
+    ranked = sorted(sorted(row), key=row.__getitem__, reverse=True)
+    return [(key, (row[key] + alpha) / denom) for key in ranked[:top_k]]
+
+
 class MarkovPredictor:
     """Order-1 or order-2 successor counts over trace keys with pseudocount
-    smoothing. Purely a function of the observed key sequence. `observe` counts one
-    key; `leaders` counts a whole key column and answers each event's top-1 question
-    in the same pass, since that answer never depends on the cache."""
+    smoothing. Purely a function of the observed key sequence. `leaders` counts a
+    key column and answers each event's top-k question in the same pass, since that
+    answer never depends on the cache; `observe` is a pass over one key."""
 
     def __init__(self, order=1, alpha=1.0, min_support=2):
         _check_predictor_params(order, alpha, min_support)
@@ -46,35 +58,20 @@ class MarkovPredictor:
         self.min_support = min_support
         self.counts = {}   # context tuple -> _Successors
         self.context = ()  # rolling window of the last `order` keys
-        self.row = None    # counts.get(context), kept so observe need not look it up
+        self.row = None    # counts.get(context), kept so the next pass need not look it up
 
     def observe(self, key):
         """Count key after the current context, then slide the context over key.
-        Returns the new context's row, the one predict_next reads, or None.
-        `leaders` repeats this counting rule for a whole key column."""
-        ctx = self.context
-        if len(ctx) == self.order:
-            row = self.row
-            if row is None:
-                self.counts[ctx] = _Successors(key)
-            else:
-                count = row[key] = row.get(key, 0) + 1
-                row.total += 1
-                # counts only grow, so the leader is always the head of the ranking
-                if count > row.top or (count == row.top and key < row.leader):
-                    row.leader = key
-                    row.top = count
-            ctx = ctx[1:]
-        self.context = ctx = ctx + (key,)
-        self.row = row = self.counts.get(ctx)
-        return row
+        Returns the new context's row, the one predict_next reads, or None."""
+        self.leaders((key,), 1.0)
+        return self.row
 
-    def leaders(self, keys, p_min):
-        """Observe every key in order and list, per key, what predict_next(None, 1)
-        ranks first after it if the row has min_support and that key's probability is
-        at least p_min, else None. It leaves counts, context and row as one observe
-        per key would, so chunked passes carry on as stepped calls do. observe's
-        counting rule is repeated here, in one loop over locals."""
+    def leaders(self, keys, p_min, top_k=1):
+        """Count every key in order and list, per key, what predict_next(None, top_k)
+        ranks at or above p_min after it, or None if nothing: the leader itself for
+        top_k 1, else those keys as a tuple in rank order. It leaves counts, context
+        and row as one pass per key would, so each pass carries on where the last one
+        stopped. This loop holds the predictor's only copy of its counting rule."""
         order, alpha, min_support = self.order, self.alpha, self.min_support
         counts, ctx, row = self.counts, self.context, self.row
         get = counts.get
@@ -100,9 +97,12 @@ class MarkovPredictor:
             row = get(ctx)
             if row is None or row.total < min_support:
                 append(None)
-            else:  # predict_next's top-1 probability, the same float
+            elif top_k == 1:  # predict_next's top-1 probability, the same float
                 append(row.leader if (row.top + alpha) / (row.total + alpha * len(row)) >= p_min
                        else None)
+            else:  # probabilities descend, so those at or above p_min are a prefix
+                append(tuple([k for k, prob in _ranked(row, alpha, top_k) if prob >= p_min])
+                       or None)
         self.context, self.row = ctx, row
         return out
 
@@ -114,14 +114,7 @@ class MarkovPredictor:
         row = self.row if context is None else self.counts.get(tuple(context))
         if row is None or row.total < self.min_support:
             return []
-        alpha = self.alpha
-        denom = row.total + alpha * len(row)
-        # the shared denominator makes count order and probability order identical
-        if top_k == 1:
-            return [(row.leader, (row.top + alpha) / denom)]
-        # a stable sort by count, descending, keeps tied keys in ascending order
-        ranked = sorted(sorted(row), key=row.__getitem__, reverse=True)
-        return [(key, (row[key] + alpha) / denom) for key in ranked[:top_k]]
+        return _ranked(row, self.alpha, top_k)
 
 
 @dataclass(frozen=True)
@@ -151,33 +144,30 @@ class PredictorConfig:
 
 
 class Prefetcher:
-    """One run's prefetching, which a policy's replay steps after each demand access,
-    and its ledger. pending maps each prefetched key to the key its insertion
-    evicted, or None, and by_victim is its inverse, so the ledger never holds more
-    entries than the trace has keys. An entry is live while its key stays resident:
-    a demand hit on it is useful, a demand miss of its victim harmful if it was
-    resident when that access began, and an entry never judged so is useless."""
+    """One run's prefetching, which a policy's replay steps after each demand access
+    from the entries of one leaders pass, and its ledger. pending maps each prefetched
+    key to the key its insertion evicted, or None, and by_victim is its inverse, so
+    the ledger never holds more entries than the trace has keys. An entry is live
+    while its key stays resident: a demand hit on it is useful, a demand miss of its
+    victim harmful if it was resident when that access began, and an entry never
+    judged so is useless."""
 
     def __init__(self, config: PrefetchConfig, model: PredictorConfig):
         self.predictor = MarkovPredictor(model.order, model.alpha, model.min_support)
-        self.settings = (config, config.top_k, model.min_support,
-                         config.trigger != ON_EVERY_ACCESS)
+        self.config, self.on_miss = config, config.trigger != ON_EVERY_ACCESS
         self.pending = {}                  # prefetched key -> the key it evicted, or None
         self.by_victim = defaultdict(set)  # victim or None -> the pending keys it heads
         self.issued = self.useful = self.harmful = 0
 
     def leads(self, keys):
-        """(keys, lead) for one replay of keys. A top-1 run's leaders depend on the
-        keys alone, so one pass lists them and lead() hands out the next event's; keys
-        that iterate only once come back listed, for the replay to read again. A top-k
-        run observes each key in the replay and ranks its row only where the step
-        fires, so an on-miss hit never sorts; its lead is None."""
-        config = self.settings[0]
-        if config.top_k > 1:
-            return keys, None
+        """(keys, lead) for one replay of keys. What the predictor ranks at each event
+        depends on the keys alone, so one leaders pass lists every event's entry and
+        lead() hands out the next one; an on-miss hit's entry is read and skipped.
+        Keys that iterate only once come back listed, for the replay to read again."""
         if iter(keys) is keys:
             keys = list(keys)
-        return keys, iter(self.predictor.leaders(keys, config.p_min)).__next__
+        config = self.config
+        return keys, iter(self.predictor.leaders(keys, config.p_min, config.top_k)).__next__
 
 
 def decide_prefetch(predictions, config: PrefetchConfig, resident) -> list:

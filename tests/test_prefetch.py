@@ -19,7 +19,7 @@ from cachelab.prefetch import (
 from cachelab.simkit import RunConfig, run_sim
 from cachelab.trace import InvalidParam, Trace, gen_markov_trace
 
-from reference import resident
+from reference import ref_predict, resident
 
 
 def feed(pred, keys):
@@ -137,20 +137,24 @@ def predictor_state(pred):
 @settings(max_examples=500, deadline=None, database=None)
 @given(st.sampled_from((1, 2)), st.sampled_from((0, 0.5, 1.0)) | st.floats(0, 4),
        st.integers(0, 3), st.sampled_from((0.0, 1 / 3, 0.5, 2 / 3, 1.0)) | st.floats(0, 1),
-       st.lists(st.integers(-2, 6), max_size=150), st.lists(st.integers(0, 150), max_size=4))
-def test_leaders_equal_stepped_top1_predictions(order, alpha, min_support, p_min, keys, cuts):
-    # leaders repeats observe's counting rule; few keys make tied counts and
-    # probabilities exactly at p_min common, and the cuts split the pass into chunks
-    stepped = MarkovPredictor(order, alpha, min_support)
+       st.integers(1, 4), st.lists(st.integers(-2, 6), max_size=150),
+       st.lists(st.integers(0, 150), max_size=4))
+def test_leaders_equal_stepped_top1_predictions(order, alpha, min_support, p_min, top_k, keys,
+                                                cuts):
+    # each entry is the recounted oracle's ranking after that key, cut at p_min; few
+    # keys make tied counts and probabilities exactly at p_min common, the cuts split
+    # the pass into chunks, and stepped observe calls must leave the same counts
     expected = []
-    for key in keys:
-        stepped.observe(key)
-        top = stepped.predict_next(None, 1)
-        expected.append(top[0][0] if top and top[0][1] >= p_min else None)
+    for t in range(len(keys)):
+        ahead = [key for key, prob in ref_predict(keys[:t + 1], order, alpha, min_support, top_k)
+                 if prob >= p_min]
+        expected.append(None if not ahead else ahead[0] if top_k == 1 else tuple(ahead))
     passed = MarkovPredictor(order, alpha, min_support)
     bounds = sorted(min(cut, len(keys)) for cut in cuts)
     chunks = [keys[i:j] for i, j in zip([0, *bounds], [*bounds, len(keys)])]
-    assert [leader for chunk in chunks for leader in passed.leaders(chunk, p_min)] == expected
+    assert [entry for chunk in chunks for entry in passed.leaders(chunk, p_min, top_k)] == expected
+    stepped = MarkovPredictor(order, alpha, min_support)
+    feed(stepped, keys)
     assert predictor_state(passed) == predictor_state(stepped)
 
 
@@ -160,21 +164,25 @@ def test_leaders_keep_a_leader_at_exactly_p_min():
     assert MarkovPredictor(1, 0, 0).leaders(keys, 0.5) == [None, None, 2, None, 2]
     assert MarkovPredictor(1, 0, 0).leaders(keys, 0.5000001) == [None, None, 2, None, None]
     assert MarkovPredictor(1, 0, 3).leaders(keys, 0.0) == [None] * 5
+    # top-2 entries keep every key at or above p_min: at the last 1, 2 and 3 tie at 0.5
+    assert MarkovPredictor(1, 0, 0).leaders(keys, 0.5, 2) == [None, None, (2,), None, (2, 3)]
+    assert MarkovPredictor(1, 0, 0).leaders(keys, 0.5000001, 2) == [None, None, (2,), None, None]
 
 
 @pytest.mark.parametrize("policy", ["fifo", "lifo", "lru", "mru", "arc"])
 def test_top1_replay_of_a_one_shot_iterator_equals_the_lists(policy):
-    # the leaders pass reads the keys before the replay does
+    # the leaders pass reads the keys before the replay does, for top-1 and top-k runs
     keys = gen_markov_trace(5, 12, 300, 0.8).keys
-    runs = []
-    for replayed in (keys, iter(keys)):
-        fetch = Prefetcher(PrefetchConfig(1, 0.2), PredictorConfig(1, 1.0, 1))
-        cache = make_cache(CacheConfig(4, policy))
-        hits = cache.replay(replayed, fetch=fetch)
-        runs.append((hits, fetch.issued, fetch.useful, fetch.harmful, resident(cache),
-                     predictor_state(fetch.predictor)))
-    assert runs[0] == runs[1]
-    assert runs[0][1]
+    for top_k in (1, 3):
+        runs = []
+        for replayed in (keys, iter(keys)):
+            fetch = Prefetcher(PrefetchConfig(top_k, 0.2), PredictorConfig(1, 1.0, 1))
+            cache = make_cache(CacheConfig(4, policy))
+            hits = cache.replay(replayed, fetch=fetch)
+            runs.append((hits, fetch.issued, fetch.useful, fetch.harmful, resident(cache),
+                         predictor_state(fetch.predictor)))
+        assert runs[0] == runs[1], top_k
+        assert runs[0][1], top_k
 
 
 @pytest.mark.parametrize("order", [1, 2])
