@@ -7,6 +7,7 @@ as "F".
 """
 
 import contextlib
+import graphlib
 import itertools
 import json
 import math
@@ -159,25 +160,11 @@ class BayesNet:
         missing = set(self.variables) - set(self.cpts)
         if missing:
             raise InvalidNet(f"variables without a cpt: {sorted(missing)}")
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        indeg = {name: len(self.cpts[name].parents) for name in self.variables}
-        children = {name: [] for name in self.variables}
-        for name, cpt in self.cpts.items():
-            for p in cpt.parents:
-                children[p].append(name)
-        ready = [name for name, d in indeg.items() if d == 0]
-        seen = 0
-        while ready:
-            name = ready.pop()
-            seen += 1
-            for c in children[name]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if seen != len(self.variables):
-            raise InvalidNet("the parent graph has a cycle")
+        try:  # a cpt that names its own child is a cycle too
+            graphlib.TopologicalSorter(
+                {child: cpt.parents for child, cpt in self.cpts.items()}).prepare()
+        except graphlib.CycleError:
+            raise InvalidNet("the parent graph has a cycle") from None
 
     def factor(self, name) -> Factor:
         """The CPT as a factor with scope parents + [child]."""
@@ -221,6 +208,21 @@ def _check_query(net, query_var, evidence):
         raise InvalidQuery(f"query variable {query_var!r} appears in the evidence")
 
 
+def _restricted(net, names, evidence):
+    """The CPT factors of the names, in their order, with the evidence values fixed."""
+    factors = [net.factor(name) for name in names]
+    for ev_name, ev_value in evidence.items():
+        factors = [f.restrict(ev_name, ev_value) for f in factors]
+    return factors
+
+
+def _normalized(values):
+    denom = values.sum()
+    if denom <= 0.0:
+        raise ZeroEvidence("evidence has probability zero")
+    return values / denom
+
+
 def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarray:
     """Sum the joint over all completions consistent with the evidence; normalize.
     Completions go in lexicographic order, ENUM_BLOCK or fewer at a time, each the
@@ -236,10 +238,7 @@ def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarr
         split -= 1
     outer, block_scope = hidden[:split], [net.variables[query_var]] + hidden[split:]
     factors = []
-    for name in net.cpts:
-        f = net.factor(name)
-        for ev_name, ev_value in evidence.items():
-            f = f.restrict(ev_name, ev_value)
+    for f in _restricted(net, net.cpts, evidence):
         pos = [i for i, v in enumerate(outer) if v.name in f.names]
         factors.append((_aligned(f, [outer[i] for i in pos] + block_scope), pos))
     shape = tuple(v.cardinality for v in block_scope)
@@ -251,10 +250,7 @@ def infer_enumeration(net: BayesNet, query_var: str, evidence: dict) -> np.ndarr
         block = block.reshape(shape[0], -1)
         block[:, 0] += totals  # carry the running total
         totals = np.add.accumulate(block, axis=1, out=block)[:, -1]  # in order, unlike np.sum
-    denom = totals.sum()
-    if denom <= 0.0:
-        raise ZeroEvidence("evidence has probability zero")
-    return totals / denom
+    return _normalized(totals)
 
 
 def _product(factors):
@@ -286,12 +282,7 @@ def infer_variable_elimination(net: BayesNet, query_var: str, evidence: dict,
     """Evidence-restricted factors, eliminate, multiply, normalize. Matches
     infer_enumeration within 1e-9 for any valid elimination order."""
     _check_query(net, query_var, evidence)
-    factors = []
-    for name in net.variables:
-        f = net.factor(name)
-        for ev_name, ev_value in evidence.items():
-            f = f.restrict(ev_name, ev_value)
-        factors.append(f)
+    factors = _restricted(net, net.variables, evidence)
     eliminable = [n for n in net.variables if n != query_var and n not in evidence]
     if order is not None and sorted(order) != sorted(eliminable):
         raise InvalidOrder(
@@ -314,12 +305,8 @@ def infer_variable_elimination(net: BayesNet, query_var: str, evidence: dict,
         else:
             var = order[step]
         factors = eliminate_variable(factors, var)
-    result = Factor([net.variables[query_var]], np.ones(net.variables[query_var].cardinality))
-    values = _product([result, *factors]).values.reshape(-1)
-    denom = values.sum()
-    if denom <= 0.0:
-        raise ZeroEvidence("evidence has probability zero")
-    return values / denom
+    # what is left spans only the query, and the query's own cpt leaves a factor over it
+    return _normalized(_product(factors).values.reshape(-1))
 
 
 def markov_blanket(net: BayesNet, var: str) -> set:

@@ -269,6 +269,8 @@ def cmd_bayes(parser, args):
         return _fail(f"{args.net}: {exc.strerror or exc}")
     except bayes.InvalidNet as exc:
         return _fail(f"{args.net}: {exc}")
+    except MemoryError:
+        return _fail(f"{args.net}: not enough memory to load the net")
     evidence = {}
     if args.evidence:
         for item in args.evidence.split(","):

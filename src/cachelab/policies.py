@@ -402,10 +402,6 @@ class PreEvictConfig:
         if self.halfway_enabled and self.address_space_size < 2:
             raise InvalidParam("address_space_size must be >= 2 with halfway enabled")
 
-    @property
-    def enabled(self):
-        return self.halfway_enabled or self.timer_enabled
-
 
 class PreEvictingCache:
     """Pre-eviction over a base cache: per-entry expiry timers and halfway
@@ -447,8 +443,9 @@ class PreEvictingCache:
 
     def replay(self, keys, fetch=None) -> int:
         """Demand-access every key in order, leaving the state that one access per
-        key would leave; returns the hits. Both rules run inside the base's replay."""
-        return self.base.replay(keys, self, fetch)
+        key would leave; returns the hits. The rules that are on run in the base's replay."""
+        on = self._timer_init or self._halfway is not None
+        return self.base.replay(keys, self if on else None, fetch)
 
     def _end_replay(self, tick, due, expired, cleared):
         """Take back the state a base replay kept in locals, and drop the keys that

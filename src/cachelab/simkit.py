@@ -48,17 +48,15 @@ FLOAT_FIELDS = ("prefetch_coverage", "hit_ratio")
 
 
 def run_sim(trace: Trace, config: RunConfig) -> SimReport:
-    """One pass over the trace under one configuration: the front cache (the
-    pre-eviction wrapper when an axis is enabled, else the policy) replays the key
-    column, with the prefetcher's step inside the replay when prefetch is on. A
-    prefetch only inserts a key that an earlier access brought in, so a key's first
-    access always misses: compulsory misses are the distinct keys on every path.
-    Each demand miss and each prefetch inserts one key, so evictions of every cause
-    are misses + issued - residents. Deterministic for identical inputs.
+    """One pass over the trace under one configuration: the pre-eviction wrapper over
+    the policy replays the key column, with the prefetcher's step inside the replay
+    when prefetch is on. A prefetch only inserts a key that an earlier access brought
+    in, so a key's first access always misses: compulsory misses are the distinct keys
+    on every path. Each demand miss and each prefetch inserts one key, so evictions of
+    every cause are misses + issued - residents. Deterministic for identical inputs.
     """
     cache = make_cache(config.cache)
-    pre = config.pre
-    front = PreEvictingCache(cache, pre) if pre is not None and pre.enabled else cache
+    front = PreEvictingCache(cache, config.pre or PreEvictConfig())
     keys = trace.keys
     fetch = config.prefetch and Prefetcher(config.prefetch, config.predictor or PredictorConfig())
     hits = front.replay(keys, fetch=fetch)
@@ -72,8 +70,8 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
         demand_misses=misses,
         compulsory_misses=trace.distinct,
         evictions=misses + issued - len(cache),
-        timer_evictions=front.timer_evictions if front is not cache else 0,
-        halfway_evictions=front.halfway_evictions if front is not cache else 0,
+        timer_evictions=front.timer_evictions,
+        halfway_evictions=front.halfway_evictions,
         prefetch_issued=issued,
         prefetch_useful=useful,
         prefetch_useless=issued - useful - harmful,

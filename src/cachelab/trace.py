@@ -32,10 +32,12 @@ class InvalidParam(ValueError):
 
 def require_ints(**params):
     """The values as ints, taking whatever operator.index takes (numpy integers
-    among them); InvalidParam names the first value that is not an integer."""
+    among them) but bools; InvalidParam names the first value that is not an integer."""
     ints = []
     for name, value in params.items():
         try:
+            if isinstance(value, bool):  # operator.index takes True as 1; Trace refuses it too
+                raise TypeError
             ints.append(operator.index(value))
         except TypeError:
             raise InvalidParam(f"{name} must be an integer, got {value!r}") from None

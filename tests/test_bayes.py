@@ -238,12 +238,13 @@ def test_net_rejects_unknown_parent():
 
 
 def test_net_rejects_cycle():
-    with pytest.raises(InvalidNet):
-        BayesNet(
-            [Variable("A", 2), Variable("B", 2)],
-            [CPT("A", ["B"], [[0.5, 0.5], [0.5, 0.5]]),
-             CPT("B", ["A"], [[0.5, 0.5], [0.5, 0.5]])],
-        )
+    for parents in ({"A": ["B"], "B": ["A"]},
+                    {"A": ["C"], "B": ["A"], "C": ["B"]},
+                    {"A": [], "B": ["A", "B"]}):  # a cpt that names its own child
+        with pytest.raises(InvalidNet, match="^the parent graph has a cycle$"):
+            BayesNet([Variable(name, 2) for name in parents],
+                     [CPT(child, named, [[0.5, 0.5]] * 2 ** len(named))
+                      for child, named in parents.items()])
 
 
 def test_net_rejects_missing_cpt_and_duplicates():

@@ -491,6 +491,13 @@ def out_of_memory(*args):
     raise MemoryError  # as an allocation too large for the process's address space
 
 
+def test_bayes_net_out_of_memory_fails_in_one_line(monkeypatch, capsys):
+    monkeypatch.setattr("cachelab.bayes.load_net", out_of_memory)  # as json's decoder
+    code, out, err = run_cli(["bayes", "--net", SPRINKLER, "--query", "Rain"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"{SPRINKLER}: not enough memory to load the net\n"
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("stage, message", [
     ("_load_trace", "{trace}: not enough memory to load the trace\n"),
@@ -634,6 +641,17 @@ def test_bayes_repeated_parent_one_line(tmp_path, capsys, method):
                              capsys)
     assert (code, out) == (1, "")
     assert err == f"{net}: cpt 'C': parent 'A' named twice\n"
+
+
+def test_bayes_cyclic_net_one_line(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "variables": [{"name": n, "cardinality": 2} for n in "AB"],
+        "cpts": [{"child": "A", "parents": ["B"], "rows": [[0.5, 0.5]] * 2},
+                 {"child": "B", "parents": ["A"], "rows": [[0.5, 0.5]] * 2}]}))
+    code, out, err = run_cli(["bayes", "--net", str(net), "--query", "A"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"{net}: the parent graph has a cycle\n"
 
 
 def test_bayes_non_utf8_net_file(tmp_path, capsys):

@@ -28,8 +28,6 @@ def test_config_validation():
         PreEvictConfig(timer_enabled=True, timer_init=0)
     with pytest.raises(InvalidParam):
         PreEvictConfig(halfway_enabled=True, address_space_size=1)
-    assert not PreEvictConfig().enabled
-    assert PreEvictConfig(timer_enabled=True).enabled
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -226,6 +224,26 @@ def test_disabled_wrapper_identical_to_base():
         wrapped = PreEvictingCache(make_cache(CacheConfig(4, policy)), PreEvictConfig())
         for key in keys:
             assert plain.access(key) == wrapped.access(key), policy
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("config", [
+    PreEvictConfig(), PreEvictConfig(timer_enabled=True, timer_init=2), HALFWAY_1000,
+], ids=["off", "timer", "halfway"])
+def test_policy_replay_gets_the_wrapper_only_with_a_rule_on(monkeypatch, policy, config):
+    # both axes off: the wrapper passes pre=None, so the policy takes its plain loop
+    base = make_cache(CacheConfig(3, policy))
+    wrapped = PreEvictingCache(base, config)
+    pres, replay = [], type(base).replay
+
+    def recorder(self, keys, pre=None, fetch=None):
+        pres.append(pre)
+        return replay(self, keys, pre, fetch)
+
+    monkeypatch.setattr(type(base), "replay", recorder)
+    wrapped.replay([1, 2, 1, 3])
+    wrapped.access(4)
+    assert pres == [None if config == PreEvictConfig() else wrapped] * 2
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -338,8 +338,9 @@ INT_PARAMS = {  # name -> (build from the value, a valid value)
 @pytest.mark.parametrize("name", INT_PARAMS)
 def test_integer_params_reject_non_integers(name):
     build, good = INT_PARAMS[name]
-    with pytest.raises(InvalidParam, match=f"^{name} must be an integer, got 2.5$"):
-        build(2.5)
+    for bad in (2.5, True):  # operator.index takes True; these refuse it, as Trace does
+        with pytest.raises(InvalidParam, match=f"^{name} must be an integer, got {bad}$"):
+            build(bad)
     built = build(np.int64(good))  # what operator.index takes passes, numpy ints too
     assert built == build(good)
     if isinstance(built, Trace):
