@@ -325,7 +325,8 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     """Count-based CPT estimation over complete assignments:
     P(v | u) = (count(v, u) + a) / (count(u) + a * cardinality(child)).
     Every data value must be an int in 0..cardinality-1."""
-    if not (isinstance(pseudocount, numbers.Real) and 0 <= pseudocount < math.inf):
+    if isinstance(pseudocount, bool) or not (isinstance(pseudocount, numbers.Real)
+                                             and 0 <= pseudocount < math.inf):
         raise BayesError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
     variables = list(variables)
     cards = {v.name: v.cardinality for v in variables}

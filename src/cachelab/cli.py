@@ -161,14 +161,6 @@ def _prefetch_config(parser, args):
         parser.error(str(exc))
 
 
-def _resolve_capacity(token, n):
-    if n < 1:
-        raise InvalidParam(f"cannot resolve {token!r} against an empty trace")
-    if token == "log":
-        return max(1, int(math.log10(n) + 0.5))
-    return max(1, int(math.sqrt(n) + 0.5))
-
-
 def cmd_run(parser, args):
     """One policy at one capacity: the compare of a single configuration."""
     args.policies, args.capacities = args.policy, str(args.capacity)
@@ -197,10 +189,11 @@ def cmd_compare(parser, args):
         if not token:
             continue
         if token in ("log", "sqrt"):
-            try:
-                capacities.append(_resolve_capacity(token, len(trace)))
-            except InvalidParam as exc:
-                return _fail(str(exc))
+            n = len(trace)
+            if n < 1:
+                return _fail(f"cannot resolve {token!r} against an empty trace")
+            scale = math.log10(n) if token == "log" else math.sqrt(n)
+            capacities.append(max(1, int(scale + 0.5)))
         else:
             try:
                 k = int(token, 10)

@@ -25,7 +25,7 @@ class CacheConfig:
     arc_adaptation: str = UNIT
 
     def __post_init__(self):
-        require_ints(capacity=self.capacity)
+        object.__setattr__(self, "capacity", *require_ints(capacity=self.capacity))
         if self.capacity < 1:
             raise InvalidParam(f"capacity must be >= 1, got {self.capacity}")
         if self.policy not in POLICIES:
@@ -354,12 +354,7 @@ class ArcState:
                     n2 += 1
             if ahead is None:
                 continue  # as in CacheState.replay
-            if top1:
-                if ahead in t2 or ahead in t1:
-                    continue
-                chosen = (ahead,)
-            else:
-                chosen = [k for k in ahead if k not in self]
+            chosen = [k for k in ((ahead,) if top1 else ahead) if k not in self]
             self.p = p
             for fetched in chosen:
                 victim, = self.access(fetched)[1] or (None,)  # it evicts at most one key
@@ -396,7 +391,8 @@ class PreEvictConfig:
     timer_init: int = 2048
 
     def __post_init__(self):
-        require_ints(timer_init=self.timer_init, address_space_size=self.address_space_size)
+        for name in ("timer_init", "address_space_size"):  # ints, not numpy scalars
+            object.__setattr__(self, name, *require_ints(**{name: getattr(self, name)}))
         if self.timer_init < 1:
             raise InvalidParam(f"timer_init must be >= 1, got {self.timer_init}")
         if self.halfway_enabled and self.address_space_size < 2:

@@ -12,13 +12,15 @@ ON_EVERY_ACCESS = "on_every_access"
 
 
 def _check_predictor_params(order, alpha, min_support):
-    require_ints(order=order, min_support=min_support)
+    """The checked order and min_support, as ints."""
+    order, min_support = require_ints(order=order, min_support=min_support)
     if order not in (1, 2):
         raise InvalidParam(f"order must be 1 or 2, got {order}")
-    if not (isinstance(alpha, numbers.Real) and 0 <= alpha < math.inf):
+    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 0 <= alpha < math.inf):
         raise InvalidParam(f"alpha must be finite and >= 0, got {alpha!r}")
     if min_support < 0:
         raise InvalidParam(f"min_support must be >= 0, got {min_support}")
+    return order, min_support
 
 
 class _Successors(dict):
@@ -37,10 +39,7 @@ def _ranked(row, alpha, top_k):
     """A row's top_k (key, probability) pairs, descending probability, ties by
     ascending key: predict_next's ranking, and that of a leaders pass wider than 1."""
     denom = row.total + alpha * len(row)
-    # the shared denominator makes count order and probability order identical
-    if top_k == 1:
-        return [(row.leader, (row.top + alpha) / denom)]
-    # a stable sort by count, descending, keeps tied keys in ascending order
+    # one denominator, so rank by count; a stable sort of sorted keys keeps ties ascending
     ranked = sorted(sorted(row), key=row.__getitem__, reverse=True)
     return [(key, (row[key] + alpha) / denom) for key in ranked[:top_k]]
 
@@ -52,10 +51,8 @@ class MarkovPredictor:
     answer never depends on the cache; `observe` is a pass over one key."""
 
     def __init__(self, order=1, alpha=1.0, min_support=2):
-        _check_predictor_params(order, alpha, min_support)
-        self.order = order
+        self.order, self.min_support = _check_predictor_params(order, alpha, min_support)
         self.alpha = alpha
-        self.min_support = min_support
         self.counts = {}   # context tuple -> _Successors
         self.context = ()  # rolling window of the last `order` keys
         self.row = None    # counts.get(context), kept so the next pass need not look it up
@@ -124,10 +121,11 @@ class PrefetchConfig:
     trigger: str = ON_EVERY_ACCESS
 
     def __post_init__(self):
-        require_ints(top_k=self.top_k)
+        object.__setattr__(self, "top_k", *require_ints(top_k=self.top_k))
         if self.top_k < 1:
             raise InvalidParam(f"top_k must be >= 1, got {self.top_k}")
-        if not (isinstance(self.p_min, numbers.Real) and 0.0 <= self.p_min <= 1.0):
+        if isinstance(self.p_min, bool) or not (isinstance(self.p_min, numbers.Real)
+                                                and 0.0 <= self.p_min <= 1.0):
             raise InvalidParam(f"p_min must be in [0, 1], got {self.p_min!r}")
         if self.trigger not in (ON_MISS, ON_EVERY_ACCESS):
             raise InvalidParam(f"unknown trigger {self.trigger!r}")
@@ -140,7 +138,9 @@ class PredictorConfig:
     min_support: int = 2
 
     def __post_init__(self):
-        _check_predictor_params(self.order, self.alpha, self.min_support)
+        order, min_support = _check_predictor_params(self.order, self.alpha, self.min_support)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "min_support", min_support)
 
 
 class Prefetcher:

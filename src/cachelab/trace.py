@@ -196,7 +196,8 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     """Order-1 chain over {0..num_keys-1}: follow s -> (s+1) mod num_keys with the
     given probability, otherwise jump to a uniformly random key."""
     seed, num_keys, length = require_ints(seed=seed, num_keys=num_keys, length=length)
-    if not (isinstance(determinism, numbers.Real) and 0.0 <= determinism <= 1.0):
+    if isinstance(determinism, bool) or not (isinstance(determinism, numbers.Real)
+                                             and 0.0 <= determinism <= 1.0):
         raise InvalidParam(f"determinism must be in [0, 1], got {determinism!r}")
     if not 2 <= num_keys <= 2**63:  # numpy draws the jumps as int64
         raise InvalidParam(f"num_keys must be in [2, 2**63], got {num_keys}")

@@ -284,6 +284,8 @@ def test_joint_errors():
     # a fractional value is no list index; it fails as it does in a query
     with pytest.raises(BayesError, match="'Rain': value 0.5 is not an int"):
         joint_probability(net, {"Rain": 0.5, "Sprinkler": 0, "WetGrass": 0})
+    with pytest.raises(BayesError, match=r"^'Rain': value 5 outside 0\.\.1$"):
+        joint_probability(net, {"Rain": 5, "Sprinkler": 0, "WetGrass": 0})
 
 
 # --- enumeration ---
@@ -328,6 +330,8 @@ def test_fractional_evidence_rejected(infer):
     # numpy indexing would truncate 0.5 to 0 and answer for WetGrass=T
     with pytest.raises(BayesError, match="'WetGrass': value 0.5 is not an int"):
         infer(sprinkler(), "Rain", {"WetGrass": 0.5})
+    with pytest.raises(BayesError, match=r"^'WetGrass': value 2 outside 0\.\.1$"):
+        infer(sprinkler(), "Rain", {"WetGrass": 2})
 
 
 def test_query_in_evidence_rejected():
@@ -718,8 +722,9 @@ def test_learn_rejects_bad_data_values(value):
                    [{"A": 0, "B": 1}, {"A": 1, "B": value}], pseudocount=1)
 
 
-@pytest.mark.parametrize("pseudocount", [math.nan, math.inf, -math.inf, -1, -0.5, "1", None],
-                         ids=["nan", "inf", "-inf", "-1", "-0.5", "str", "none"])
+@pytest.mark.parametrize("pseudocount",
+                         [math.nan, math.inf, -math.inf, -1, -0.5, "1", None, True],
+                         ids=["nan", "inf", "-inf", "-1", "-0.5", "str", "none", "bool"])
 def test_learn_rejects_bad_pseudocount(pseudocount):
     # checked first: the unknown parent and the bad value go unreported
     with pytest.raises(BayesError) as err:
@@ -848,6 +853,13 @@ def test_parse_net_diagnostics():
             "cpts": [{"child": "A", "parents": [], "rows": [[0.7, 0.7]]}],
         }))
     assert "row 0" in str(err.value)
+    variables = [{"name": "A", "cardinality": 2}]
+    with pytest.raises(InvalidNet, match=r"^cpt 'A' row 0: expected 2 values$"):
+        parse_net(json.dumps({"variables": variables,
+                              "cpts": [{"child": "A", "parents": [], "rows": [[1.0]]}]}))
+    with pytest.raises(InvalidNet, match=r"^duplicate cpt for 'A'$"):
+        parse_net(json.dumps({"variables": variables,
+                              "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]}] * 2}))
 
 
 @pytest.mark.parametrize("doc, message", [

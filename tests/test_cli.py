@@ -239,6 +239,11 @@ def test_arc_adaptation_without_an_arc_policy_is_a_usage_error(tmp_path, capsys,
      "--top-k requires --prefetch pgm"),
     ("compare", ["--policies", "lru", "--capacities", "2,0"], "capacity must be >= 1, got 0"),
     ("compare", ["--policies", "lru,lru", "--capacities", "2"], "duplicate label 'lru@2'"),
+    ("compare", ["--policies", ",", "--capacities", "2"], "--policies is empty"),
+    ("compare", ["--policies", "lru", "--capacities", ","], "--capacities is empty"),
+    # argparse's own error, which the handlers' errors match
+    ("run", ["--policy", "lru", "--capacity", "2", "--prefetch", "pgm", "--p-min", "abc"],
+     "argument --p-min: not a number: 'abc'"),
 ])
 def test_handler_usage_error_names_its_subcommand(tmp_path, capsys, command, flags, message):
     # as argparse's own errors do: the subcommand's usage, then its prefix
@@ -281,6 +286,22 @@ def test_compare_symbolic_capacities(tmp_path, capsys):
     lines = out.splitlines()
     labels = [line.split(",")[0] for line in lines[1:]]
     assert labels == ["lru@6", "lru@32", "lru@775"]
+
+
+@pytest.mark.parametrize("token", ["log", "sqrt"])
+def test_symbolic_capacity_on_an_empty_trace_fails_in_one_line(tmp_path, capsys, token):
+    trace = write_trace(tmp_path, [])
+    code, out, err = run_cli(["compare", "--trace", trace, "--policies", "lru",
+                              "--capacities", f"2,{token}"], capsys)
+    assert (code, out, err) == (1, "", f"cannot resolve {token!r} against an empty trace\n")
+
+
+def test_compare_skips_empty_capacity_tokens(tmp_path, capsys):
+    trace = write_trace(tmp_path, [1, 2, 3, 1, 4, 2] * 5)
+    common = ["compare", "--trace", trace, "--policies", "lru,arc", "--out", "csv"]
+    skipped = run_cli([*common, "--capacities", "2,,4"], capsys)
+    assert skipped == run_cli([*common, "--capacities", "2,4"], capsys)
+    assert skipped[0] == 0 and "arc@4" in skipped[1]
 
 
 def test_compare_policy_by_capacity_grid(tmp_path, capsys):
@@ -408,6 +429,14 @@ def test_gen_trace_bad_determinism(tmp_path):
     assert err.value.code == 2
 
 
+def test_gen_trace_unwritable_out_fails_in_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    code, stdout, err = run_cli(
+        ["gen-trace", "--model", "markov", "--states", "4", "--length", "8",
+         "--determinism", "0.5", "--seed", "1", "--out", str(out)], capsys)
+    assert (code, stdout, err) == (1, "", f"{out}: No such file or directory\n")
+
+
 def test_gen_trace_too_long_to_draw_fails_in_one_line(tmp_path, capsys):
     # 10**17 float64s (711 PiB) exceed any x86-64 user address space, so numpy's
     # allocation fails at once; a length below about 1e15 could fit and fill memory
@@ -436,6 +465,19 @@ def test_bayes_methods_agree_byte_for_byte(capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("T 0.357688\n")
+
+
+def test_bayes_skips_empty_evidence_items(capsys):
+    common = ["bayes", "--net", SPRINKLER, "--query", "Rain", "--evidence"]
+    skipped = run_cli([*common, "WetGrass=T,,"], capsys)
+    assert skipped == run_cli([*common, "WetGrass=T"], capsys)
+    assert skipped[0] == 0 and skipped[1].startswith("T 0.357688\n")
+
+
+def test_bayes_bad_evidence_value_fails_in_one_line(capsys):
+    code, out, err = run_cli(
+        ["bayes", "--net", SPRINKLER, "--query", "Rain", "--evidence", "WetGrass=x"], capsys)
+    assert (code, out, err) == (1, "", "'WetGrass': bad value 'x'\n")
 
 
 def test_bayes_query_in_evidence_usage_error(capsys):

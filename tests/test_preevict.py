@@ -1,5 +1,7 @@
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +43,15 @@ def test_wrapper_refuses_a_base_that_holds_keys(policy):
         PreEvictingCache(base, timer)
     assert sorted(base) == [1, 2, 3]  # the refusal leaves the base as it was
     assert PreEvictingCache(make_cache(CacheConfig(3, policy)), timer).access(4) == (False, ())
+
+
+def test_numpy_timer_init_replays_as_an_int():
+    # numpy scalar arithmetic would overflow at the first deadline set
+    config = PreEvictConfig(timer_enabled=True, timer_init=np.int64(2**63 - 1))
+    cache = PreEvictingCache(make_cache(CacheConfig(2, "lru")), config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.replay([1, 2, 1]) == 1
 
 
 def test_halfway_filter_clears_low_block():

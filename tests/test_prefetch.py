@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -239,14 +240,14 @@ def test_module_level_wrappers():
 
 @pytest.mark.parametrize("kwargs", [
     {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": -1.0}, {"order": 3}, {"min_support": -1},
-    {"alpha": "1"}, {"alpha": None},
+    {"alpha": "1"}, {"alpha": None}, {"alpha": True}, {"alpha": False},
 ])
 def test_predictor_config_rejects_bad_params(kwargs):
     with pytest.raises(InvalidParam):
         PredictorConfig(**kwargs)
 
 
-@pytest.mark.parametrize("p_min", ["0.5", None, math.nan, -0.1])
+@pytest.mark.parametrize("p_min", ["0.5", None, math.nan, -0.1, True])
 def test_prefetch_config_rejects_bad_p_min(p_min):
     with pytest.raises(InvalidParam, match=r"^p_min must be in \[0, 1\], got "):
         PrefetchConfig(p_min=p_min)
@@ -262,6 +263,8 @@ def test_predictor_param_validation():
     for alpha in (math.nan, math.inf, "1", None):
         with pytest.raises(InvalidParam, match=r"^alpha must be finite and >= 0, got "):
             MarkovPredictor(alpha=alpha)
+    predictor = MarkovPredictor(np.int64(2), 1.0, np.int64(3))  # kept as ints, as in configs
+    assert type(predictor.order) is int and type(predictor.min_support) is int
     with pytest.raises(InvalidParam):
         PrefetchConfig(top_k=0)
     with pytest.raises(InvalidParam):

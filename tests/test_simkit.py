@@ -260,6 +260,11 @@ def test_emit_csv_round_trip_byte_identical():
     assert again == text
 
 
+def test_parse_report_csv_rejects_an_unknown_header():
+    with pytest.raises(ValueError, match=r"^unexpected csv header \['a', 'b'\]$"):
+        parse_report_csv("a,b\n")
+
+
 @pytest.mark.parametrize("cells", [14, 16, 1])
 def test_parse_report_csv_rejects_row_of_wrong_length(cells):
     # a short row would miss SimReport arguments; zip would cut a long one short

@@ -316,6 +316,7 @@ def test_traces_hold_keys_not_per_event_objects():
     dict(seed=1, num_keys=4, length=10**19, determinism=0.5),  # a draw numpy cannot size
     dict(seed=1, num_keys=10, length=5, determinism="0.5"),  # not a real number
     dict(seed=1, num_keys=10, length=5, determinism=None),
+    dict(seed=1, num_keys=10, length=5, determinism=True),  # a bool, as keys refuse one
 ])
 def test_gen_markov_invalid_params(kwargs):
     with pytest.raises(InvalidParam):
@@ -345,6 +346,8 @@ def test_integer_params_reject_non_integers(name):
     assert built == build(good)
     if isinstance(built, Trace):
         assert all(type(key) is int for key in built.keys)
+    else:  # a config keeps the int, so no replay does numpy scalar arithmetic
+        assert type(getattr(built, name)) is int
 
 
 @pytest.mark.parametrize("keys, bad", [
