@@ -26,29 +26,6 @@ from .trace import (
 )
 
 
-def _positive_int(text):
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _finite_float(high):
-    """argparse type: a finite number in [0, high]."""
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not (0.0 <= value <= high and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"must be finite and in [0, {high:g}], got {value}")
-        return value
-    return parse
-
-
 def _add_policy_flags(sub, many=False):
     sub.add_argument("--trace", required=True, help="trace file path")
     sub.add_argument("--format", choices=("plain", "smpc"), default="plain")
@@ -59,18 +36,17 @@ def _add_policy_flags(sub, many=False):
                          help="comma list of sizes; 'log' and 'sqrt' resolve against n")
     else:
         sub.add_argument("--policy", choices=POLICIES, required=True)
-        sub.add_argument("--capacity", type=_positive_int, required=True)
+        sub.add_argument("--capacity", type=int, required=True)
     sub.add_argument("--arc-adaptation", choices=("unit", "ratio"))
-    sub.add_argument("--pre-evict", choices=("halfway",), default=None)
-    sub.add_argument("--address-space", type=_positive_int, default=None,
-                     help="key-space bound for the halfway rule")
-    sub.add_argument("--pre-evict-timer", type=_positive_int, default=None,
-                     metavar="T", help="expire entries unhit for T requests")
-    sub.add_argument("--prefetch", choices=("pgm",), default=None)
-    sub.add_argument("--order", type=int, choices=(1, 2))
-    sub.add_argument("--top-k", type=_positive_int)
-    sub.add_argument("--p-min", type=_finite_float(1.0))
-    sub.add_argument("--alpha", type=_finite_float(math.inf))
+    sub.add_argument("--pre-evict", choices=("halfway",))
+    sub.add_argument("--address-space", type=int, help="key-space bound for the halfway rule")
+    sub.add_argument("--pre-evict-timer", type=int, metavar="T",
+                     help="expire entries unhit for T requests")
+    sub.add_argument("--prefetch", choices=("pgm",))
+    sub.add_argument("--order", type=int)
+    sub.add_argument("--top-k", type=int)
+    sub.add_argument("--p-min", type=float)
+    sub.add_argument("--alpha", type=float)
     sub.add_argument("--min-support", type=int)
     sub.add_argument("--out", choices=("json", "csv", "table"), default="table")
 
@@ -93,9 +69,9 @@ def build_parser():
 
     gen = add("gen-trace", cmd_gen_trace, "write a seeded synthetic trace")
     gen.add_argument("--model", choices=("markov",), required=True)
-    gen.add_argument("--states", type=_positive_int, required=True)
-    gen.add_argument("--length", type=_positive_int, required=True)
-    gen.add_argument("--determinism", type=_finite_float(1.0), required=True)
+    gen.add_argument("--states", type=int, required=True)
+    gen.add_argument("--length", type=int, required=True)
+    gen.add_argument("--determinism", type=float, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True, help="output path")
 
@@ -115,6 +91,11 @@ def _fail(message):
     return 1
 
 
+def _items(text):
+    """A comma list's items, stripped, skipping empty ones."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _load_trace(args):
     with open(args.trace, "rb") as fh:
         data = fh.read()
@@ -131,32 +112,24 @@ def _given(parser, args, enabled, needs, names):
     return given
 
 
-def _pre_config(parser, args):
+def _axis_configs(parser, args):
+    """The pre-eviction, prefetch and predictor configs the flags build. The configs
+    check the values; flags not given take the config classes' defaults."""
     _given(parser, args, args.pre_evict, "--pre-evict halfway", ["address_space"])
-    if args.pre_evict is None and args.pre_evict_timer is None:
-        return None
     if args.pre_evict == "halfway" and args.address_space is None:
         parser.error("--pre-evict halfway requires --address-space")
-    try:
-        return PreEvictConfig(
-            halfway_enabled=args.pre_evict == "halfway",
-            address_space_size=args.address_space or 0,
-            timer_enabled=args.pre_evict_timer is not None,
-            timer_init=args.pre_evict_timer or PreEvictConfig.timer_init,
-        )
-    except InvalidParam as exc:
-        parser.error(str(exc))
-
-
-def _prefetch_config(parser, args):
-    """Flags not given take the config classes' defaults."""
     enabled = args.prefetch is not None
     fetch = _given(parser, args, enabled, "--prefetch pgm", ["top_k", "p_min"])
     predict = _given(parser, args, enabled, "--prefetch pgm", ["order", "alpha", "min_support"])
-    if not enabled:
-        return None, None
+    timer = args.pre_evict_timer
     try:
-        return PrefetchConfig(**fetch), PredictorConfig(**predict)
+        pre = PreEvictConfig(halfway_enabled=args.pre_evict == "halfway",
+                             address_space_size=args.address_space or 0,
+                             timer_enabled=timer is not None,
+                             timer_init=PreEvictConfig.timer_init if timer is None else timer)
+        if not enabled:
+            return pre, None, None
+        return pre, PrefetchConfig(**fetch), PredictorConfig(**predict)
     except InvalidParam as exc:
         parser.error(str(exc))
 
@@ -168,6 +141,22 @@ def cmd_run(parser, args):
 
 
 def cmd_compare(parser, args):
+    """Every usage error that needs no trace is found before the trace is read."""
+    policies = _items(args.policies)
+    if not policies:
+        parser.error("--policies is empty")
+    adaptation = _given(parser, args, ARC in policies, "an arc policy", ["arc_adaptation"])
+    capacities = []
+    for token in _items(args.capacities):
+        if token not in ("log", "sqrt"):
+            try:
+                token = int(token, 10)
+            except ValueError:
+                parser.error(f"bad capacity {token!r}")
+        capacities.append(token)
+    if not capacities:
+        parser.error("--capacities is empty")
+    pre, prefetch, predictor = _axis_configs(parser, args)
     try:
         trace = _load_trace(args)
     except OSError as exc:
@@ -176,45 +165,21 @@ def cmd_compare(parser, args):
         return _fail(f"{args.trace}:{exc.line_no}: {exc.message}")
     except MemoryError:
         return _fail(f"{args.trace}: not enough memory to load the trace")
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if not policies:
-        parser.error("--policies is empty")
-    for p in policies:
-        if p not in POLICIES:
-            parser.error(f"unknown policy {p!r}")
-    adaptation = _given(parser, args, ARC in policies, "an arc policy", ["arc_adaptation"])
-    capacities = []
-    for token in args.capacities.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    n = len(trace)
+    for i, token in enumerate(capacities):
         if token in ("log", "sqrt"):
-            n = len(trace)
             if n < 1:
                 return _fail(f"cannot resolve {token!r} against an empty trace")
             scale = math.log10(n) if token == "log" else math.sqrt(n)
-            capacities.append(max(1, int(scale + 0.5)))
-        else:
-            try:
-                k = int(token, 10)
-            except ValueError:
-                parser.error(f"bad capacity {token!r}")
-            if k < 1:
-                parser.error(f"capacity must be >= 1, got {k}")
-            capacities.append(k)
-    if not capacities:
-        parser.error("--capacities is empty")
-    pre = _pre_config(parser, args)
-    prefetch, predictor = _prefetch_config(parser, args)
-    configs = [
-        RunConfig(cache=CacheConfig(k, policy, **adaptation),
-                  pre=pre, prefetch=prefetch, predictor=predictor,
-                  label=f"{policy}@{k}")
-        for policy in policies for k in capacities
-    ]
+            capacities[i] = max(1, int(scale + 0.5))
     try:
+        # CacheConfig refuses a capacity below 1 and an unknown policy
+        configs = [RunConfig(cache=CacheConfig(k, policy, **adaptation),
+                             pre=pre, prefetch=prefetch, predictor=predictor,
+                             label=f"{policy}@{k}")
+                   for policy in policies for k in capacities]
         reports = compare(trace, configs)
-    except DuplicateLabel as exc:
+    except (InvalidParam, DuplicateLabel) as exc:
         parser.error(str(exc))
     except MemoryError:
         return _fail(f"{args.command}: not enough memory to replay {args.trace}")
@@ -256,6 +221,16 @@ def cmd_lru_sim(parser, args):
 
 
 def cmd_bayes(parser, args):
+    tokens = {}  # evidence name -> value token, checked for form before the net is read
+    for item in _items(args.evidence):
+        name, sep, token = item.partition("=")
+        if not sep or not name or not token:
+            parser.error(f"bad --evidence item {item!r}, expected VAR=VAL")
+        if name in tokens:
+            parser.error(f"--evidence names {name!r} twice")
+        tokens[name] = token
+    if args.query in tokens:
+        parser.error(f"query variable {args.query!r} appears in --evidence")
     try:
         net = bayes.load_net(args.net)
     except OSError as exc:
@@ -265,26 +240,15 @@ def cmd_bayes(parser, args):
     except MemoryError:
         return _fail(f"{args.net}: not enough memory to load the net")
     evidence = {}
-    if args.evidence:
-        for item in args.evidence.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, sep, token = item.partition("=")
-            if not sep or not name or not token:
-                parser.error(f"bad --evidence item {item!r}, expected VAR=VAL")
-            if name in evidence:
-                parser.error(f"--evidence names {name!r} twice")
-            if name not in net.variables:
-                return _fail(f"unknown evidence variable {name!r}")
-            try:
-                evidence[name] = bayes.parse_value(net.variables[name], token)
-            except bayes.BayesError as exc:
-                return _fail(str(exc))
+    for name, token in tokens.items():
+        if name not in net.variables:
+            return _fail(f"unknown evidence variable {name!r}")
+        try:
+            evidence[name] = bayes.parse_value(net.variables[name], token)
+        except bayes.BayesError as exc:
+            return _fail(str(exc))
     if args.query not in net.variables:
         return _fail(f"unknown query variable {args.query!r}")
-    if args.query in evidence:
-        parser.error(f"query variable {args.query!r} appears in --evidence")
     infer = bayes.infer_enumeration if args.method == "enum" else bayes.infer_variable_elimination
     try:
         dist = infer(net, args.query, evidence)

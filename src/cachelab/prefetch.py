@@ -107,8 +107,11 @@ class MarkovPredictor:
         """Ranked (key, probability) pairs for the context's seen successors,
         descending probability, ties by ascending key. Empty below min_support. At
         alpha=0 these are the learn_cpts row of the chain net {k_t: [k_t-o .. k_t-1]};
-        alpha smooths over the seen successors (alpha * len(row)), not the cardinality."""
-        row = self.row if context is None else self.counts.get(tuple(context))
+        alpha smooths over the seen successors (alpha * len(row)), not the cardinality.
+        A context must hold `order` keys; None asks after the keys observed last."""
+        if context is not None and len(context := tuple(context)) != self.order:
+            raise InvalidParam(f"context must hold {self.order} keys, got {len(context)}")
+        row = self.row if context is None else self.counts.get(context)
         if row is None or row.total < self.min_support:
             return []
         return _ranked(row, self.alpha, top_k)

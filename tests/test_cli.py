@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -9,10 +10,11 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachelab.cli import main
+from cachelab.cli import build_parser, main
 from cachelab.policies import POLICIES
 
 DATA = Path(__file__).parent / "data"
@@ -138,7 +140,8 @@ def test_run_alpha_not_finite_nonnegative_usage_error(tmp_path, capsys, alpha):
         main(["run", "--trace", trace, "--policy", "lru", "--capacity", "2",
               "--prefetch", "pgm", f"--alpha={alpha}"])
     assert err.value.code == 2
-    assert "--alpha" in capsys.readouterr().err
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"cachelab run: error: alpha must be finite and >= 0, got {float(alpha)!r}"
 
 
 def test_run_unknown_flag_rejected(tmp_path):
@@ -243,7 +246,22 @@ def test_arc_adaptation_without_an_arc_policy_is_a_usage_error(tmp_path, capsys,
     ("compare", ["--policies", "lru", "--capacities", ","], "--capacities is empty"),
     # argparse's own error, which the handlers' errors match
     ("run", ["--policy", "lru", "--capacity", "2", "--prefetch", "pgm", "--p-min", "abc"],
-     "argument --p-min: not a number: 'abc'"),
+     "argument --p-min: invalid float value: 'abc'"),
+    # each numeric flag's bad value, in the words of the config that holds it
+    ("run", ["--policy", "lru", "--capacity", "0"], "capacity must be >= 1, got 0"),
+    ("compare", ["--policies", "lru", "--capacities", "2", "--pre-evict", "halfway",
+                 "--address-space", "0"], "address_space_size must be >= 2 with halfway enabled"),
+    ("compare", ["--policies", "lru", "--capacities", "2", "--pre-evict-timer", "0"],
+     "timer_init must be >= 1, got 0"),
+    ("run", ["--policy", "lru", "--capacity", "2", "--prefetch", "pgm", "--top-k", "0"],
+     "top_k must be >= 1, got 0"),
+    ("run", ["--policy", "lru", "--capacity", "2", "--prefetch", "pgm", "--p-min", "2"],
+     "p_min must be in [0, 1], got 2.0"),
+    ("compare", ["--policies", "lru", "--capacities", "2", "--prefetch", "pgm", "--alpha", "-1"],
+     "alpha must be finite and >= 0, got -1.0"),
+    ("run", ["--policy", "lru", "--capacity", "2", "--prefetch", "pgm", "--order", "3"],
+     "order must be 1 or 2, got 3"),
+    ("compare", ["--policies", "bogus", "--capacities", "2"], "unknown policy 'bogus'"),
 ])
 def test_handler_usage_error_names_its_subcommand(tmp_path, capsys, command, flags, message):
     # as argparse's own errors do: the subcommand's usage, then its prefix
@@ -255,6 +273,52 @@ def test_handler_usage_error_names_its_subcommand(tmp_path, capsys, command, fla
     assert out == ""
     assert err_text.startswith(f"usage: cachelab {command} [-h] --trace TRACE")
     assert err_text.splitlines()[-1] == f"cachelab {command}: error: {message}"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # usage errors that need no input are found before the input is read
+    (["run", "--policy", "lru", "--capacity", "2", "--top-k", "3"], 2,
+     "cachelab run: error: --top-k requires --prefetch pgm"),
+    (["compare", "--policies", ",", "--capacities", "2"], 2,
+     "cachelab compare: error: --policies is empty"),
+    (["compare", "--policies", "lru", "--capacities", "2,x"], 2,
+     "cachelab compare: error: bad capacity 'x'"),
+    (["compare", "--policies", "lru", "--capacities", "2", "--prefetch", "pgm", "--top-k", "0"],
+     2, "cachelab compare: error: top_k must be >= 1, got 0"),
+    (["bayes", "--query", "Rain", "--evidence", "Sprinkler=T,Rain"], 2,
+     "cachelab bayes: error: bad --evidence item 'Rain', expected VAR=VAL"),
+    (["bayes", "--query", "Rain", "--evidence", "Rain=T"], 2,
+     "cachelab bayes: error: query variable 'Rain' appears in --evidence"),
+    # the cache config resolves 'log' and 'sqrt' against the trace, so it is built
+    # after the load, and its checks come after the file's
+    (["run", "--policy", "lru", "--capacity", "0"], 1, "{missing}: No such file or directory"),
+    (["compare", "--policies", "bogus", "--capacities", "2"], 1,
+     "{missing}: No such file or directory"),
+])
+def test_usage_errors_come_before_the_input_is_read(tmp_path, capsys, argv, code, message):
+    missing = str(tmp_path / "missing")
+    try:
+        got = main([*argv, "--net" if argv[0] == "bayes" else "--trace", missing])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1] == message.format(missing=missing)
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "gen-trace", "lru-sim", "bayes"])
+def test_help_lists_every_option(capsys, command):
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    options = [option for action in subs.choices[command]._actions
+               for option in action.option_strings]
+    assert "--help" in options
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    out, err_text = capsys.readouterr()
+    assert out.startswith(f"usage: cachelab {command} [-h]") and err_text == ""
+    assert [option for option in options if option not in out] == []
 
 
 @pytest.mark.parametrize("command", [["run", "--policy", "arc", "--capacity", "2"],
@@ -422,11 +486,21 @@ def test_gen_trace_cycle_and_determinism(tmp_path, capsys):
         assert cur == (prev + 1) % 4
 
 
-def test_gen_trace_bad_determinism(tmp_path):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--determinism", "1.5", "determinism must be in [0, 1], got 1.5"),
+    ("--states", "0", "num_keys must be in [2, 2**63], got 0"),
+    ("--length", "0", f"length must be in [1, {np.iinfo(np.intp).max // 8 + 1}], got 0"),
+])
+def test_gen_trace_bad_determinism(tmp_path, capsys, flag, value, message):
+    flags = {"--states": "4", "--length": "10", "--determinism": "0.5", flag: value}
     with pytest.raises(SystemExit) as err:
-        main(["gen-trace", "--model", "markov", "--states", "4", "--length", "10",
-              "--determinism", "1.5", "--seed", "1", "--out", str(tmp_path / "x")])
+        main(["gen-trace", "--model", "markov", *itertools.chain(*flags.items()),
+              "--seed", "1", "--out", str(tmp_path / "x")])
     assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and not (tmp_path / "x").exists()
+    assert err_text.startswith("usage: cachelab gen-trace [-h]")
+    assert err_text.splitlines()[-1] == f"cachelab gen-trace: error: {message}"
 
 
 def test_gen_trace_unwritable_out_fails_in_one_line(tmp_path, capsys):

@@ -59,6 +59,17 @@ def test_predict_unseen_context():
     assert pred.predict_next(("Z",), 2) == []
 
 
+@pytest.mark.parametrize("context", [(2,), [1, 2, 3]])
+def test_predict_refuses_a_context_of_the_wrong_length(context):
+    # an order-2 predictor that has seen the context (1, 2): a short or long context
+    # is the caller's error, not a context with nothing to predict
+    pred = MarkovPredictor(order=2, alpha=0, min_support=0)
+    feed(pred, [1, 2, 3, 1, 2, 3])
+    assert pred.predict_next((1, 2), 1) == [(3, 1.0)]
+    with pytest.raises(InvalidParam, match=rf"^context must hold 2 keys, got {len(context)}$"):
+        pred.predict_next(context, 1)
+
+
 def test_predict_min_support_gate():
     pred = MarkovPredictor(order=1, alpha=0, min_support=2)
     feed(pred, ["A", "B"])
