@@ -15,7 +15,7 @@ print("the predictor is just successor counting:")
 pred = MarkovPredictor(order=1, alpha=0, min_support=1)
 for key in [1, 2, 1, 2, 1, 3]:
     pred.observe(key)
-print(f"  counts from context (1,): {pred.counts[(1,)]}")
+print(f"  counts from context (1,): {pred.counts[(1,)].successors()}")
 print(f"  ranked predictions: {pred.predict_next((1,), top_k=2)}")
 
 print()

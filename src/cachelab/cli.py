@@ -11,7 +11,7 @@ import sys
 from . import bayes
 from .policies import ARC, POLICIES, CacheConfig, CacheState, PreEvictConfig
 from .prefetch import PredictorConfig, PrefetchConfig
-from .simkit import DuplicateLabel, RunConfig, compare, emit_report
+from .simkit import DuplicateLabel, RunConfig, check_labels, compare, emit_report
 from .trace import (
     InvalidParam,
     MalformedCase,
@@ -141,7 +141,8 @@ def cmd_run(parser, args):
 
 
 def cmd_compare(parser, args):
-    """Every usage error that needs no trace is found before the trace is read."""
+    """Every usage error that needs no trace is found before the trace is read: only
+    the configs of 'log' and 'sqrt' capacities, which resolve against it, wait."""
     policies = _items(args.policies)
     if not policies:
         parser.error("--policies is empty")
@@ -157,6 +158,20 @@ def cmd_compare(parser, args):
     if not capacities:
         parser.error("--capacities is empty")
     pre, prefetch, predictor = _axis_configs(parser, args)
+
+    def run_configs(ks):
+        try:
+            # CacheConfig refuses a capacity below 1 and an unknown policy
+            configs = [RunConfig(cache=CacheConfig(k, policy, **adaptation),
+                                 pre=pre, prefetch=prefetch, predictor=predictor,
+                                 label=f"{policy}@{k}")
+                       for policy in policies for k in ks]
+            check_labels(configs)
+        except (InvalidParam, DuplicateLabel) as exc:
+            parser.error(str(exc))
+        return configs
+
+    run_configs([k for k in capacities if k not in ("log", "sqrt")])
     try:
         trace = _load_trace(args)
     except OSError as exc:
@@ -172,15 +187,9 @@ def cmd_compare(parser, args):
                 return _fail(f"cannot resolve {token!r} against an empty trace")
             scale = math.log10(n) if token == "log" else math.sqrt(n)
             capacities[i] = max(1, int(scale + 0.5))
+    configs = run_configs(capacities)
     try:
-        # CacheConfig refuses a capacity below 1 and an unknown policy
-        configs = [RunConfig(cache=CacheConfig(k, policy, **adaptation),
-                             pre=pre, prefetch=prefetch, predictor=predictor,
-                             label=f"{policy}@{k}")
-                   for policy in policies for k in capacities]
         reports = compare(trace, configs)
-    except (InvalidParam, DuplicateLabel) as exc:
-        parser.error(str(exc))
     except MemoryError:
         return _fail(f"{args.command}: not enough memory to replay {args.trace}")
     sys.stdout.write(emit_report(reports, args.out))

@@ -23,25 +23,36 @@ def _check_predictor_params(order, alpha, min_support):
     return order, min_support
 
 
-class _Successors(dict):
-    """One context's {successor: count}, with their total and the head of their ranking."""
+class _Successors:
+    """One context's successor counts: their total, the head of their ranking
+    (leader, with its count top) and how many distinct successors there are (width).
+    A row with one successor holds no dict; from the second one on, others maps every
+    successor to its count in first-seen order, the leader's entry written from top
+    only when the leader changes or the row is read."""
 
-    __slots__ = ("total", "leader", "top")
+    __slots__ = ("total", "leader", "top", "width", "others")
 
     def __init__(self, key):
-        self[key] = 1
-        self.total = 1
+        self.total = self.top = self.width = 1
         self.leader = key
-        self.top = 1
+        self.others = None
+
+    def successors(self):
+        """{successor: count} in first-seen order: the row's own dict, to read only."""
+        if self.others is None:
+            return {self.leader: self.top}
+        self.others[self.leader] = self.top
+        return self.others
 
 
 def _ranked(row, alpha, top_k):
     """A row's top_k (key, probability) pairs, descending probability, ties by
     ascending key: predict_next's ranking, and that of a leaders pass wider than 1."""
-    denom = row.total + alpha * len(row)
+    counts = row.successors()
+    denom = row.total + alpha * row.width
     # one denominator, so rank by count; a stable sort of sorted keys keeps ties ascending
-    ranked = sorted(sorted(row), key=row.__getitem__, reverse=True)
-    return [(key, (row[key] + alpha) / denom) for key in ranked[:top_k]]
+    ranked = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+    return [(key, (counts[key] + alpha) / denom) for key in ranked[:top_k]]
 
 
 class MarkovPredictor:
@@ -77,10 +88,17 @@ class MarkovPredictor:
         for key in keys:
             if row is not None:
                 if key == row.leader:  # the leader's count grows, so it stays the head
-                    row[key] = row.top = row.top + 1
+                    row.top += 1
                 else:
-                    count = row[key] = row.get(key, 0) + 1
+                    others = row.others
+                    if others is None:  # the second successor: the row's dict starts here
+                        others = row.others = {row.leader: row.top}
+                    count = others.get(key, 0) + 1
+                    if count == 1:
+                        row.width += 1
+                    others[key] = count
                     if count > row.top or (count == row.top and key < row.leader):
+                        others[row.leader] = row.top
                         row.leader = key
                         row.top = count
                 row.total += 1
@@ -95,7 +113,7 @@ class MarkovPredictor:
             if row is None or row.total < min_support:
                 append(None)
             elif top_k == 1:  # predict_next's top-1 probability, the same float
-                append(row.leader if (row.top + alpha) / (row.total + alpha * len(row)) >= p_min
+                append(row.leader if (row.top + alpha) / (row.total + alpha * row.width) >= p_min
                        else None)
             else:  # probabilities descend, so those at or above p_min are a prefix
                 append(tuple([k for k, prob in _ranked(row, alpha, top_k) if prob >= p_min])
@@ -107,7 +125,7 @@ class MarkovPredictor:
         """Ranked (key, probability) pairs for the context's seen successors,
         descending probability, ties by ascending key. Empty below min_support. At
         alpha=0 these are the learn_cpts row of the chain net {k_t: [k_t-o .. k_t-1]};
-        alpha smooths over the seen successors (alpha * len(row)), not the cardinality.
+        alpha smooths over the seen successors (alpha * the row's width), not the cardinality.
         A context must hold `order` keys; None asks after the keys observed last."""
         if context is not None and len(context := tuple(context)) != self.order:
             raise InvalidParam(f"context must hold {self.order} keys, got {len(context)}")

@@ -82,13 +82,18 @@ def run_sim(trace: Trace, config: RunConfig) -> SimReport:
     )
 
 
-def compare(trace: Trace, configs) -> list:
-    """Independent run_sim per config over the same trace, reports in config order."""
+def check_labels(configs):
+    """Raise DuplicateLabel at the first label that an earlier config holds."""
     labels = set()
     for config in configs:
         if config.label in labels:
             raise DuplicateLabel(f"duplicate label {config.label!r}")
         labels.add(config.label)
+
+
+def compare(trace: Trace, configs) -> list:
+    """Independent run_sim per config over the same trace, reports in config order."""
+    check_labels(configs)
     return [run_sim(trace, config) for config in configs]
 
 

@@ -262,6 +262,9 @@ def test_arc_adaptation_without_an_arc_policy_is_a_usage_error(tmp_path, capsys,
     ("run", ["--policy", "lru", "--capacity", "2", "--prefetch", "pgm", "--order", "3"],
      "order must be 1 or 2, got 3"),
     ("compare", ["--policies", "bogus", "--capacities", "2"], "unknown policy 'bogus'"),
+    # the configs of 'log' and 'sqrt' are checked once the trace's 20 keys resolve them
+    ("compare", ["--policies", "lru", "--capacities", "4,sqrt"], "duplicate label 'lru@4'"),
+    ("compare", ["--policies", "bogus", "--capacities", "log"], "unknown policy 'bogus'"),
 ])
 def test_handler_usage_error_names_its_subcommand(tmp_path, capsys, command, flags, message):
     # as argparse's own errors do: the subcommand's usage, then its prefix
@@ -289,11 +292,21 @@ def test_handler_usage_error_names_its_subcommand(tmp_path, capsys, command, fla
      "cachelab bayes: error: bad --evidence item 'Rain', expected VAR=VAL"),
     (["bayes", "--query", "Rain", "--evidence", "Rain=T"], 2,
      "cachelab bayes: error: query variable 'Rain' appears in --evidence"),
-    # the cache config resolves 'log' and 'sqrt' against the trace, so it is built
-    # after the load, and its checks come after the file's
-    (["run", "--policy", "lru", "--capacity", "0"], 1, "{missing}: No such file or directory"),
-    (["compare", "--policies", "bogus", "--capacities", "2"], 1,
+    # 'log' and 'sqrt' resolve against the trace, so their configs, and a duplicate
+    # label they may resolve into, are checked after the load
+    (["compare", "--policies", "bogus", "--capacities", "log"], 1,
      "{missing}: No such file or directory"),
+    (["compare", "--policies", "lru", "--capacities", "2,sqrt"], 1,
+     "{missing}: No such file or directory"),
+    # the configs of literal capacities are built and checked before the load
+    (["compare", "--policies", "lru,lru", "--capacities", "2"], 2,
+     "cachelab compare: error: duplicate label 'lru@2'"),
+    (["compare", "--policies", "lru", "--capacities", "2,2"], 2,
+     "cachelab compare: error: duplicate label 'lru@2'"),
+    (["compare", "--policies", "bogus", "--capacities", "2"], 2,
+     "cachelab compare: error: unknown policy 'bogus'"),
+    (["run", "--policy", "lru", "--capacity", "0"], 2,
+     "cachelab run: error: capacity must be >= 1, got 0"),
 ])
 def test_usage_errors_come_before_the_input_is_read(tmp_path, capsys, argv, code, message):
     missing = str(tmp_path / "missing")

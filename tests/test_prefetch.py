@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from cachelab.prefetch import (
 from cachelab.simkit import RunConfig, run_sim
 from cachelab.trace import InvalidParam, Trace, gen_markov_trace
 
-from reference import ref_predict, resident
+from reference import predictor_state, ref_predict, resident
 
 
 def feed(pred, keys):
@@ -28,16 +30,21 @@ def feed(pred, keys):
         pred.observe(key)
 
 
+def row_counts(pred):
+    """Each context's successor counts as (key, count) pairs in first-seen order."""
+    return {ctx: list(row.successors().items()) for ctx, row in pred.counts.items()}
+
+
 def test_observe_order1_counts():
     pred = MarkovPredictor(order=1, alpha=0, min_support=0)
     feed(pred, ["A", "B", "A", "B"])
-    assert pred.counts == {("A",): {"B": 2}, ("B",): {"A": 1}}
+    assert row_counts(pred) == {("A",): [("B", 2)], ("B",): [("A", 1)]}
 
 
 def test_observe_order2_counts():
     pred = MarkovPredictor(order=2, alpha=0, min_support=0)
     feed(pred, ["A", "B", "C"])
-    assert pred.counts == {("A", "B"): {"C": 1}}
+    assert row_counts(pred) == {("A", "B"): [("C", 1)]}
 
 
 def test_empty_stream_empty_counts():
@@ -108,7 +115,8 @@ def test_predict_top1_is_head_of_full_ranking(order):
         assert pred.predict_next(None, 1) == ranked[:1]
         ties += len(ranked) > 1 and ranked[0][1] == ranked[1][1]
     assert ties > 20
-    for ctx, successors in pred.counts.items():
+    for ctx, row in pred.counts.items():
+        successors = row.successors()
         ranked = pred.predict_next(ctx, len(successors))
         assert pred.predict_next(ctx, 1) == ranked[:1]
         assert [successors[k] for k, _ in ranked] == sorted(successors.values(), reverse=True)
@@ -120,9 +128,9 @@ def test_predict_top1_is_head_of_full_ranking(order):
 def test_predict_ranking_equals_sort_by_count_then_key(order, top_k, alpha, keys):
     pred = MarkovPredictor(order=order, alpha=alpha, min_support=0)
     feed(pred, keys)
-    for ctx, row in pred.counts.items():
-        denom = row.total + alpha * len(row)
-        ranked = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    for ctx, successors in row_counts(pred).items():
+        denom = sum(count for _, count in successors) + alpha * len(successors)
+        ranked = sorted(successors, key=lambda kv: (-kv[1], kv[0]))[:top_k]
         assert pred.predict_next(ctx, top_k) == [(k, (c + alpha) / denom) for k, c in ranked]
 
 
@@ -138,12 +146,23 @@ def test_observe_returns_the_new_contexts_row(order):
     assert rows > 250
 
 
-def predictor_state(pred):
-    """Everything observe leaves behind: each row's counts, total and ranking head,
-    the context, and the row it points at."""
-    rows = {ctx: (dict(row), row.total, row.leader, row.top) for ctx, row in pred.counts.items()}
-    assert pred.row is pred.counts.get(pred.context)
-    return rows, pred.context, pred.row
+def test_predictor_rows_stay_lean():
+    # 40k keys drawn from a million: each order-2 context is seen once, so every row
+    # has one successor, and such a row holds no dict of its own
+    rng = random.Random(0)
+    keys = [rng.randrange(1_000_000) for _ in range(40_000)]
+    pred = MarkovPredictor(order=2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entries = pred.leaders(keys, 0.1)
+        held = tracemalloc.get_traced_memory()[0] - before - sys.getsizeof(entries)
+    finally:
+        tracemalloc.stop()
+    assert len(pred.counts) == len(keys) - 2
+    assert held / len(pred.counts) <= 200
+    assert [ctx for ctx, row in pred.counts.items()
+            if len(row.successors()) == 1 and row.others is not None] == []
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -215,7 +234,7 @@ def test_predictor_is_the_chain_nets_cpt(order):
         net = learn_cpts([Variable(name, card) for name in names], {names[-1]: names[:-1]},
                          [{name: index[key] for name, key in zip(names, w)} for w in windows])
         rows = net.cpts[names[-1]].rows
-        for ctx, successors in pred.counts.items():
+        for ctx, successors in row_counts(pred).items():
             probs = dict(pred.predict_next(ctx, len(successors)))
             cell = 0
             for key in ctx:
@@ -238,7 +257,7 @@ def test_predictor_is_pure_function_of_stream():
     b = MarkovPredictor(order=1, alpha=0.5, min_support=1)
     feed(a, keys)
     feed(b, keys)
-    assert a.counts == b.counts and a.context == b.context
+    assert predictor_state(a) == predictor_state(b)
     assert a.predict_next((1,), 3) == b.predict_next((1,), 3)
 
 

@@ -30,7 +30,7 @@ from cachelab.simkit import (
 from cachelab.trace import Trace, gen_markov_trace, parse_plain
 
 import hashes
-from reference import book, ref_arc_run, ref_policy_run, ref_run_sim
+from reference import book, predictor_state, ref_arc_run, ref_policy_run, ref_run_sim
 
 REF_12 = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
 REF_20 = [7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1]
@@ -403,8 +403,9 @@ def test_prefetch_run_without_rule_equals_inert_timer_run_whole_and_chunked(case
         front = cache if pre is None else PreEvictingCache(cache, pre)
         fetch = Prefetcher(config.prefetch, config.predictor)
         hits = sum(front.replay(chunk, fetch=fetch) for chunk in replayed)
-        states.append((hits, fetch.issued, fetch.useful, fetch.harmful, fetch.predictor.counts,
-                       fetch.pending, fetch.by_victim, book(cache)))
+        states.append((hits, fetch.issued, fetch.useful, fetch.harmful,
+                       predictor_state(fetch.predictor), fetch.pending, fetch.by_victim,
+                       book(cache)))
     assert states[0] == states[1] == states[2]
 
 
