@@ -65,12 +65,14 @@ class Variable:
     cardinality: int
 
     def __post_init__(self):
-        if not isinstance(self.cardinality, (int, np.integer)):
-            raise InvalidNet(f"variable {self.name!r}: cardinality must be an int, "
-                             f"got {self.cardinality!r}")
-        if self.cardinality < 2:
+        if not isinstance(self.name, str):  # not str(): null would name a variable "None"
+            raise InvalidNet(f"name must be a string, got {self.name!r}")
+        card = self.cardinality  # not int(): 2.7 would pass as 2, True as 1
+        if isinstance(card, bool) or not isinstance(card, (int, np.integer)):
+            raise InvalidNet(f"variable {self.name!r}: cardinality must be an int, got {card!r}")
+        if card < 2:
             raise InvalidNet(f"variable {self.name!r}: cardinality must be >= 2")
-        object.__setattr__(self, "cardinality", int(self.cardinality))  # not a numpy scalar
+        object.__setattr__(self, "cardinality", int(card))  # not a numpy scalar
 
 
 @dataclass
@@ -78,6 +80,19 @@ class CPT:
     child: str
     parents: list
     rows: list  # one distribution over the child per parent assignment, lexicographic
+
+    def __post_init__(self):
+        if not isinstance(self.child, str):
+            raise InvalidNet(f"child must be a string, got {self.child!r}")
+        if not (isinstance(self.parents, list) and all(isinstance(p, str) for p in self.parents)):
+            raise InvalidNet(f"cpt {self.child!r}: parents must be a list of strings, "
+                             f"got {self.parents!r}")  # a string would be read as its letters
+        bad = [x for row in self.rows for x in row if type(x) not in (float, int)
+               and (isinstance(x, bool) or not isinstance(x, numbers.Real))]
+        if bad:  # not float(): "0.2" would pass as 0.2, True as 1.0
+            raise InvalidNet(f"cpt {self.child!r}: probabilities must be numbers, got {bad[0]!r}")
+        self.parents = list(self.parents)  # the net's own, as rows are
+        self.rows = [[float(x) for x in row] for row in self.rows]
 
     def validate(self, cards):
         expected_rows = 1
@@ -136,6 +151,14 @@ def _aligned(factor, scope):
     return factor.values.transpose(order).reshape(shape)
 
 
+def _check_parents(cpt, names):
+    for i, p in enumerate(cpt.parents):
+        if p not in names:
+            raise InvalidNet(f"cpt {cpt.child!r}: unknown parent {p!r}")
+        if p in cpt.parents[:i]:
+            raise InvalidNet(f"cpt {cpt.child!r}: parent {p!r} named twice")
+
+
 class BayesNet:
     def __init__(self, variables, cpts):
         self.variables = {}
@@ -150,11 +173,7 @@ class BayesNet:
                 raise InvalidNet(f"cpt for unknown variable {cpt.child!r}")
             if cpt.child in self.cpts:
                 raise InvalidNet(f"duplicate cpt for {cpt.child!r}")
-            for i, p in enumerate(cpt.parents):
-                if p not in self.variables:
-                    raise InvalidNet(f"cpt {cpt.child!r}: unknown parent {p!r}")
-                if p in cpt.parents[:i]:
-                    raise InvalidNet(f"cpt {cpt.child!r}: parent {p!r} named twice")
+            _check_parents(cpt, cards)
             cpt.validate(cards)
             self.cpts[cpt.child] = cpt
         missing = set(self.variables) - set(self.cpts)
@@ -328,6 +347,7 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     if isinstance(pseudocount, bool) or not (isinstance(pseudocount, numbers.Real)
                                              and 0 <= pseudocount < math.inf):
         raise BayesError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
+    pseudocount = float(pseudocount)  # a float32 would count, and sum its rows, in float32
     variables = list(variables)
     cards = {v.name: v.cardinality for v in variables}
     data = list(data)
@@ -336,13 +356,9 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     for child in structure:
         if child not in cards:
             raise BayesError(f"structure names unknown child {child!r}")
-    for v in variables:
-        parents = structure.get(v.name, [])
-        if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
-            raise BayesError(f"cpt {v.name!r}: parents must be a list of strings, got {parents!r}")
-        for p in parents:
-            if p not in cards:
-                raise BayesError(f"cpt {v.name!r}: unknown parent {p!r}")
+    cpts = [CPT(v.name, structure.get(v.name, []), []) for v in variables]  # rows come last
+    for cpt in cpts:
+        _check_parents(cpt, cards)
     columns = None  # every value in one C-level pull; any doubt leaves it to the loops below
     with contextlib.suppress(KeyError, TypeError, OverflowError):  # no name, no names, 2**70
         # plain dicts only: a defaultdict would fill a missing name when read
@@ -365,29 +381,18 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
                     raise BayesError(
                         f"data row {i}: {name!r} has value {x!r}, not an int in 0..{card - 1}")
             columns[name] = np.fromiter(values, np.intp, len(values))
-    cpts = []
-    for v in variables:
-        parents = list(structure.get(v.name, []))
-        card, n_rows, cell = v.cardinality, 1, np.zeros(len(data), np.intp)
-        for p in parents:
+    for cpt in cpts:
+        card, n_rows, cell = cards[cpt.child], 1, np.zeros(len(data), np.intp)
+        for p in cpt.parents:
             cell = cell * cards[p] + columns[p]
             n_rows *= cards[p]
-        counts = np.bincount(cell * card + columns[v.name], minlength=n_rows * card)
+        counts = np.bincount(cell * card + columns[cpt.child], minlength=n_rows * card)
         counts = counts.reshape(n_rows, card)
-        rows = []
         for row_counts, n in zip(counts.tolist(), counts.sum(axis=1).tolist()):
             denom = n + pseudocount * card
-            rows.append([(c + pseudocount) / denom for c in row_counts] if denom != 0
-                        else [1.0 / card] * card)
-        cpts.append(CPT(v.name, parents, rows))
+            cpt.rows.append([(c + pseudocount) / denom for c in row_counts] if denom != 0
+                            else [1.0 / card] * card)
     return BayesNet(variables, cpts)
-
-
-def _string_field(entry, key):
-    value = entry[key]
-    if not isinstance(value, str):  # not str(): null would name a variable "None"
-        raise TypeError(f"{key} must be a string, got {value!r}")
-    return value
 
 
 def parse_net(text: str) -> BayesNet:
@@ -406,25 +411,14 @@ def parse_net(text: str) -> BayesNet:
     variables = []
     for i, entry in enumerate(doc.get("variables", [])):
         try:
-            card = entry["cardinality"]
-            if type(card) is not int:  # not int(): 2.7 would pass as 2, true as 1
-                raise TypeError(f"cardinality must be an int, got {card!r}")
-            variables.append(Variable(_string_field(entry, "name"), card))
-        except (KeyError, TypeError, ValueError) as exc:
+            variables.append(Variable(entry["name"], entry["cardinality"]))
+        except (KeyError, InvalidNet) as exc:
             raise InvalidNet(f"variables[{i}]: {exc}") from None
     cpts = []
     for i, entry in enumerate(doc.get("cpts", [])):
-        try:
-            rows = entry["rows"]
-            bad = [x for row in rows for x in row if type(x) not in (int, float)]
-            if bad:  # not float(): "0.2" would pass as 0.2, true as 1.0
-                raise TypeError(f"probabilities must be numbers, got {bad[0]!r}")
-            rows = [[float(x) for x in row] for row in rows]
-            parents = entry["parents"]
-            if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
-                raise TypeError(f"parents must be a list of strings, got {parents!r}")
-            cpts.append(CPT(_string_field(entry, "child"), parents, rows))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        try:  # a row that is not a list fails to iterate; a cell past 1e308 to convert
+            cpts.append(CPT(entry["child"], entry["parents"], entry["rows"]))
+        except (KeyError, TypeError, InvalidNet, OverflowError) as exc:
             raise InvalidNet(f"cpts[{i}]: {exc}") from None
     return BayesNet(variables, cpts)
 
@@ -450,10 +444,7 @@ def parse_value(variable: Variable, token: str) -> int:
             return 0
         if token == "F":
             return 1
-    try:
-        value = int(token, 10)
+    try:  # the range is inference's to check
+        return int(token, 10)
     except ValueError:
         raise BayesError(f"{variable.name!r}: bad value {token!r}") from None
-    if not 0 <= value < variable.cardinality:
-        raise BayesError(f"{variable.name!r}: value {value} outside 0..{variable.cardinality - 1}")
-    return value

@@ -261,7 +261,7 @@ def cmd_bayes(parser, args):
     infer = bayes.infer_enumeration if args.method == "enum" else bayes.infer_variable_elimination
     try:
         dist = infer(net, args.query, evidence)
-    except (bayes.ZeroEvidence, bayes.TooLarge) as exc:
+    except bayes.BayesError as exc:  # an evidence value out of range, zero evidence, too large
         return _fail(str(exc))
     except MemoryError:
         return _fail(f"bayes: not enough memory for --method {args.method}")

@@ -12,7 +12,7 @@ ON_EVERY_ACCESS = "on_every_access"
 
 
 def _check_predictor_params(order, alpha, min_support):
-    """The checked order and min_support, as ints."""
+    """The checked order and min_support, as ints, and alpha, as a float."""
     order, min_support = require_ints(order=order, min_support=min_support)
     if order not in (1, 2):
         raise InvalidParam(f"order must be 1 or 2, got {order}")
@@ -20,7 +20,7 @@ def _check_predictor_params(order, alpha, min_support):
         raise InvalidParam(f"alpha must be finite and >= 0, got {alpha!r}")
     if min_support < 0:
         raise InvalidParam(f"min_support must be >= 0, got {min_support}")
-    return order, min_support
+    return order, float(alpha), min_support
 
 
 class _Successors:
@@ -62,8 +62,8 @@ class MarkovPredictor:
     answer never depends on the cache; `observe` is a pass over one key."""
 
     def __init__(self, order=1, alpha=1.0, min_support=2):
-        self.order, self.min_support = _check_predictor_params(order, alpha, min_support)
-        self.alpha = alpha
+        checked = _check_predictor_params(order, alpha, min_support)
+        self.order, self.alpha, self.min_support = checked
         self.counts = {}   # context tuple -> _Successors
         self.context = ()  # rolling window of the last `order` keys
         self.row = None    # counts.get(context), kept so the next pass need not look it up
@@ -148,6 +148,7 @@ class PrefetchConfig:
         if isinstance(self.p_min, bool) or not (isinstance(self.p_min, numbers.Real)
                                                 and 0.0 <= self.p_min <= 1.0):
             raise InvalidParam(f"p_min must be in [0, 1], got {self.p_min!r}")
+        object.__setattr__(self, "p_min", float(self.p_min))  # NumPy compares a float32 in float32
         if self.trigger not in (ON_MISS, ON_EVERY_ACCESS):
             raise InvalidParam(f"unknown trigger {self.trigger!r}")
 
@@ -159,9 +160,9 @@ class PredictorConfig:
     min_support: int = 2
 
     def __post_init__(self):
-        order, min_support = _check_predictor_params(self.order, self.alpha, self.min_support)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "min_support", min_support)
+        checked = _check_predictor_params(self.order, self.alpha, self.min_support)
+        for name, value in zip(("order", "alpha", "min_support"), checked):
+            object.__setattr__(self, name, value)
 
 
 class Prefetcher:

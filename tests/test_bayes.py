@@ -698,6 +698,25 @@ def test_learn_rejects_repeated_parent():
                    [{"A": 0, "C": 1}], 1)
 
 
+def test_learn_checks_the_structure_before_the_data():
+    # the repeated parent is the structure's fault; the bad value would be reported first
+    # if the parents were checked only by the net learn_cpts builds after counting
+    for structure, message in [({"C": ["A", "A"]}, "cpt 'C': parent 'A' named twice"),
+                               ({"C": ["Z"]}, "cpt 'C': unknown parent 'Z'")]:
+        with pytest.raises(InvalidNet, match=re.escape(message)):
+            learn_cpts([Variable("A", 2), Variable("C", 2)], structure,
+                       [{"A": 0, "C": 1}, {"A": 7, "C": 0}], 1)
+
+
+def test_learn_counts_a_float32_pseudocount_as_a_float():
+    # in float32 the row would sum to 0.99999994 and the learned net would be refused
+    data = [{"A": 0}, {"A": 1}, {"A": 0}]
+    net = learn_cpts([Variable("A", 2)], {}, data, np.float32(0.1))
+    assert net.cpts["A"].rows == learn_cpts([Variable("A", 2)], {}, data,
+                                            float(np.float32(0.1))).cpts["A"].rows
+    assert {type(x) for x in net.cpts["A"].rows[0]} == {float}
+
+
 def test_learn_rejects_unknown_child():
     with pytest.raises(BayesError, match=re.escape("structure names unknown child 'Z'")):
         learn_cpts([Variable("A", 2), Variable("B", 2)], {"Z": ["A"], "B": ["A"]},
@@ -862,14 +881,14 @@ def test_parse_net_diagnostics():
                               "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]}] * 2}))
 
 
-@pytest.mark.parametrize("doc, message", [
+RESHAPED_FIELDS = pytest.mark.parametrize("doc, message", [
     ({"variables": [{"name": "A", "cardinality": 2.7}]},
-     "variables[0]: cardinality must be an int, got 2.7"),
+     "variables[0]: variable 'A': cardinality must be an int, got 2.7"),
     ({"variables": [{"name": n, "cardinality": 2} for n in "ABC"],
       "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
                {"child": "B", "parents": [], "rows": [[0.5, 0.5]]},
                {"child": "C", "parents": "AB", "rows": [[0.5, 0.5]] * 4}]},
-     "cpts[2]: parents must be a list of strings, got 'AB'"),
+     "cpts[2]: cpt 'C': parents must be a list of strings, got 'AB'"),
     ({"variables": [{"name": n, "cardinality": 2} for n in "AC"],
       "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
                {"child": "C", "parents": ["A", "A"], "rows": [[0.5, 0.5]] * 4}]},
@@ -885,17 +904,40 @@ def test_parse_net_diagnostics():
      "cpts[0]: child must be a string, got None"),
     ({"variables": [{"name": "A", "cardinality": 2}],
       "cpts": [{"child": "A", "parents": [], "rows": [["0.2", "0.8"]]}]},
-     "cpts[0]: probabilities must be numbers, got '0.2'"),
+     "cpts[0]: cpt 'A': probabilities must be numbers, got '0.2'"),
     ({"variables": [{"name": "A", "cardinality": 2}],
       "cpts": [{"child": "A", "parents": [], "rows": [[True, False]]}]},
-     "cpts[0]: probabilities must be numbers, got True"),
+     "cpts[0]: cpt 'A': probabilities must be numbers, got True"),
 ], ids=["cardinality-float", "parents-str", "parent-twice", "name-null", "name-list",
         "child-null", "cell-str", "cell-bool"])
+
+
+@RESHAPED_FIELDS
 def test_parse_net_rejects_fields_it_would_reshape(doc, message):
     # int() would read 2.7 as 2, iterating "AB" would give the parents A and B, str()
     # would name a variable "None" or "['A']", and float() would read "0.2" and true
     with pytest.raises(InvalidNet, match=re.escape(message)):
         parse_net(json.dumps(doc))
+
+
+@RESHAPED_FIELDS
+def test_net_built_in_code_rejects_what_parse_net_rejects(doc, message):
+    # the types hold the rules, so the code door refuses each field in the same words,
+    # without the JSON entry's locator
+    with pytest.raises(InvalidNet) as err:
+        BayesNet([Variable(**v) for v in doc.get("variables", [])],
+                 [CPT(**c) for c in doc.get("cpts", [])])
+    assert re.fullmatch(r"((variables|cpts)\[\d+\]: )?" + re.escape(str(err.value)), message)
+
+
+def test_cpt_stores_its_cells_as_python_floats():
+    cpt = CPT("A", ["B"], [[np.float32(0.25), 0.75], (1, np.float64(0.0))])
+    assert cpt.rows == [[0.25, 0.75], [1.0, 0.0]]
+    assert {type(x) for row in cpt.rows for x in row} == {float}
+    for cell in (np.True_, None, "0.5", [0.5]):
+        with pytest.raises(InvalidNet, match=re.escape(
+                f"cpt 'A': probabilities must be numbers, got {cell!r}")):
+            CPT("A", [], [[cell, 0.5]])
 
 
 NET_KEYS = ["variables", "cpts", "name", "cardinality", "child", "parents", "rows"]
@@ -944,5 +986,9 @@ def test_value_labels():
     ternary = Variable("B", 3)
     assert value_label(ternary, 2) == "2"
     assert parse_value(ternary, "2") == 2
-    with pytest.raises(Exception):
-        parse_value(ternary, "9")
+    assert parse_value(ternary, "9") == 9  # inference holds the range rule
+    net = BayesNet([binary, ternary],
+                   [CPT("A", [], [[0.5, 0.5]]), CPT("B", [], [[0.2, 0.3, 0.5]])])
+    for infer in (infer_enumeration, infer_variable_elimination):
+        with pytest.raises(BayesError, match=r"^'B': value 9 outside 0\.\.2$"):
+            infer(net, "A", {"B": 9})

@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -717,6 +719,16 @@ def test_bayes_ternary_values_render_as_indices(tmp_path, capsys):
     assert code == 1 and "Level" in err
 
 
+@pytest.mark.parametrize("method", ["ve", "enum"])
+@pytest.mark.parametrize("value, variable, card", [("4", "Rain", 2), ("-1", "Sprinkler", 2)])
+def test_bayes_out_of_range_evidence_one_line(capsys, method, value, variable, card):
+    # the range is inference's rule, and cmd_bayes reports inference's BayesError
+    code, out, err = run_cli(["bayes", "--net", SPRINKLER, "--query", "WetGrass",
+                              "--evidence", f"{variable}={value}", "--method", method], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"{variable!r}: value {value} outside 0..{card - 1}\n"
+
+
 def test_bayes_invalid_net_file(tmp_path, capsys):
     net = tmp_path / "broken.json"
     net.write_text("{")
@@ -743,11 +755,11 @@ def test_bayes_non_finite_cpt_rejected(tmp_path, capsys, value):
      "'cpts' must be a list of objects"),
     ({"variables": [{"name": "A", "cardinality": math.inf}]}, "variables[0]: "),
     ({"variables": [{"name": "A", "cardinality": 2.7}]},
-     "variables[0]: cardinality must be an int, got 2.7"),
+     "variables[0]: variable 'A': cardinality must be an int, got 2.7"),
     ({"variables": [{"name": n, "cardinality": 2} for n in "AB"],
       "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
                {"child": "B", "parents": "A", "rows": [[0.5, 0.5]] * 2}]},
-     "cpts[1]: parents must be a list of strings, got 'A'"),
+     "cpts[1]: cpt 'B': parents must be a list of strings, got 'A'"),
 ], ids=["variables-int", "cpts-int", "variable-entry-str", "cpt-entry-list",
         "cardinality-inf", "cardinality-float", "parents-str"])
 def test_bayes_malformed_net_one_line_diagnostic(tmp_path, capsys, doc, message):
@@ -938,3 +950,26 @@ def test_cli_fuzz_exit_codes_and_diagnostics(call):
         assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
     assert "Traceback" not in out + err
     assert "nan" not in out.lower(), (argv, out)
+
+
+def test_cli_runs_as_a_process(tmp_path, capsys):
+    # the entry module, its exit codes and its stderr, outside pytest's process
+    trace = write_trace(tmp_path, [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "cachelab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    argv = ["run", "--trace", trace, "--policy", "lru", "--capacity", "3", "--out", "json"]
+    done = cli(*argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run_cli(argv, capsys)[1]
+    done = cli("run", "--trace", trace, "--policy", "lru", "--capacity", "0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1] == "cachelab run: error: capacity must be >= 1, got 0"
+    missing = str(tmp_path / "missing.txt")
+    done = cli("run", "--trace", missing, "--policy", "lru", "--capacity", "3")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"{missing}: No such file or directory\n"
+    assert "Traceback" not in done.stderr

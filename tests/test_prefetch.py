@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,6 +282,28 @@ def test_predictor_config_rejects_bad_params(kwargs):
 def test_prefetch_config_rejects_bad_p_min(p_min):
     with pytest.raises(InvalidParam, match=r"^p_min must be in \[0, 1\], got "):
         PrefetchConfig(p_min=p_min)
+
+
+def test_prefetch_config_keeps_p_min_as_a_float():
+    # NumPy compares a float against a float32 in float32, so the threshold np.float32(0.1)
+    # would admit a leader at exactly 0.1 that its own value, 0.10000000149011612, refuses
+    config = PrefetchConfig(p_min=np.float32(0.1))
+    assert type(config.p_min) is float and config.p_min == float(np.float32(0.1))
+    keys = [k for successor in range(1, 11) for k in (0, successor)] + [0]
+    assert MarkovPredictor(1, 0, 0).leaders(keys, 0.1)[-1] is not None  # 10 successors
+    assert MarkovPredictor(1, 0, 0).leaders(keys, config.p_min)[-1] is None
+
+
+@pytest.mark.parametrize("alpha", [np.float32(0.1), Fraction(1, 10)], ids=["float32", "fraction"])
+def test_predictor_keeps_alpha_as_a_float(alpha):
+    assert type(PredictorConfig(alpha=alpha).alpha) is float
+    pred, expected = MarkovPredictor(1, alpha, 0), MarkovPredictor(1, float(alpha), 0)
+    for predictor in (pred, expected):
+        feed(predictor, [1, 2, 1, 3, 1, 2])
+    assert type(pred.alpha) is float
+    ranked = pred.predict_next((1,), 2)
+    assert {type(prob) for _, prob in ranked} == {float}
+    assert ranked == expected.predict_next((1,), 2)
 
 
 def test_predictor_param_validation():
