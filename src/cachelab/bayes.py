@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trace import as_float
+
 ROW_SUM_TOL = 1e-9
 ENUM_BLOCK = 4096  # most hidden completions infer_enumeration holds at once
 MAX_ENUM_COMPLETIONS = 2**24  # most completions infer_enumeration sums (0.7 s for 2**24)
@@ -92,7 +94,10 @@ class CPT:
         if bad:  # not float(): "0.2" would pass as 0.2, True as 1.0
             raise InvalidNet(f"cpt {self.child!r}: probabilities must be numbers, got {bad[0]!r}")
         self.parents = list(self.parents)  # the net's own, as rows are
-        self.rows = [[float(x) for x in row] for row in self.rows]
+        try:
+            self.rows = [[float(x) for x in row] for row in self.rows]
+        except OverflowError:  # an int past the float range is infinite, as JSON's 1e400
+            self.rows = [[as_float(x) for x in row] for row in self.rows]
 
     def validate(self, cards):
         expected_rows = 1
@@ -344,10 +349,9 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     """Count-based CPT estimation over complete assignments:
     P(v | u) = (count(v, u) + a) / (count(u) + a * cardinality(child)).
     Every data value must be an int in 0..cardinality-1."""
-    if isinstance(pseudocount, bool) or not (isinstance(pseudocount, numbers.Real)
-                                             and 0 <= pseudocount < math.inf):
+    if not 0 <= as_float(pseudocount) < math.inf:
         raise BayesError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
-    pseudocount = float(pseudocount)  # a float32 would count, and sum its rows, in float32
+    pseudocount = as_float(pseudocount)  # a float32 would count, and sum its rows, in float32
     variables = list(variables)
     cards = {v.name: v.cardinality for v in variables}
     data = list(data)
@@ -416,9 +420,9 @@ def parse_net(text: str) -> BayesNet:
             raise InvalidNet(f"variables[{i}]: {exc}") from None
     cpts = []
     for i, entry in enumerate(doc.get("cpts", [])):
-        try:  # a row that is not a list fails to iterate; a cell past 1e308 to convert
+        try:  # a row that is not a list fails to iterate
             cpts.append(CPT(entry["child"], entry["parents"], entry["rows"]))
-        except (KeyError, TypeError, InvalidNet, OverflowError) as exc:
+        except (KeyError, TypeError, InvalidNet) as exc:
             raise InvalidNet(f"cpts[{i}]: {exc}") from None
     return BayesNet(variables, cpts)
 

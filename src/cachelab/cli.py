@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 runtime error (I/O, parse, inference), 2 usage error.
 """
 
 import argparse
-import functools
 import math
 import sys
 
@@ -52,7 +51,7 @@ def _add_policy_flags(sub, many=False):
 
 
 def build_parser():
-    """Each subparser's handler takes that subparser, so that a usage error a handler
+    """Each subparser is stored beside its handler, so that a usage error a handler
     raises prints the subcommand's usage and prefix, as argparse's own errors do."""
     parser = argparse.ArgumentParser(prog="cachelab",
                                      description="cache replacement and prefetching lab")
@@ -60,7 +59,7 @@ def build_parser():
 
     def add(name, handler, summary):
         sub = subs.add_parser(name, help=summary)
-        sub.set_defaults(handler=functools.partial(handler, sub))
+        sub.set_defaults(handler=handler, parser=sub)
         return sub
 
     _add_policy_flags(add("run", cmd_run, "simulate one configuration over a trace"))
@@ -99,9 +98,7 @@ def _items(text):
 def _load_trace(args):
     with open(args.trace, "rb") as fh:
         data = fh.read()
-    if args.format == "smpc":
-        return parse_smpc(data)
-    return parse_plain(data)
+    return (parse_smpc if args.format == "smpc" else parse_plain)(data)
 
 
 def _given(parser, args, enabled, needs, names):
@@ -122,16 +119,13 @@ def _axis_configs(parser, args):
     fetch = _given(parser, args, enabled, "--prefetch pgm", ["top_k", "p_min"])
     predict = _given(parser, args, enabled, "--prefetch pgm", ["order", "alpha", "min_support"])
     timer = args.pre_evict_timer
-    try:
-        pre = PreEvictConfig(halfway_enabled=args.pre_evict == "halfway",
-                             address_space_size=args.address_space or 0,
-                             timer_enabled=timer is not None,
-                             timer_init=PreEvictConfig.timer_init if timer is None else timer)
-        if not enabled:
-            return pre, None, None
-        return pre, PrefetchConfig(**fetch), PredictorConfig(**predict)
-    except InvalidParam as exc:
-        parser.error(str(exc))
+    pre = PreEvictConfig(halfway_enabled=args.pre_evict == "halfway",
+                         address_space_size=args.address_space or 0,
+                         timer_enabled=timer is not None,
+                         timer_init=PreEvictConfig.timer_init if timer is None else timer)
+    if not enabled:
+        return pre, None, None
+    return pre, PrefetchConfig(**fetch), PredictorConfig(**predict)
 
 
 def cmd_run(parser, args):
@@ -160,26 +154,19 @@ def cmd_compare(parser, args):
     pre, prefetch, predictor = _axis_configs(parser, args)
 
     def run_configs(ks):
-        try:
-            # CacheConfig refuses a capacity below 1 and an unknown policy
-            configs = [RunConfig(cache=CacheConfig(k, policy, **adaptation),
-                                 pre=pre, prefetch=prefetch, predictor=predictor,
-                                 label=f"{policy}@{k}")
-                       for policy in policies for k in ks]
-            check_labels(configs)
-        except (InvalidParam, DuplicateLabel) as exc:
-            parser.error(str(exc))
+        # CacheConfig refuses a capacity below 1 and an unknown policy
+        configs = [RunConfig(cache=CacheConfig(k, policy, **adaptation),
+                             pre=pre, prefetch=prefetch, predictor=predictor,
+                             label=f"{policy}@{k}")
+                   for policy in policies for k in ks]
+        check_labels(configs)
         return configs
 
     run_configs([k for k in capacities if k not in ("log", "sqrt")])
     try:
         trace = _load_trace(args)
-    except OSError as exc:
-        return _fail(f"{args.trace}: {exc.strerror or exc}")
     except MalformedLine as exc:
         return _fail(f"{args.trace}:{exc.line_no}: {exc.message}")
-    except MemoryError:
-        return _fail(f"{args.trace}: not enough memory to load the trace")
     n = len(trace)
     for i, token in enumerate(capacities):
         if token in ("log", "sqrt"):
@@ -187,27 +174,19 @@ def cmd_compare(parser, args):
                 return _fail(f"cannot resolve {token!r} against an empty trace")
             scale = math.log10(n) if token == "log" else math.sqrt(n)
             capacities[i] = max(1, int(scale + 0.5))
-    configs = run_configs(capacities)
-    try:
-        reports = compare(trace, configs)
-    except MemoryError:
-        return _fail(f"{args.command}: not enough memory to replay {args.trace}")
+    reports = compare(trace, run_configs(capacities))
     sys.stdout.write(emit_report(reports, args.out))
     return 0
 
 
 def cmd_gen_trace(parser, args):
-    try:
-        trace = gen_markov_trace(args.seed, args.states, args.length, args.determinism)
-    except InvalidParam as exc:
-        parser.error(str(exc))
-    except MemoryError:
-        return _fail(f"gen-trace: not enough memory for --length {args.length}")
+    trace = gen_markov_trace(args.seed, args.states, args.length, args.determinism)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(emit_plain(trace))
-    except OSError as exc:
-        return _fail(f"{args.out}: {exc.strerror or exc}")
+    except OSError as exc:  # a failed write or close names no file; open's does
+        exc.filename = args.out
+        raise
     return 0
 
 
@@ -217,8 +196,6 @@ def cmd_lru_sim(parser, args):
         cases = parse_lru_problem(getattr(sys.stdin, "buffer", sys.stdin).read())
     except (MalformedCase, MalformedLine) as exc:
         return _fail(f"stdin: {exc}")
-    except MemoryError:
-        return _fail("stdin: not enough memory to read the cases")
     out = sys.stdout
     for number, case in enumerate(cases, start=1):
         out.write(f"Simulation {number}\n")
@@ -242,29 +219,17 @@ def cmd_bayes(parser, args):
         parser.error(f"query variable {args.query!r} appears in --evidence")
     try:
         net = bayes.load_net(args.net)
-    except OSError as exc:
-        return _fail(f"{args.net}: {exc.strerror or exc}")
     except bayes.InvalidNet as exc:
         return _fail(f"{args.net}: {exc}")
-    except MemoryError:
-        return _fail(f"{args.net}: not enough memory to load the net")
     evidence = {}
     for name, token in tokens.items():
         if name not in net.variables:
             return _fail(f"unknown evidence variable {name!r}")
-        try:
-            evidence[name] = bayes.parse_value(net.variables[name], token)
-        except bayes.BayesError as exc:
-            return _fail(str(exc))
+        evidence[name] = bayes.parse_value(net.variables[name], token)
     if args.query not in net.variables:
         return _fail(f"unknown query variable {args.query!r}")
     infer = bayes.infer_enumeration if args.method == "enum" else bayes.infer_variable_elimination
-    try:
-        dist = infer(net, args.query, evidence)
-    except bayes.BayesError as exc:  # an evidence value out of range, zero evidence, too large
-        return _fail(str(exc))
-    except MemoryError:
-        return _fail(f"bayes: not enough memory for --method {args.method}")
+    dist = infer(net, args.query, evidence)
     variable = net.variables[args.query]
     for value, prob in enumerate(dist):
         sys.stdout.write(f"{bayes.value_label(variable, value)} {prob:.6f}\n")
@@ -272,8 +237,20 @@ def cmd_bayes(parser, args):
 
 
 def main(argv=None) -> int:
+    """The one place a handler's failure becomes output: a refused config value is the
+    subcommand's usage error, any other failure one line on stderr and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args.parser, args)
+    except (InvalidParam, DuplicateLabel) as exc:
+        args.parser.error(str(exc))
+    except OSError as exc:  # open() records the path it was given
+        where = args.command if exc.filename is None else exc.filename
+        return _fail(f"{where}: {exc.strerror or exc}")
+    except bayes.BayesError as exc:  # a bad evidence value, zero evidence, too large
+        return _fail(str(exc))
+    except MemoryError:
+        return _fail(f"{args.command}: not enough memory")
 
 
 def run_main():

@@ -1,11 +1,10 @@
 """Markov next-key prediction, prefetch decisions, and prefetch coverage."""
 
 import math
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .trace import InvalidParam, require_ints
+from .trace import InvalidParam, as_float, require_ints
 
 ON_MISS = "on_miss"
 ON_EVERY_ACCESS = "on_every_access"
@@ -16,11 +15,11 @@ def _check_predictor_params(order, alpha, min_support):
     order, min_support = require_ints(order=order, min_support=min_support)
     if order not in (1, 2):
         raise InvalidParam(f"order must be 1 or 2, got {order}")
-    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 0 <= alpha < math.inf):
+    if not 0 <= as_float(alpha) < math.inf:
         raise InvalidParam(f"alpha must be finite and >= 0, got {alpha!r}")
     if min_support < 0:
         raise InvalidParam(f"min_support must be >= 0, got {min_support}")
-    return order, float(alpha), min_support
+    return order, as_float(alpha), min_support
 
 
 class _Successors:
@@ -145,10 +144,9 @@ class PrefetchConfig:
         object.__setattr__(self, "top_k", *require_ints(top_k=self.top_k))
         if self.top_k < 1:
             raise InvalidParam(f"top_k must be >= 1, got {self.top_k}")
-        if isinstance(self.p_min, bool) or not (isinstance(self.p_min, numbers.Real)
-                                                and 0.0 <= self.p_min <= 1.0):
+        if not 0.0 <= as_float(self.p_min) <= 1.0:
             raise InvalidParam(f"p_min must be in [0, 1], got {self.p_min!r}")
-        object.__setattr__(self, "p_min", float(self.p_min))  # NumPy compares a float32 in float32
+        object.__setattr__(self, "p_min", as_float(self.p_min))  # a float32 compares in float32
         if self.trigger not in (ON_MISS, ON_EVERY_ACCESS):
             raise InvalidParam(f"unknown trigger {self.trigger!r}")
 

@@ -1,5 +1,6 @@
 """Access-trace parsing, emission, and seeded synthetic workload generation."""
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -42,6 +43,17 @@ def require_ints(**params):
         except TypeError:
             raise InvalidParam(f"{name} must be an integer, got {value!r}") from None
     return ints
+
+
+def as_float(value):
+    """value as a float if it is a real number but not a bool, an int past the float
+    range as inf or -inf; anything else as nan, which no range check passes."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class TraceEvent(NamedTuple):
@@ -196,8 +208,7 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     """Order-1 chain over {0..num_keys-1}: follow s -> (s+1) mod num_keys with the
     given probability, otherwise jump to a uniformly random key."""
     seed, num_keys, length = require_ints(seed=seed, num_keys=num_keys, length=length)
-    if isinstance(determinism, bool) or not (isinstance(determinism, numbers.Real)
-                                             and 0.0 <= determinism <= 1.0):
+    if not 0.0 <= as_float(determinism) <= 1.0:
         raise InvalidParam(f"determinism must be in [0, 1], got {determinism!r}")
     if not 2 <= num_keys <= 2**63:  # numpy draws the jumps as int64
         raise InvalidParam(f"num_keys must be in [2, 2**63], got {num_keys}")

@@ -752,6 +752,26 @@ def test_learn_rejects_bad_pseudocount(pseudocount):
     assert str(err.value) == f"pseudocount must be finite and >= 0, got {pseudocount!r}"
 
 
+def test_learn_rejects_pseudocount_past_the_float_range():
+    with pytest.raises(BayesError) as err:
+        learn_cpts([Variable("A", 2)], {}, [{"A": 0}], 10**400)
+    assert str(err.value) == f"pseudocount must be finite and >= 0, got {10**400!r}"
+
+
+@pytest.mark.parametrize("cell", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_probability_past_the_float_range_reads_as_json_1e400(cell):
+    message = "cpt 'A' row 0: negative or non-finite probability"
+    with pytest.raises(InvalidNet) as err:
+        BayesNet([Variable("A", 2)], [CPT("A", [], [[cell, 0]])])
+    assert str(err.value) == message
+    doc = '{"variables": [{"name": "A", "cardinality": 2}], "cpts": [{"child": "A", ' \
+          '"parents": [], "rows": [[%s, 0]]}]}'
+    for text in (str(cell), "1e400"):
+        with pytest.raises(InvalidNet) as err:
+            parse_net(doc % text)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("names, data, error, message", [
     ("AB", [{"A": 5, "B": 0}, {"A": 0}], IncompleteAssignment,
      "data row 1 does not assign every variable"),

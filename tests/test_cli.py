@@ -526,6 +526,16 @@ def test_gen_trace_unwritable_out_fails_in_one_line(tmp_path, capsys):
     assert (code, stdout, err) == (1, "", f"{out}: No such file or directory\n")
 
 
+GEN_TRACE = ["--model", "markov", "--states", "4", "--length", "8", "--determinism", "0.5",
+             "--seed", "1"]
+
+
+def test_gen_trace_failed_write_names_the_output(capsys):
+    # a full device refuses the write or the close, whose error names no file
+    code, stdout, err = run_cli(["gen-trace", *GEN_TRACE, "--out", "/dev/full"], capsys)
+    assert (code, stdout, err) == (1, "", "/dev/full: No space left on device\n")
+
+
 def test_gen_trace_too_long_to_draw_fails_in_one_line(tmp_path, capsys):
     # 10**17 float64s (711 PiB) exceed any x86-64 user address space, so numpy's
     # allocation fails at once; a length below about 1e15 could fit and fill memory
@@ -606,50 +616,34 @@ def test_bayes_zero_evidence(tmp_path, capsys):
     assert code == 1 and "zero" in err
 
 
-@pytest.mark.parametrize("method, infer", [("enum", "infer_enumeration"),
-                                           ("ve", "infer_variable_elimination")])
-def test_bayes_out_of_memory_fails_in_one_line(method, infer, monkeypatch, capsys):
-    def exhausted(net, query, evidence):
-        raise MemoryError  # as numpy's allocation of a factor too large for memory
-    monkeypatch.setattr(f"cachelab.bayes.{infer}", exhausted)
-    code, out, err = run_cli(
-        ["bayes", "--net", SPRINKLER, "--query", "Rain", "--method", method], capsys)
-    assert (code, out) == (1, "")
-    assert err == f"bayes: not enough memory for --method {method}\n"
-
-
 def out_of_memory(*args):
     raise MemoryError  # as an allocation too large for the process's address space
 
 
-def test_bayes_net_out_of_memory_fails_in_one_line(monkeypatch, capsys):
-    monkeypatch.setattr("cachelab.bayes.load_net", out_of_memory)  # as json's decoder
-    code, out, err = run_cli(["bayes", "--net", SPRINKLER, "--query", "Rain"], capsys)
-    assert (code, out) == (1, "")
-    assert err == f"{SPRINKLER}: not enough memory to load the net\n"
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("stage, message", [
-    ("_load_trace", "{trace}: not enough memory to load the trace\n"),
-    ("compare", "{command}: not enough memory to replay {trace}\n"),
+@pytest.mark.parametrize("command, stage", [
+    ("run", "cachelab.cli._load_trace"), ("run", "cachelab.cli.compare"),
+    ("compare", "cachelab.cli._load_trace"), ("compare", "cachelab.cli.compare"),
+    ("gen-trace", "cachelab.cli.gen_markov_trace"),
+    ("lru-sim", "sys.stdin"),
+    ("bayes", "cachelab.bayes.load_net"),  # as json's decoder
+    ("bayes", "cachelab.bayes.infer_enumeration"),  # as numpy's allocation of a factor
+    ("bayes", "cachelab.bayes.infer_variable_elimination"),
 ])
-def test_run_and_compare_out_of_memory_fail_in_one_line(command, stage, message, tmp_path,
-                                                        monkeypatch, capsys):
+def test_out_of_memory_fails_in_one_line(command, stage, tmp_path, monkeypatch, capsys):
+    if stage == "sys.stdin":
+        monkeypatch.setattr(stage, mock.Mock(buffer=mock.Mock(read=out_of_memory)))
+    else:
+        monkeypatch.setattr(stage, out_of_memory)
     trace = write_trace(tmp_path, [1, 2, 1, 2])
-    monkeypatch.setattr(f"cachelab.cli.{stage}", out_of_memory)
-    flags = (["--policy", "lru", "--capacity", "2"] if command == "run"
-             else ["--policies", "lru,arc", "--capacities", "2"])
-    code, out, err = run_cli([command, "--trace", trace, "--prefetch", "pgm", *flags], capsys)
-    assert (code, out) == (1, "")
-    assert err == message.format(trace=trace, command=command)
-
-
-def test_lru_sim_out_of_memory_fails_in_one_line(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", mock.Mock(buffer=mock.Mock(read=out_of_memory)))
-    code, out, err = run_cli(["lru-sim"], capsys)
-    assert (code, out) == (1, "")
-    assert err == "stdin: not enough memory to read the cases\n"
+    method = "enum" if stage.endswith("enumeration") else "ve"
+    argv = {"run": ["--trace", trace, "--prefetch", "pgm", "--policy", "lru", "--capacity", "2"],
+            "compare": ["--trace", trace, "--prefetch", "pgm", "--policies", "lru,arc",
+                        "--capacities", "2"],
+            "gen-trace": [*GEN_TRACE, "--out", str(tmp_path / "x.txt")],
+            "lru-sim": [],
+            "bayes": ["--net", SPRINKLER, "--query", "Rain", "--method", method]}[command]
+    code, out, err = run_cli([command, *argv], capsys)
+    assert (code, out, err) == (1, "", f"{command}: not enough memory\n")
 
 
 def write_net(path, roots, pairs=False):

@@ -326,6 +326,16 @@ def test_predictor_param_validation():
         PrefetchConfig(trigger="sometimes")
 
 
+@pytest.mark.parametrize("make", [lambda alpha: MarkovPredictor(alpha=alpha),
+                                  lambda alpha: PredictorConfig(alpha=alpha)],
+                         ids=["MarkovPredictor", "PredictorConfig"])
+def test_alpha_past_the_float_range_is_refused_in_its_words(make):
+    # an int that compares below inf but that no float can hold
+    with pytest.raises(InvalidParam) as err:
+        make(10**400)
+    assert str(err.value) == f"alpha must be finite and >= 0, got {10**400!r}"
+
+
 def test_decide_prefetch_threshold_filter():
     cfg = PrefetchConfig(top_k=2, p_min=0.5)
     assert decide_prefetch([("B", 0.75), ("C", 0.25)], cfg, set()) == ["B"]
