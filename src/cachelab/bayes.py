@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import as_float
+from .trace import as_float, shown
 
 ROW_SUM_TOL = 1e-9
 ENUM_BLOCK = 4096  # most hidden completions infer_enumeration holds at once
@@ -207,7 +207,7 @@ class BayesNet:
             if not isinstance(value, (int, np.integer)):  # numpy would index 0.5 as 0
                 raise BayesError(f"{name!r}: value {value!r} is not an int")
             if not 0 <= value < card:
-                raise BayesError(f"{name!r}: value {value} outside 0..{card - 1}")
+                raise BayesError(f"{name!r}: value {shown(value, str)} outside 0..{card - 1}")
 
 
 def joint_probability(net: BayesNet, assignment: dict) -> float:
@@ -350,7 +350,7 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
     P(v | u) = (count(v, u) + a) / (count(u) + a * cardinality(child)).
     Every data value must be an int in 0..cardinality-1."""
     if not 0 <= as_float(pseudocount) < math.inf:
-        raise BayesError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
+        raise BayesError(f"pseudocount must be finite and >= 0, got {shown(pseudocount)}")
     pseudocount = as_float(pseudocount)  # a float32 would count, and sum its rows, in float32
     variables = list(variables)
     cards = {v.name: v.cardinality for v in variables}
@@ -382,8 +382,8 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
             values = [row[name] for row in data]
             for i, x in enumerate(values):  # before the cast: np.intp turns 0.5 into 0
                 if not (isinstance(x, (int, np.integer)) and 0 <= x < card):
-                    raise BayesError(
-                        f"data row {i}: {name!r} has value {x!r}, not an int in 0..{card - 1}")
+                    raise BayesError(f"data row {i}: {name!r} has value {shown(x)}, "
+                                     f"not an int in 0..{card - 1}")
             columns[name] = np.fromiter(values, np.intp, len(values))
     for cpt in cpts:
         card, n_rows, cell = cards[cpt.child], 1, np.zeros(len(data), np.intp)

@@ -5,7 +5,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 
-from .trace import InvalidParam, require_ints
+from .trace import InvalidParam, require_ints, shown
 
 FIFO = "fifo"
 LIFO = "lifo"
@@ -27,7 +27,7 @@ class CacheConfig:
     def __post_init__(self):
         object.__setattr__(self, "capacity", *require_ints(capacity=self.capacity))
         if self.capacity < 1:
-            raise InvalidParam(f"capacity must be >= 1, got {self.capacity}")
+            raise InvalidParam(f"capacity must be >= 1, got {shown(self.capacity)}")
         if self.policy not in POLICIES:
             raise InvalidParam(f"unknown policy {self.policy!r}")
         if self.arc_adaptation not in (UNIT, RATIO):
@@ -78,7 +78,10 @@ class CacheState:
         Prefetcher, its step after it, from entries one leaders pass lists up front.
         A key that leaves the cache keeps its timer entry until it comes due or the
         replay ends, and its ledger entry until next read. A run with neither takes
-        the plain loop, any other run the extras loop."""
+        the plain loop, any other run the extras loop. There the last prefetch waits in
+        fetch.newest, not the ledger dicts: the next access finds a hit on it useful, a
+        miss on it evicted unused (a rule removed it), and any other key moves it into
+        the dicts before they are read."""
         entries = self.entries
         popitem = entries.popitem
         victim_last = self._victim_last
@@ -113,11 +116,16 @@ class CacheState:
             pending, by_victim, on_miss = fetch.pending, fetch.by_victim, fetch.on_miss
             top1 = fetch.config.top_k == 1
             issued, useful, harmful = fetch.issued, fetch.useful, fetch.harmful
+            newest, newest_victim = fetch.newest or (None, None)
             keys, lead = fetch.leads(keys)
         ahead = None  # the top-1 leader or the top-k keys; None: no prefetch step
         for key in keys:  # the extras loop
             if fetch is not None:
                 ahead = lead()
+                if key != newest and newest is not None:  # to the ledger, before it is read
+                    pending[newest] = newest_victim
+                    by_victim[newest_victim].add(newest)
+                    newest = None  # so newest is now key or None
             if pre is not None:
                 if fetch is not None:  # a rule may remove a prefetch before its victim misses
                     waiting = by_victim.get(key)  # the prefetches that evicted key, and
@@ -154,14 +162,19 @@ class CacheState:
                     del entries[key]
                     entries[key] = None
                 if fetch is not None:
-                    if key in pending:  # useful
+                    if newest is not None:  # the last access prefetched key: useful
+                        useful += 1
+                        newest = None
+                    elif key in pending:  # useful
                         useful += 1
                         by_victim[pending.pop(key)].discard(key)
                     if on_miss:
                         continue
             else:
                 if fetch is not None:
-                    if key in pending:  # evicted unused
+                    if newest is not None:  # a rule removed it since its issue: evicted unused
+                        newest = None
+                    elif key in pending:  # evicted unused
                         by_victim[pending.pop(key)].discard(key)
                     if pre is None:  # with no rule, the residents the access began with
                         waiting = by_victim.get(key)
@@ -200,13 +213,16 @@ class CacheState:
                     low.add(fetched)
                 issued += 1
                 if fetched in pending:
-                    by_victim[pending[fetched]].discard(fetched)
-                pending[fetched] = victim
-                by_victim[victim].add(fetched)
+                    by_victim[pending.pop(fetched)].discard(fetched)
+                if newest is not None:  # top-k: the access's earlier prefetch
+                    pending[newest] = newest_victim
+                    by_victim[newest_victim].add(newest)
+                newest, newest_victim = fetched, victim
         if pre is not None:
             pre._end_replay(tick, due, expired, cleared)
         if fetch is not None:
             fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
+            fetch.newest = None if newest is None else (newest, newest_victim)
         return hits
 
 
@@ -394,7 +410,7 @@ class PreEvictConfig:
         for name in ("timer_init", "address_space_size"):  # ints, not numpy scalars
             object.__setattr__(self, name, *require_ints(**{name: getattr(self, name)}))
         if self.timer_init < 1:
-            raise InvalidParam(f"timer_init must be >= 1, got {self.timer_init}")
+            raise InvalidParam(f"timer_init must be >= 1, got {shown(self.timer_init)}")
         if self.halfway_enabled and self.address_space_size < 2:
             raise InvalidParam("address_space_size must be >= 2 with halfway enabled")
 

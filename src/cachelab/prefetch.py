@@ -4,7 +4,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .trace import InvalidParam, as_float, require_ints
+from .trace import InvalidParam, as_float, require_ints, shown
 
 ON_MISS = "on_miss"
 ON_EVERY_ACCESS = "on_every_access"
@@ -14,11 +14,11 @@ def _check_predictor_params(order, alpha, min_support):
     """The checked order and min_support, as ints, and alpha, as a float."""
     order, min_support = require_ints(order=order, min_support=min_support)
     if order not in (1, 2):
-        raise InvalidParam(f"order must be 1 or 2, got {order}")
+        raise InvalidParam(f"order must be 1 or 2, got {shown(order)}")
     if not 0 <= as_float(alpha) < math.inf:
-        raise InvalidParam(f"alpha must be finite and >= 0, got {alpha!r}")
+        raise InvalidParam(f"alpha must be finite and >= 0, got {shown(alpha)}")
     if min_support < 0:
-        raise InvalidParam(f"min_support must be >= 0, got {min_support}")
+        raise InvalidParam(f"min_support must be >= 0, got {shown(min_support)}")
     return order, as_float(alpha), min_support
 
 
@@ -143,9 +143,9 @@ class PrefetchConfig:
     def __post_init__(self):
         object.__setattr__(self, "top_k", *require_ints(top_k=self.top_k))
         if self.top_k < 1:
-            raise InvalidParam(f"top_k must be >= 1, got {self.top_k}")
+            raise InvalidParam(f"top_k must be >= 1, got {shown(self.top_k)}")
         if not 0.0 <= as_float(self.p_min) <= 1.0:
-            raise InvalidParam(f"p_min must be in [0, 1], got {self.p_min!r}")
+            raise InvalidParam(f"p_min must be in [0, 1], got {shown(self.p_min)}")
         object.__setattr__(self, "p_min", as_float(self.p_min))  # a float32 compares in float32
         if self.trigger not in (ON_MISS, ON_EVERY_ACCESS):
             raise InvalidParam(f"unknown trigger {self.trigger!r}")
@@ -165,18 +165,21 @@ class PredictorConfig:
 
 class Prefetcher:
     """One run's prefetching, which a policy's replay steps after each demand access
-    from the entries of one leaders pass, and its ledger. pending maps each prefetched
-    key to the key its insertion evicted, or None, and by_victim is its inverse, so
-    the ledger never holds more entries than the trace has keys. An entry is live
-    while its key stays resident: a demand hit on it is useful, a demand miss of its
-    victim harmful if it was resident when that access began, and an entry never
-    judged so is useless."""
+    from the entries of one leaders pass, and its ledger: pending plus newest. pending
+    maps each prefetched key to the key its insertion evicted, or None, and by_victim
+    is its inverse, so the ledger never holds more entries than the trace has keys.
+    newest, (key, victim) or None, holds the last prefetch a CacheState replay issued,
+    which the next access judges before anything reads pending; it is never a key of
+    pending. An entry is live while its key stays resident: a demand hit on it is
+    useful, a demand miss of its victim harmful if it was resident when that access
+    began, and an entry never judged so is useless."""
 
     def __init__(self, config: PrefetchConfig, model: PredictorConfig):
         self.predictor = MarkovPredictor(model.order, model.alpha, model.min_support)
         self.config, self.on_miss = config, config.trigger != ON_EVERY_ACCESS
         self.pending = {}                  # prefetched key -> the key it evicted, or None
         self.by_victim = defaultdict(set)  # victim or None -> the pending keys it heads
+        self.newest = None                 # (the last prefetched key, its victim) or None
         self.issued = self.useful = self.harmful = 0
 
     def leads(self, keys):

@@ -45,6 +45,17 @@ def require_ints(**params):
     return ints
 
 
+def shown(value, text=repr):
+    """text(value) for a refusal to name, but an int too long for str() (past
+    sys.get_int_max_str_digits()) as its sign and bit length."""
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 def as_float(value):
     """value as a float if it is a real number but not a bool, an int past the float
     range as inf or -inf; anything else as nan, which no range check passes."""
@@ -75,7 +86,7 @@ class Trace:
         distinct = set(keys) if set(map(type, keys)) <= {int} else None
         if distinct is None or distinct and not 0 <= min(distinct) <= max(distinct) <= MAX_KEY:
             bad = next(k for k in keys if type(k) is not int or not 0 <= k <= MAX_KEY)
-            raise InvalidParam(f"trace keys must be ints in [0, 2**64 - 1], got {bad!r}")
+            raise InvalidParam(f"trace keys must be ints in [0, 2**64 - 1], got {shown(bad)}")
         object.__setattr__(self, "distinct", len(distinct))
 
     @property
@@ -209,12 +220,12 @@ def gen_markov_trace(seed: int, num_keys: int, length: int, determinism: float) 
     given probability, otherwise jump to a uniformly random key."""
     seed, num_keys, length = require_ints(seed=seed, num_keys=num_keys, length=length)
     if not 0.0 <= as_float(determinism) <= 1.0:
-        raise InvalidParam(f"determinism must be in [0, 1], got {determinism!r}")
+        raise InvalidParam(f"determinism must be in [0, 1], got {shown(determinism)}")
     if not 2 <= num_keys <= 2**63:  # numpy draws the jumps as int64
-        raise InvalidParam(f"num_keys must be in [2, 2**63], got {num_keys}")
+        raise InvalidParam(f"num_keys must be in [2, 2**63], got {shown(num_keys)}")
     max_length = np.iinfo(np.intp).max // 8 + 1  # numpy cannot size a longer float64 draw
     if not 1 <= length <= max_length:
-        raise InvalidParam(f"length must be in [1, {max_length}], got {length}")
+        raise InvalidParam(f"length must be in [1, {max_length}], got {shown(length)}")
     rng = np.random.default_rng(seed & MAX_KEY)  # seed taken as unsigned 64-bit
     state = int(rng.integers(num_keys))
     follow = (rng.random(length - 1) < determinism).tolist()

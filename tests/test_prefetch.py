@@ -462,6 +462,7 @@ def test_ledger_by_victim_is_the_inverse_of_pending(policy):
         assert all(fetch.pending[key] == victim
                    for victim, waiting in fetch.by_victim.items() for key in waiting)
         assert ledger_entries(fetch) == len(fetch.pending)
+        assert fetch.newest is None or fetch.newest[0] not in fetch.pending
 
 
 @pytest.mark.parametrize("policy", ["fifo", "lifo", "lru", "mru", "arc"])
@@ -475,8 +476,10 @@ def test_chunked_prefetch_replay_equals_one_replay(policy):
         fetch = Prefetcher(PrefetchConfig(2, 0.05, ON_MISS), PredictorConfig(2, 0.5, 1))
         front = PreEvictingCache(make_cache(CacheConfig(5, policy)), pre)
         hits = sum(front.replay(keys[i:i + size], fetch) for i in range(0, len(keys), size))
+        assert fetch.newest is None or fetch.newest[0] not in fetch.pending
         runs.append((hits, fetch.issued, fetch.useful, fetch.harmful, fetch.pending,
-                     resident(front.base), front.timer_evictions, front.halfway_evictions))
+                     fetch.newest, resident(front.base), front.timer_evictions,
+                     front.halfway_evictions))
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][2] and runs[0][3]
 

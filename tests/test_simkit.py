@@ -403,9 +403,10 @@ def test_prefetch_run_without_rule_equals_inert_timer_run_whole_and_chunked(case
         front = cache if pre is None else PreEvictingCache(cache, pre)
         fetch = Prefetcher(config.prefetch, config.predictor)
         hits = sum(front.replay(chunk, fetch=fetch) for chunk in replayed)
+        assert fetch.newest is None or fetch.newest[0] not in fetch.pending
         states.append((hits, fetch.issued, fetch.useful, fetch.harmful,
                        predictor_state(fetch.predictor), fetch.pending, fetch.by_victim,
-                       book(cache)))
+                       fetch.newest, book(cache)))
     assert states[0] == states[1] == states[2]
 
 
@@ -444,6 +445,108 @@ def sim_cases(draw):
 def test_run_sim_matches_naive_oracle(case):
     keys, config = case
     assert dataclasses.asdict(run_sim(as_trace(keys), config)) == ref_run_sim(keys, config)
+
+
+def ledger(fetch):
+    """The prefetches awaiting judgement, pending with the buffered newest, as
+    {key: victim}; checks that newest is not in pending and that by_victim, less
+    its empty sets, is the inverse of pending."""
+    entries = dict(fetch.pending)
+    assert {victim: waiting for victim, waiting in fetch.by_victim.items() if waiting} == \
+        {victim: {key for key in entries if entries[key] == victim} for victim in entries.values()}
+    if fetch.newest is not None:
+        fetched, victim = fetch.newest
+        assert fetched not in entries
+        entries[fetched] = victim
+    return entries
+
+
+def replayed(config, chunks, unbuffered=False):
+    """(hits, issued, useful, harmful, ledger, book) after replaying each chunk in turn
+    under config; unbuffered replays one key at a time and moves the buffered
+    prefetch into pending and by_victim after each, so that every prefetch is
+    judged from those dicts, as before the buffer."""
+    cache = make_cache(config.cache)
+    front = PreEvictingCache(cache, config.pre or PreEvictConfig())
+    fetch = Prefetcher(config.prefetch, config.predictor or PredictorConfig())
+    hits = 0
+    for chunk in chunks:
+        for part in ([key] for key in chunk) if unbuffered else [chunk]:
+            hits += front.replay(part, fetch)
+            if unbuffered and fetch.newest is not None:
+                fetched, victim = fetch.newest
+                fetch.pending[fetched] = victim
+                fetch.by_victim[victim].add(fetched)
+                fetch.newest = None
+    return hits, fetch.issued, fetch.useful, fetch.harmful, ledger(fetch), book(cache)
+
+
+@st.composite
+def chunked_prefetch_cases(draw):
+    """A sim_cases draw with the prefetcher on, and 0-3 cuts into replay chunks."""
+    keys, config = draw(sim_cases().filter(lambda case: case[1].prefetch is not None))
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=3)))
+    return keys, config, [keys[i:j] for i, j in zip([0, *cuts], [*cuts, len(keys)])]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(chunked_prefetch_cases())
+def test_buffered_ledger_equals_unbuffered_replay_whole_and_chunked(case):
+    # every policy, rule, top-k and trigger: the buffer changes where the newest
+    # prefetch waits, never a count, a book or what the ledger holds
+    keys, config, chunks = case
+    assert dataclasses.asdict(run_sim(as_trace(keys), config)) == ref_run_sim(keys, config)
+    unbuffered = replayed(config, [keys], unbuffered=True)
+    assert replayed(config, [keys]) == replayed(config, chunks) == unbuffered
+
+
+def edge(capacity, top_k=1, trigger=ON_EVERY_ACCESS, pre=None):
+    """A config whose predictor prefetches the leader of every seen context."""
+    return RunConfig(cache=CacheConfig(capacity, "lru"), pre=pre, label="run",
+                     **pgm(top_k, 0.0, trigger, 1, 0.0, 1))
+
+
+# keys, config, the access that judges the buffered prefetch, that prefetch as
+# (key, victim), and what the access adds to (useful, harmful)
+BUFFER_EDGES = {
+    # the hit on 2 is useful
+    "hit": ([1, 2, 3, 1, 2, 3, 1, 2], edge(2), 4, (2, 3), (1, 0)),
+    # prefetching 2 evicts 1, which the next access misses
+    "victim miss": ([1, 2, 1, 1], edge(1, trigger=ON_MISS), 3, (2, 1), (0, 1)),
+    "victim miss under a timer": ([1, 2, 1, 1], edge(1, trigger=ON_MISS, pre=PreEvictConfig(
+        timer_enabled=True, timer_init=99)), 3, (2, 1), (0, 1)),
+    # 2 expires at the access that requests it, so that access misses it
+    "timer expiry": ([1, 2, 1, 2], edge(2, pre=PreEvictConfig(timer_enabled=True, timer_init=1)),
+                     3, (2, None), (0, 0)),
+    # the miss on 5 clears 1, below halfway, before anything reads it
+    "halfway clearing": ([3, 1, 4, 3, 5], edge(2, pre=PreEvictConfig(
+        halfway_enabled=True, address_space_size=6)), 4, (1, 4), (0, 0)),
+    # the miss on 0 prefetches 1, 2 and 3, and 3 waits in the buffer; the hit on 2
+    # moves 3 into pending and is useful from there. Later 4, the victim of 1,
+    # misses while 1 is resident
+    "top-3 on miss": ([0, 1, 0, 2, 0, 3, 4, 5, 6, 0, 2, 3, 4], edge(4, 3, ON_MISS),
+                      10, (3, 6), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("keys, config, judged, newest, counts", BUFFER_EDGES.values(),
+                         ids=BUFFER_EDGES)
+def test_buffered_prefetch_edges(keys, config, judged, newest, counts):
+    report = run_sim(as_trace(keys), config)
+    assert dataclasses.asdict(report) == ref_run_sim(keys, config)
+    unbuffered = replayed(config, [keys], unbuffered=True)
+    assert unbuffered[1:4] == (report.prefetch_issued, report.prefetch_useful,
+                               report.prefetch_harmful)
+    # every cut, among them the one between the prefetch's issue and its judging access
+    for cut in range(len(keys) + 1):
+        assert replayed(config, [keys[:cut], keys[cut:]]) == unbuffered, cut
+    cache = PreEvictingCache(make_cache(config.cache), config.pre or PreEvictConfig())
+    fetch = Prefetcher(config.prefetch, config.predictor)
+    cache.replay(keys[:judged], fetch)
+    assert fetch.newest == newest
+    before = fetch.useful, fetch.harmful
+    cache.replay(keys[judged:judged + 1], fetch)
+    assert (fetch.useful - before[0], fetch.harmful - before[1]) == counts
 
 
 NAMED_KEYS = 24

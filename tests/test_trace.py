@@ -25,6 +25,8 @@ from cachelab.trace import (
 )
 
 from cachelab import CacheConfig, PredictorConfig, PreEvictConfig, PrefetchConfig
+from cachelab.bayes import (CPT, BayesError, BayesNet, Variable, infer_enumeration,
+                            joint_probability, learn_cpts)
 from reference import ref_parse_plain
 
 
@@ -373,3 +375,37 @@ def test_trace_counts_its_distinct_keys():
     assert generated.distinct == len(set(generated.keys))
     with pytest.raises(AttributeError):  # frozen: neither field can be rebound
         trace.distinct = 0
+
+
+HUGE = 10**5000  # past the 4,300 digits str() and repr() print by default
+_NET = BayesNet([Variable("A", 2)], [CPT("A", [], [[0.5, 0.5]])])
+
+
+@pytest.mark.parametrize("build, error, field, value", [
+    (lambda v: CacheConfig(v), InvalidParam, "capacity", -HUGE),
+    (lambda v: PreEvictConfig(timer_init=v), InvalidParam, "timer_init", -HUGE),
+    (lambda v: PredictorConfig(order=v), InvalidParam, "order", HUGE),
+    (lambda v: PredictorConfig(alpha=v), InvalidParam, "alpha", HUGE),
+    (lambda v: PredictorConfig(min_support=v), InvalidParam, "min_support", -HUGE),
+    (lambda v: PrefetchConfig(top_k=v), InvalidParam, "top_k", -HUGE),
+    (lambda v: PrefetchConfig(p_min=v), InvalidParam, "p_min", HUGE),
+    (lambda v: Trace([1, v]), InvalidParam, "trace keys", HUGE),
+    (lambda v: gen_markov_trace(0, 10, 10, v), InvalidParam, "determinism", -HUGE),
+    (lambda v: gen_markov_trace(0, v, 10, 0.5), InvalidParam, "num_keys", HUGE),
+    (lambda v: gen_markov_trace(0, 10, v, 0.5), InvalidParam, "length", HUGE),
+    (lambda v: learn_cpts([Variable("A", 2)], {}, [], v), BayesError, "pseudocount", HUGE),
+    (lambda v: learn_cpts([Variable("A", 2)], {}, [{"A": v}]), BayesError, "'A'", HUGE),
+    (lambda v: joint_probability(_NET, {"A": v}), BayesError, "'A'", -HUGE),
+    (lambda v: infer_enumeration(_NET, "A", {"A": v}), BayesError, "'A'", HUGE),
+], ids=["capacity", "timer_init", "order", "alpha", "min_support", "top_k", "p_min",
+        "trace key", "determinism", "num_keys", "length", "pseudocount", "data value",
+        "assignment value", "evidence value"])
+def test_refusal_names_an_int_too_long_to_print(build, error, field, value):
+    # each refusal is its own, naming the field and the int by sign and bit length,
+    # where printing the int would raise ValueError: Exceeds the limit (4300 digits)
+    with pytest.raises(error) as err:
+        build(value)
+    assert err.type is error
+    message = str(err.value)
+    assert field in message
+    assert f" {'-' if value < 0 else ''}<int of 16610 bits>" in message
