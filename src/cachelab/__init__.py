@@ -4,7 +4,6 @@ from .trace import (
     Trace,
     TraceEvent,
     LruCase,
-    MalformedCase,
     MalformedLine,
     InvalidParam,
     emit_plain,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import as_float, shown
+from .trace import as_float, read_decimal, shown
 
 ROW_SUM_TOL = 1e-9
 ENUM_BLOCK = 4096  # most hidden completions infer_enumeration holds at once
@@ -198,7 +198,7 @@ class BayesNet:
 
     def _require(self, name):
         if name not in self.variables:
-            raise UnknownVariable(f"unknown variable {name!r}")
+            raise UnknownVariable(f"unknown variable {shown(name)}")
 
     def _check_values(self, assignment):
         for name, value in assignment.items():
@@ -403,8 +403,8 @@ def parse_net(text: str) -> BayesNet:
     """JSON net: {"variables": [{"name", "cardinality"}],
     "cpts": [{"child", "parents", "rows"}]} with rows in lexicographic parent order."""
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+        doc = json.loads(text, parse_int=_json_int)  # _json_int names an over-long int
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidNet(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidNet("top level must be an object")
@@ -425,6 +425,13 @@ def parse_net(text: str) -> BayesNet:
         except (KeyError, TypeError, InvalidNet) as exc:
             raise InvalidNet(f"cpts[{i}]: {exc}") from None
     return BayesNet(variables, cpts)
+
+
+def _json_int(token: str) -> int:
+    try:
+        return read_decimal(token)
+    except OverflowError as exc:
+        raise InvalidNet(f"number {shown(token, str)}: {exc}") from None
 
 
 def load_net(path) -> BayesNet:
@@ -449,6 +456,8 @@ def parse_value(variable: Variable, token: str) -> int:
         if token == "F":
             return 1
     try:  # the range is inference's to check
-        return int(token, 10)
+        return read_decimal(token)
     except ValueError:
-        raise BayesError(f"{variable.name!r}: bad value {token!r}") from None
+        raise BayesError(f"{variable.name!r}: bad value {shown(token)}") from None
+    except OverflowError as exc:
+        raise BayesError(f"{variable.name!r}: bad value {shown(token)}: {exc}") from None

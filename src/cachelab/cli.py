@@ -13,7 +13,6 @@ from .prefetch import PredictorConfig, PrefetchConfig
 from .simkit import DuplicateLabel, RunConfig, check_labels, compare, emit_report
 from .trace import (
     InvalidParam,
-    MalformedCase,
     MalformedLine,
     emit_plain,
     gen_markov_trace,
@@ -22,6 +21,8 @@ from .trace import (
     parse_lru_problem,
     parse_plain,
     parse_smpc,
+    read_decimal,
+    shown,
 )
 
 
@@ -145,9 +146,11 @@ def cmd_compare(parser, args):
     for token in _items(args.capacities):
         if token not in ("log", "sqrt"):
             try:
-                token = int(token, 10)
+                token = read_decimal(token)
             except ValueError:
-                parser.error(f"bad capacity {token!r}")
+                parser.error(f"bad capacity {shown(token)}")
+            except OverflowError as exc:
+                parser.error(f"bad capacity {shown(token)}: {exc}")
         capacities.append(token)
     if not capacities:
         parser.error("--capacities is empty")
@@ -163,10 +166,7 @@ def cmd_compare(parser, args):
         return configs
 
     run_configs([k for k in capacities if k not in ("log", "sqrt")])
-    try:
-        trace = _load_trace(args)
-    except MalformedLine as exc:
-        return _fail(f"{args.trace}:{exc.line_no}: {exc.message}")
+    trace = _load_trace(args)
     n = len(trace)
     for i, token in enumerate(capacities):
         if token in ("log", "sqrt"):
@@ -191,11 +191,8 @@ def cmd_gen_trace(parser, args):
 
 
 def cmd_lru_sim(parser, args):
-    try:
-        # bytes where the stream has them, so that undecodable input names its line
-        cases = parse_lru_problem(getattr(sys.stdin, "buffer", sys.stdin).read())
-    except (MalformedCase, MalformedLine) as exc:
-        return _fail(f"stdin: {exc}")
+    # bytes where the stream has them, so that undecodable input names its line
+    cases = parse_lru_problem(getattr(sys.stdin, "buffer", sys.stdin).read())
     out = sys.stdout
     for number, case in enumerate(cases, start=1):
         out.write(f"Simulation {number}\n")
@@ -211,23 +208,18 @@ def cmd_bayes(parser, args):
     for item in _items(args.evidence):
         name, sep, token = item.partition("=")
         if not sep or not name or not token:
-            parser.error(f"bad --evidence item {item!r}, expected VAR=VAL")
+            parser.error(f"bad --evidence item {shown(item)}, expected VAR=VAL")
         if name in tokens:
-            parser.error(f"--evidence names {name!r} twice")
+            parser.error(f"--evidence names {shown(name)} twice")
         tokens[name] = token
     if args.query in tokens:
-        parser.error(f"query variable {args.query!r} appears in --evidence")
-    try:
-        net = bayes.load_net(args.net)
-    except bayes.InvalidNet as exc:
-        return _fail(f"{args.net}: {exc}")
+        parser.error(f"query variable {shown(args.query)} appears in --evidence")
+    net = bayes.load_net(args.net)
     evidence = {}
     for name, token in tokens.items():
         if name not in net.variables:
-            return _fail(f"unknown evidence variable {name!r}")
+            return _fail(f"unknown evidence variable {shown(name)}")
         evidence[name] = bayes.parse_value(net.variables[name], token)
-    if args.query not in net.variables:
-        return _fail(f"unknown query variable {args.query!r}")
     infer = bayes.infer_enumeration if args.method == "enum" else bayes.infer_variable_elimination
     dist = infer(net, args.query, evidence)
     variable = net.variables[args.query]
@@ -238,16 +230,21 @@ def cmd_bayes(parser, args):
 
 def main(argv=None) -> int:
     """The one place a handler's failure becomes output: a refused config value is the
-    subcommand's usage error, any other failure one line on stderr and exit 1."""
+    subcommand's usage error, any other failure one line on stderr naming its input (a
+    line of the trace or of standard input, the net, a path) and exit 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args.parser, args)
     except (InvalidParam, DuplicateLabel) as exc:
         args.parser.error(str(exc))
+    except MalformedLine as exc:
+        return _fail(f"{getattr(args, 'trace', 'stdin')}:{exc.line_no}: {exc.message}")
     except OSError as exc:  # open() records the path it was given
         where = args.command if exc.filename is None else exc.filename
         return _fail(f"{where}: {exc.strerror or exc}")
-    except bayes.BayesError as exc:  # a bad evidence value, zero evidence, too large
+    except bayes.InvalidNet as exc:
+        return _fail(f"{args.net}: {exc}")
+    except bayes.BayesError as exc:  # a bad value, an unknown variable, zero evidence, too large
         return _fail(str(exc))
     except MemoryError:
         return _fail(f"{args.command}: not enough memory")

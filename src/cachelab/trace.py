@@ -3,6 +3,8 @@
 import math
 import numbers
 import operator
+import re
+import sys
 from dataclasses import dataclass, field
 from itertools import count
 from typing import NamedTuple, Union
@@ -21,10 +23,6 @@ class MalformedLine(TraceError):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
         self.message = message  # without the line, for callers that name it themselves
-
-
-class MalformedCase(TraceError):
-    pass
 
 
 class InvalidParam(ValueError):
@@ -46,8 +44,11 @@ def require_ints(**params):
 
 
 def shown(value, text=repr):
-    """text(value) for a refusal to name, but an int too long for str() (past
-    sys.get_int_max_str_digits()) as its sign and bit length."""
+    """text(value) for a refusal to name, but a str of more than 40 characters as
+    the text of its first 16, '...' and its length, and an int too long for str()
+    (past sys.get_int_max_str_digits()) as its sign and bit length."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"{text(value[:16])}... ({len(value)} chars)"
     try:
         return text(value)
     except ValueError:
@@ -118,11 +119,30 @@ def _as_text(data: Union[str, bytes]) -> str:
     return data
 
 
+def read_decimal(token: str) -> int:
+    """int(token, 10), but leading zeros do not count toward int()'s limit of
+    sys.get_int_max_str_digits() digits: a ValueError for what int() cannot read,
+    an OverflowError naming the limit for a value of more digits than that."""
+    try:
+        return int(token, 10)
+    except ValueError:
+        match = re.fullmatch(r"([+-]?)(\d+(?:_\d+)*)", token.strip())  # what int() reads
+        if match is None:
+            raise
+    digits = match[2].replace("_", "")
+    digits = digits.translate({ord(d): str(int(d)) for d in set(digits)}).lstrip("0")
+    if len(digits) > sys.get_int_max_str_digits():
+        raise OverflowError(f"more than {sys.get_int_max_str_digits()} digits")
+    return int(match[1] + (digits or "0"))
+
+
 def _parse_key(token: str) -> int:
     try:
-        value = int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
+        value = int(token, 16) if token[:2].lower() == "0x" else read_decimal(token)
     except ValueError:
         raise ValueError("not a decimal or 0x-hex integer") from None
+    except OverflowError:  # more digits than int() reads: far past MAX_KEY
+        value = MAX_KEY + 1
     if not 0 <= value <= MAX_KEY:
         raise ValueError("key outside unsigned 64-bit range")
     return value
@@ -146,7 +166,7 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
         try:
             keys.append(_parse_key(token))
         except ValueError as exc:
-            raise MalformedLine(line_no, f"bad key {token!r}: {exc}") from None
+            raise MalformedLine(line_no, f"bad key {shown(token)}: {exc}") from None
     return Trace(keys)
 
 
@@ -158,13 +178,13 @@ def parse_smpc(text: Union[str, bytes]) -> Trace:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise MalformedLine(line_no, f"expected 'op address', got {line.strip()!r}")
+            raise MalformedLine(line_no, f"expected 'op address', got {shown(line.strip())}")
         if fields[0] not in _SMPC_OPS:
-            raise MalformedLine(line_no, f"unknown op code {fields[0]!r}")
+            raise MalformedLine(line_no, f"unknown op code {shown(fields[0])}")
         try:
             keys.append(_parse_key(fields[1]))
         except ValueError as exc:
-            raise MalformedLine(line_no, f"bad address {fields[1]!r}: {exc}") from None
+            raise MalformedLine(line_no, f"bad address {shown(fields[1])}: {exc}") from None
     return Trace(keys)
 
 
@@ -177,34 +197,33 @@ def emit_plain(trace: Trace) -> str:
 def parse_lru_problem(text: Union[str, bytes]) -> list:
     """Cases of 'N SCRIPT' per line, terminated by a line holding exactly '0'."""
     cases = []
-    terminated = False
-    for line_no, line in enumerate(_as_text(text).splitlines(), start=1):
+    lines = _as_text(text).splitlines()
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped == "0":
-            terminated = True
-            break
+            return cases
         fields = stripped.split()
         if len(fields) != 2:
-            raise MalformedCase(f"line {line_no}: expected 'N SCRIPT', got {stripped!r}")
+            raise MalformedLine(line_no, f"expected 'N SCRIPT', got {shown(stripped)}")
         try:
-            capacity = int(fields[0], 10)
+            capacity = read_decimal(fields[0])
         except ValueError:
-            raise MalformedCase(f"line {line_no}: bad capacity {fields[0]!r}") from None
+            raise MalformedLine(line_no, f"bad capacity {shown(fields[0])}") from None
+        except OverflowError as exc:
+            raise MalformedLine(line_no, f"bad capacity {shown(fields[0])}: {exc}") from None
         if capacity < 1:
-            raise MalformedCase(f"line {line_no}: capacity must be >= 1, got {capacity}")
+            raise MalformedLine(line_no, f"capacity must be >= 1, got {capacity}")
         script = fields[1]
         if any(ch != "!" and not ("A" <= ch <= "Z") for ch in script):
-            raise MalformedCase(f"line {line_no}: script has characters outside [A-Z!]")
+            raise MalformedLine(line_no, "script has characters outside [A-Z!]")
         if not ("A" <= script[0] <= "Z"):
-            raise MalformedCase(f"line {line_no}: script must start with a letter")
+            raise MalformedLine(line_no, "script must start with a letter")
         if "!" not in script:
-            raise MalformedCase(f"line {line_no}: script has no '!'")
+            raise MalformedLine(line_no, "script has no '!'")
         cases.append(LruCase(capacity, script))
-    if not terminated:
-        raise MalformedCase("missing '0' terminator line")
-    return cases
+    raise MalformedLine(len(lines) + 1, "missing '0' terminator line")
 
 
 def letter_key(letter: str) -> int:

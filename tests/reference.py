@@ -5,6 +5,7 @@ code with the package under test.
 """
 
 import itertools
+import sys
 
 import numpy as np
 
@@ -556,7 +557,8 @@ def ref_parse_plain(data):
 
     Lines are those of str.splitlines, stripped of whitespace. Bytes must be
     UTF-8; an undecodable byte is on the line after the last line break before
-    it, counting breaks as str.splitlines does.
+    it, counting breaks as str.splitlines does. A key is its value however many
+    digits spell it, so int() reads with its digit limit lifted.
     Returns ("ok", keys), or ("bad", line number) for the first bad line.
     """
     if isinstance(data, bytes):
@@ -577,10 +579,14 @@ def ref_parse_plain(data):
         if token == "" or token[0] == "#":
             continue
         base = 16 if token[:2] in ("0x", "0X") else 10
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
         try:
             key = int(token, base)
         except ValueError:
             return "bad", line_no
+        finally:
+            sys.set_int_max_str_digits(limit)
         if key < 0 or key >= 2**64:
             return "bad", line_no
         keys.append(key)

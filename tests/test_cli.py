@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cachelab.bayes import InvalidNet
 from cachelab.cli import build_parser, main
 from cachelab.policies import POLICIES
+from cachelab.trace import MalformedLine
 
 DATA = Path(__file__).parent / "data"
 SPRINKLER = str(DATA / "sprinkler.json")
@@ -131,7 +133,7 @@ def test_lru_sim_non_utf8_input(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run_cli(["lru-sim"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("stdin: line 2: ") and "0xff" in err
+    assert err.startswith("stdin:2: ") and "0xff" in err
     assert err.count("\n") == 1
 
 
@@ -486,6 +488,85 @@ def test_lru_sim_malformed_input(monkeypatch, capsys):
     assert out == "" and "stdin" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    ("2 AB!\n3 !AB!\n0\n", "stdin:2: script must start with a letter"),
+    ("2 AB!\n\n2 A\n0\n", "stdin:3: script has no '!'"),
+    ("2 AB!\n", "stdin:2: missing '0' terminator line"),
+    ("2 AB!\n\n", "stdin:3: missing '0' terminator line"),
+    ("", "stdin:1: missing '0' terminator line"),
+], ids=["bad-script", "after-blank", "no-terminator", "no-terminator-after-blank", "empty"])
+def test_lru_sim_names_its_stdin_line_from_main(monkeypatch, capsys, data, message):
+    # the handler lets the MalformedLine go, and main names the input and its line
+    monkeypatch.setattr("sys.stdin", io.StringIO(data))
+    args = build_parser().parse_args(["lru-sim"])
+    with pytest.raises(MalformedLine):
+        args.handler(args.parser, args)
+    monkeypatch.setattr("sys.stdin", io.StringIO(data))
+    assert run_cli(["lru-sim"], capsys) == (1, "", f"{message}\n")
+
+
+LONG = "1" + "0" * 5000  # 5,001 digits: past the 4,300 int() reads from text
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (["run", "--trace", "t.txt", "--policy", "lru", "--capacity", "4"], f"{LONG}\n",
+     "t.txt:1: bad key '1000000000000000'... (5001 chars): key outside unsigned 64-bit range"),
+    (["run", "--trace", "t.txt", "--format", "smpc", "--policy", "lru", "--capacity", "4"],
+     f"2 {LONG}\n",
+     "t.txt:1: bad address '1000000000000000'... (5001 chars): key outside unsigned 64-bit range"),
+    (["lru-sim"], f"{LONG} AB!\n0\n",
+     "stdin:1: bad capacity '1000000000000000'... (5001 chars): more than 4300 digits"),
+    (["compare", "--trace", "t.txt", "--policies", "lru", "--capacities", f"2,{LONG}"], "1\n",
+     "cachelab compare: error: bad capacity '1000000000000000'... (5001 chars): "
+     "more than 4300 digits"),
+    (["bayes", "--net", SPRINKLER, "--query", "Rain", "--evidence", f"Sprinkler={LONG}"], "",
+     "'Sprinkler': bad value '1000000000000000'... (5001 chars): more than 4300 digits"),
+    (["bayes", "--net", "t.txt", "--query", "A"],
+     '{"variables": [{"name": "A", "cardinality": %s}]}' % LONG,
+     "t.txt: number 1000000000000000... (5001 chars): more than 4300 digits"),
+], ids=["plain-key", "smpc-address", "lru-sim-capacity", "compare-capacity", "bayes-value",
+        "net-int"])
+def test_long_token_is_refused_in_one_short_line(tmp_path, monkeypatch, capsys, argv, data,
+                                                 message):
+    # the token is shortened where it is echoed, and the line names why it is refused
+    monkeypatch.chdir(tmp_path)
+    Path("t.txt").write_text(data)
+    monkeypatch.setattr("sys.stdin", io.StringIO(data))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # compare's capacity token is a usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert (code, out, lines[-1]) == (2 if argv[0] == "compare" else 1, "", message)
+    assert len(lines) == 1 or code == 2
+    assert max(map(len, lines)) < 200
+
+
+NAME = "A" * 5001
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--query", NAME], 1, "unknown variable 'AAAAAAAAAAAAAAAA'... (5001 chars)"),
+    (["--query", "Rain", "--evidence", f"{NAME}=1"], 1,
+     "unknown evidence variable 'AAAAAAAAAAAAAAAA'... (5001 chars)"),
+    (["--query", "Rain", "--evidence", NAME], 2,
+     "cachelab bayes: error: bad --evidence item 'AAAAAAAAAAAAAAAA'... (5001 chars), "
+     "expected VAR=VAL"),
+    (["--query", NAME, "--evidence", f"{NAME}=1"], 2,
+     "cachelab bayes: error: query variable 'AAAAAAAAAAAAAAAA'... (5001 chars) "
+     "appears in --evidence"),
+], ids=["query", "evidence-name", "evidence-item", "query-in-evidence"])
+def test_long_variable_name_is_echoed_short(capsys, argv, code, message):
+    try:
+        result = main(["bayes", "--net", SPRINKLER, *argv])
+    except SystemExit as exc:  # a malformed --evidence item is a usage error
+        result = exc.code
+    out, err = capsys.readouterr()
+    assert (result, out, err.splitlines()[-1]) == (code, "", message)
+    assert max(map(len, err.splitlines())) < 200
+
+
 def test_gen_trace_cycle_and_determinism(tmp_path, capsys):
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"
@@ -600,6 +681,23 @@ def test_bayes_unknown_variable(capsys):
     code, _, err = run_cli(
         ["bayes", "--net", SPRINKLER, "--query", "Rain", "--evidence", "Snow=T"], capsys)
     assert code == 1 and "Snow" in err
+
+
+@pytest.mark.parametrize("method", ["ve", "enum"])
+def test_bayes_unknown_query_is_refused_by_inference(capsys, method):
+    assert run_cli(["bayes", "--net", SPRINKLER, "--query", "Snow", "--method", method],
+                   capsys) == (1, "", "unknown variable 'Snow'\n")
+
+
+def test_bayes_invalid_net_is_named_by_main(tmp_path, capsys):
+    # the handler lets the InvalidNet go, and main prefixes the net file
+    net = tmp_path / "net.json"
+    net.write_text("[]")
+    argv = ["bayes", "--net", str(net), "--query", "A"]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(InvalidNet, match="^top level must be an object$"):
+        args.handler(args.parser, args)
+    assert run_cli(argv, capsys) == (1, "", f"{net}: top level must be an object\n")
 
 
 def test_bayes_zero_evidence(tmp_path, capsys):

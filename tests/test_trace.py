@@ -10,7 +10,6 @@ from cachelab.trace import (
     MAX_KEY,
     InvalidParam,
     LruCase,
-    MalformedCase,
     MalformedLine,
     Trace,
     TraceError,
@@ -121,12 +120,12 @@ def test_parse_plain_named_bad_lines(text, line, message):
 
 
 # Pieces of plain-trace text: digits, base prefixes and letters, signs, separators,
-# line breaks, non-ASCII digits, keys at and past the 64-bit bounds, and a token
-# over int()'s 4,300-digit limit.
+# line breaks, non-ASCII digits, keys at and past the 64-bit bounds, and tokens over
+# int()'s 4,300-digit limit, zeros that pad a key among them.
 TEXT_PIECES = st.sampled_from([
     *"0123456789", "0x", "0X", "0o", "a", "b", "F", "#", "_", "+", "-", " ", "\t", "\r", "\n",
     "\r\n", "\u0663", "\uff17", "\u0e52", "0", str(MAX_KEY), str(MAX_KEY + 1),
-    hex(MAX_KEY), "9" * 4301, "\n1\n",
+    hex(MAX_KEY), "9" * 4301, "0" * 4301, "\u0660" * 4301, "0_" * 2200, "\n1\n",
 ])
 TRACE_TEXT = st.lists(TEXT_PIECES, max_size=40).map("".join)
 TRACE_BYTES = st.binary(max_size=64) | st.lists(
@@ -155,7 +154,7 @@ def test_parse_plain_matches_naive_oracle(data):
 def test_other_parsers_raise_only_trace_errors(parse, data):
     try:
         parse(data)
-    except TraceError:  # MalformedLine and MalformedCase are TraceErrors
+    except TraceError:  # MalformedLine is a TraceError
         pass
 
 
@@ -245,8 +244,42 @@ def test_parse_lru_problem_ignores_trailing_content():
     "2 AB!\n",           # missing terminator
 ])
 def test_parse_lru_problem_malformed(text):
-    with pytest.raises(MalformedCase):
+    with pytest.raises(MalformedLine):
         parse_lru_problem(text)
+
+
+@pytest.mark.parametrize("text, line", [("2 AB!\n", 2), ("2 AB!\n\n", 3), ("", 1)])
+def test_parse_lru_problem_missing_terminator_names_the_next_line(text, line):
+    with pytest.raises(MalformedLine) as err:
+        parse_lru_problem(text)
+    assert (err.value.line_no, err.value.message) == (line, "missing '0' terminator line")
+
+
+# int() refuses a decimal of more than 4,300 digits, leading zeros included; a key,
+# a capacity or a value that zeros pad is read as the value they pad
+@pytest.mark.parametrize("parse, text, value", [
+    (parse_plain, "0" * 5000 + "7\n", [7]),
+    (parse_plain, "1\n" + "\u0660" * 5000 + "\u0663\n", [1, 3]),
+    (parse_plain, "+" + "0_" * 3000 + "07\n", [7]),
+    (parse_plain, "-" + "0" * 5000 + "\n", [0]),
+    (parse_smpc, "2 " + "0" * 5000 + "7\n", [7]),
+    (parse_lru_problem, "0" * 5000 + "2 AB!\n0\n", [LruCase(2, "AB!")]),
+], ids=["plain", "arabic-indic", "underscores", "negative-zero", "smpc", "lru-capacity"])
+def test_zero_padded_token_reads_as_its_value(parse, text, value):
+    result = parse(text)
+    assert (result if parse is parse_lru_problem else result.keys) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1" + "0" * 5000, "key outside unsigned 64-bit range"),
+    ("-" + "0" * 4999 + "1", "key outside unsigned 64-bit range"),
+    ("1" * 5000 + "x", "not a decimal or 0x-hex integer"),
+    ("0" * 5000 + "_", "not a decimal or 0x-hex integer"),
+], ids=["long-value", "padded-negative", "bad-tail", "trailing-underscore"])
+def test_key_past_the_digit_limit_names_the_reason(text, message):
+    with pytest.raises(MalformedLine) as err:
+        parse_plain(text)
+    assert err.value.message == f"bad key {text[:16]!r}... ({len(text)} chars): {message}"
 
 
 def test_letter_key_round_trip():
