@@ -68,12 +68,13 @@ class Variable:
 
     def __post_init__(self):
         if not isinstance(self.name, str):  # not str(): null would name a variable "None"
-            raise InvalidNet(f"name must be a string, got {self.name!r}")
+            raise InvalidNet(f"name must be a string, got {shown(self.name)}")
         card = self.cardinality  # not int(): 2.7 would pass as 2, True as 1
         if isinstance(card, bool) or not isinstance(card, (int, np.integer)):
-            raise InvalidNet(f"variable {self.name!r}: cardinality must be an int, got {card!r}")
+            raise InvalidNet(f"variable {shown(self.name)}: cardinality must be an int, "
+                             f"got {shown(card)}")
         if card < 2:
-            raise InvalidNet(f"variable {self.name!r}: cardinality must be >= 2")
+            raise InvalidNet(f"variable {shown(self.name)}: cardinality must be >= 2")
         object.__setattr__(self, "cardinality", int(card))  # not a numpy scalar
 
 
@@ -85,14 +86,15 @@ class CPT:
 
     def __post_init__(self):
         if not isinstance(self.child, str):
-            raise InvalidNet(f"child must be a string, got {self.child!r}")
+            raise InvalidNet(f"child must be a string, got {shown(self.child)}")
         if not (isinstance(self.parents, list) and all(isinstance(p, str) for p in self.parents)):
-            raise InvalidNet(f"cpt {self.child!r}: parents must be a list of strings, "
-                             f"got {self.parents!r}")  # a string would be read as its letters
+            raise InvalidNet(f"cpt {shown(self.child)}: parents must be a list of strings, "
+                             f"got {shown(self.parents)}")  # a string would be read as its letters
         bad = [x for row in self.rows for x in row if type(x) not in (float, int)
                and (isinstance(x, bool) or not isinstance(x, numbers.Real))]
         if bad:  # not float(): "0.2" would pass as 0.2, True as 1.0
-            raise InvalidNet(f"cpt {self.child!r}: probabilities must be numbers, got {bad[0]!r}")
+            raise InvalidNet(f"cpt {shown(self.child)}: probabilities must be numbers, "
+                             f"got {shown(bad[0])}")
         self.parents = list(self.parents)  # the net's own, as rows are
         try:
             self.rows = [[float(x) for x in row] for row in self.rows]
@@ -100,20 +102,19 @@ class CPT:
             self.rows = [[as_float(x) for x in row] for row in self.rows]
 
     def validate(self, cards):
-        expected_rows = 1
-        for p in self.parents:
-            expected_rows *= cards[p]
+        expected_rows = math.prod(cards[p] for p in self.parents)
         if len(self.rows) != expected_rows:
             raise InvalidNet(
-                f"cpt {self.child!r}: expected {expected_rows} rows, got {len(self.rows)}")
+                f"cpt {shown(self.child)}: expected {expected_rows} rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows):
             if len(row) != cards[self.child]:
                 raise InvalidNet(
-                    f"cpt {self.child!r} row {i}: expected {cards[self.child]} values")
+                    f"cpt {shown(self.child)} row {i}: expected {cards[self.child]} values")
             if not all(0 <= v < math.inf for v in row):
-                raise InvalidNet(f"cpt {self.child!r} row {i}: negative or non-finite probability")
+                raise InvalidNet(f"cpt {shown(self.child)} row {i}: negative or non-finite "
+                                 "probability")
             if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                raise InvalidNet(f"cpt {self.child!r} row {i}: sums to {sum(row)!r}, not 1")
+                raise InvalidNet(f"cpt {shown(self.child)} row {i}: sums to {sum(row)!r}, not 1")
 
 
 class Factor:
@@ -159,9 +160,9 @@ def _aligned(factor, scope):
 def _check_parents(cpt, names):
     for i, p in enumerate(cpt.parents):
         if p not in names:
-            raise InvalidNet(f"cpt {cpt.child!r}: unknown parent {p!r}")
+            raise InvalidNet(f"cpt {shown(cpt.child)}: unknown parent {shown(p)}")
         if p in cpt.parents[:i]:
-            raise InvalidNet(f"cpt {cpt.child!r}: parent {p!r} named twice")
+            raise InvalidNet(f"cpt {shown(cpt.child)}: parent {shown(p)} named twice")
 
 
 class BayesNet:
@@ -169,21 +170,22 @@ class BayesNet:
         self.variables = {}
         for v in variables:
             if v.name in self.variables:
-                raise InvalidNet(f"duplicate variable {v.name!r}")
+                raise InvalidNet(f"duplicate variable {shown(v.name)}")
             self.variables[v.name] = v
         cards = {name: v.cardinality for name, v in self.variables.items()}
         self.cpts = {}
         for cpt in cpts:
             if cpt.child not in self.variables:
-                raise InvalidNet(f"cpt for unknown variable {cpt.child!r}")
+                raise InvalidNet(f"cpt for unknown variable {shown(cpt.child)}")
             if cpt.child in self.cpts:
-                raise InvalidNet(f"duplicate cpt for {cpt.child!r}")
+                raise InvalidNet(f"duplicate cpt for {shown(cpt.child)}")
             _check_parents(cpt, cards)
             cpt.validate(cards)
             self.cpts[cpt.child] = cpt
-        missing = set(self.variables) - set(self.cpts)
-        if missing:
-            raise InvalidNet(f"variables without a cpt: {sorted(missing)}")
+        missing = sorted(set(self.variables) - set(self.cpts))
+        if missing:  # a net may miss thousands: name the first, count the rest
+            more = f", ...] ({len(missing)} missing)" if len(missing) > 1 else "]"
+            raise InvalidNet(f"variables without a cpt: [{shown(missing[0])}{more}")
         try:  # a cpt that names its own child is a cycle too
             graphlib.TopologicalSorter(
                 {child: cpt.parents for child, cpt in self.cpts.items()}).prepare()
@@ -205,9 +207,9 @@ class BayesNet:
             self._require(name)
             card = self.variables[name].cardinality
             if not isinstance(value, (int, np.integer)):  # numpy would index 0.5 as 0
-                raise BayesError(f"{name!r}: value {value!r} is not an int")
+                raise BayesError(f"{shown(name)}: value {shown(value)} is not an int")
             if not 0 <= value < card:
-                raise BayesError(f"{name!r}: value {shown(value, str)} outside 0..{card - 1}")
+                raise BayesError(f"{shown(name)}: value {shown(value, str)} outside 0..{card - 1}")
 
 
 def joint_probability(net: BayesNet, assignment: dict) -> float:
@@ -229,7 +231,7 @@ def _check_query(net, query_var, evidence):
     net._require(query_var)
     net._check_values(evidence)
     if query_var in evidence:
-        raise InvalidQuery(f"query variable {query_var!r} appears in the evidence")
+        raise InvalidQuery(f"query variable {shown(query_var)} appears in the evidence")
 
 
 def _restricted(net, names, evidence):
@@ -295,7 +297,7 @@ def eliminate_variable(factors, var: str):
     """Multiply every factor mentioning var, sum var out, pass the rest through."""
     touched = [f for f in factors if var in f.names]
     if not touched:
-        raise UnknownVariable(f"{var!r} appears in no factor")
+        raise UnknownVariable(f"{shown(var)} appears in no factor")
     rest = [f for f in factors if var not in f.names]
     rest.append(_product(touched).sum_out(var))
     return rest
@@ -359,7 +361,7 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
         raise EmptyData("no data and no pseudocount: rows are undefined")
     for child in structure:
         if child not in cards:
-            raise BayesError(f"structure names unknown child {child!r}")
+            raise BayesError(f"structure names unknown child {shown(child)}")
     cpts = [CPT(v.name, structure.get(v.name, []), []) for v in variables]  # rows come last
     for cpt in cpts:
         _check_parents(cpt, cards)
@@ -382,7 +384,7 @@ def learn_cpts(variables, structure: dict, data, pseudocount: float = 0.0) -> Ba
             values = [row[name] for row in data]
             for i, x in enumerate(values):  # before the cast: np.intp turns 0.5 into 0
                 if not (isinstance(x, (int, np.integer)) and 0 <= x < card):
-                    raise BayesError(f"data row {i}: {name!r} has value {shown(x)}, "
+                    raise BayesError(f"data row {i}: {shown(name)} has value {shown(x)}, "
                                      f"not an int in 0..{card - 1}")
             columns[name] = np.fromiter(values, np.intp, len(values))
     for cpt in cpts:
@@ -450,14 +452,9 @@ def value_label(variable: Variable, value: int) -> str:
 
 
 def parse_value(variable: Variable, token: str) -> int:
-    if variable.cardinality == 2:
-        if token == "T":
-            return 0
-        if token == "F":
-            return 1
+    if variable.cardinality == 2 and token in ("T", "F"):  # T-first, as value_label prints
+        return "TF".index(token)
     try:  # the range is inference's to check
         return read_decimal(token)
-    except ValueError:
-        raise BayesError(f"{variable.name!r}: bad value {shown(token)}") from None
-    except OverflowError as exc:
-        raise BayesError(f"{variable.name!r}: bad value {shown(token)}: {exc}") from None
+    except (ValueError, OverflowError) as exc:
+        raise BayesError(f"{shown(variable.name)}: bad value {shown(token)}: {exc}") from None

@@ -26,6 +26,17 @@ from .trace import (
 )
 
 
+def _number(kind):
+    """The type= of a numeric flag of the kind "int" or "float": read_decimal reads an
+    int, float a float, and a bad token is refused in argparse's words, but shown."""
+    def number(token):
+        try:
+            return (read_decimal if kind == "int" else float)(token)
+        except (ValueError, OverflowError):
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {shown(token)}") from None
+    return number
+
+
 def _add_policy_flags(sub, many=False):
     sub.add_argument("--trace", required=True, help="trace file path")
     sub.add_argument("--format", choices=("plain", "smpc"), default="plain")
@@ -36,18 +47,19 @@ def _add_policy_flags(sub, many=False):
                          help="comma list of sizes; 'log' and 'sqrt' resolve against n")
     else:
         sub.add_argument("--policy", choices=POLICIES, required=True)
-        sub.add_argument("--capacity", type=int, required=True)
+        sub.add_argument("--capacity", type=_number("int"), required=True)
     sub.add_argument("--arc-adaptation", choices=("unit", "ratio"))
     sub.add_argument("--pre-evict", choices=("halfway",))
-    sub.add_argument("--address-space", type=int, help="key-space bound for the halfway rule")
-    sub.add_argument("--pre-evict-timer", type=int, metavar="T",
+    sub.add_argument("--address-space", type=_number("int"),
+                     help="key-space bound for the halfway rule")
+    sub.add_argument("--pre-evict-timer", type=_number("int"), metavar="T",
                      help="expire entries unhit for T requests")
     sub.add_argument("--prefetch", choices=("pgm",))
-    sub.add_argument("--order", type=int)
-    sub.add_argument("--top-k", type=int)
-    sub.add_argument("--p-min", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--min-support", type=int)
+    sub.add_argument("--order", type=_number("int"))
+    sub.add_argument("--top-k", type=_number("int"))
+    sub.add_argument("--p-min", type=_number("float"))
+    sub.add_argument("--alpha", type=_number("float"))
+    sub.add_argument("--min-support", type=_number("int"))
     sub.add_argument("--out", choices=("json", "csv", "table"), default="table")
 
 
@@ -69,10 +81,10 @@ def build_parser():
 
     gen = add("gen-trace", cmd_gen_trace, "write a seeded synthetic trace")
     gen.add_argument("--model", choices=("markov",), required=True)
-    gen.add_argument("--states", type=int, required=True)
-    gen.add_argument("--length", type=int, required=True)
-    gen.add_argument("--determinism", type=float, required=True)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--states", type=_number("int"), required=True)
+    gen.add_argument("--length", type=_number("int"), required=True)
+    gen.add_argument("--determinism", type=_number("float"), required=True)
+    gen.add_argument("--seed", type=_number("int"), required=True)
     gen.add_argument("--out", required=True, help="output path")
 
     add("lru-sim", cmd_lru_sim, "LRU print-state simulator over standard input")
@@ -147,9 +159,7 @@ def cmd_compare(parser, args):
         if token not in ("log", "sqrt"):
             try:
                 token = read_decimal(token)
-            except ValueError:
-                parser.error(f"bad capacity {shown(token)}")
-            except OverflowError as exc:
+            except (ValueError, OverflowError) as exc:
                 parser.error(f"bad capacity {shown(token)}: {exc}")
         capacities.append(token)
     if not capacities:
@@ -158,14 +168,11 @@ def cmd_compare(parser, args):
 
     def run_configs(ks):
         # CacheConfig refuses a capacity below 1 and an unknown policy
-        configs = [RunConfig(cache=CacheConfig(k, policy, **adaptation),
-                             pre=pre, prefetch=prefetch, predictor=predictor,
-                             label=f"{policy}@{k}")
-                   for policy in policies for k in ks]
-        check_labels(configs)
-        return configs
+        return [RunConfig(cache=CacheConfig(k, policy, **adaptation),
+                          pre=pre, prefetch=prefetch, predictor=predictor, label=f"{policy}@{k}")
+                for policy in policies for k in ks]
 
-    run_configs([k for k in capacities if k not in ("log", "sqrt")])
+    check_labels(run_configs([k for k in capacities if k not in ("log", "sqrt")]))
     trace = _load_trace(args)
     n = len(trace)
     for i, token in enumerate(capacities):

@@ -29,9 +29,9 @@ class CacheConfig:
         if self.capacity < 1:
             raise InvalidParam(f"capacity must be >= 1, got {shown(self.capacity)}")
         if self.policy not in POLICIES:
-            raise InvalidParam(f"unknown policy {self.policy!r}")
+            raise InvalidParam(f"unknown policy {shown(self.policy)}")
         if self.arc_adaptation not in (UNIT, RATIO):
-            raise InvalidParam(f"unknown arc_adaptation {self.arc_adaptation!r}")
+            raise InvalidParam(f"unknown arc_adaptation {shown(self.arc_adaptation)}")
 
 
 class CacheState:

@@ -148,7 +148,7 @@ class PrefetchConfig:
             raise InvalidParam(f"p_min must be in [0, 1], got {shown(self.p_min)}")
         object.__setattr__(self, "p_min", as_float(self.p_min))  # a float32 compares in float32
         if self.trigger not in (ON_MISS, ON_EVERY_ACCESS):
-            raise InvalidParam(f"unknown trigger {self.trigger!r}")
+            raise InvalidParam(f"unknown trigger {shown(self.trigger)}")
 
 
 @dataclass(frozen=True)

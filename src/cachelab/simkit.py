@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 from .policies import CacheConfig, PreEvictConfig, PreEvictingCache, make_cache
 from .prefetch import PredictorConfig, PrefetchConfig, Prefetcher, coverage
-from .trace import Trace
+from .trace import Trace, shown
 
 
 class DuplicateLabel(ValueError):
@@ -87,7 +87,7 @@ def check_labels(configs):
     labels = set()
     for config in configs:
         if config.label in labels:
-            raise DuplicateLabel(f"duplicate label {config.label!r}")
+            raise DuplicateLabel(f"duplicate label {shown(config.label)}")
         labels.add(config.label)
 
 
@@ -117,7 +117,7 @@ def emit_report(reports, format: str = "table") -> str:
         widths = [max(map(len, column)) for column in zip(*rows)]
         return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
                        for row in rows)
-    raise ValueError(f"unknown report format {format!r}")
+    raise ValueError(f"unknown report format {shown(format)}")
 
 
 def parse_report_csv(text: str) -> list:
@@ -138,7 +138,7 @@ def parse_report_csv(text: str) -> list:
                 value = math.nan  # fails the check below
             if not 0 <= value < math.inf:
                 raise ValueError(f"csv line {reader.line_num}: column {name!r}: "
-                                 f"bad value {cell!r}")
+                                 f"bad value {shown(cell)}")
             values[name] = value
         reports.append(SimReport(**values))
     return reports

@@ -39,22 +39,19 @@ def require_ints(**params):
                 raise TypeError
             ints.append(operator.index(value))
         except TypeError:
-            raise InvalidParam(f"{name} must be an integer, got {value!r}") from None
+            raise InvalidParam(f"{name} must be an integer, got {shown(value)}") from None
     return ints
 
 
 def shown(value, text=repr):
     """text(value) for a refusal to name, but a str of more than 40 characters as
-    the text of its first 16, '...' and its length, and an int too long for str()
-    (past sys.get_int_max_str_digits()) as its sign and bit length."""
+    the text of its first 16, '...' and its length, and an int of more than 40
+    digits as its sign and bit length."""
     if isinstance(value, str) and len(value) > 40:
         return f"{text(value[:16])}... ({len(value)} chars)"
-    try:
-        return text(value)
-    except ValueError:
-        if not isinstance(value, int):
-            raise
+    if isinstance(value, int) and not -10**40 < value < 10**40:
         return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+    return text(value)
 
 
 def as_float(value):
@@ -121,14 +118,14 @@ def _as_text(data: Union[str, bytes]) -> str:
 
 def read_decimal(token: str) -> int:
     """int(token, 10), but leading zeros do not count toward int()'s limit of
-    sys.get_int_max_str_digits() digits: a ValueError for what int() cannot read,
-    an OverflowError naming the limit for a value of more digits than that."""
+    sys.get_int_max_str_digits() digits: ValueError("not a decimal integer") for what
+    int() cannot read, an OverflowError naming the limit for a value of more digits."""
     try:
         return int(token, 10)
     except ValueError:
         match = re.fullmatch(r"([+-]?)(\d+(?:_\d+)*)", token.strip())  # what int() reads
         if match is None:
-            raise
+            raise ValueError("not a decimal integer") from None
     digits = match[2].replace("_", "")
     digits = digits.translate({ord(d): str(int(d)) for d in set(digits)}).lstrip("0")
     if len(digits) > sys.get_int_max_str_digits():
@@ -209,12 +206,10 @@ def parse_lru_problem(text: Union[str, bytes]) -> list:
             raise MalformedLine(line_no, f"expected 'N SCRIPT', got {shown(stripped)}")
         try:
             capacity = read_decimal(fields[0])
-        except ValueError:
-            raise MalformedLine(line_no, f"bad capacity {shown(fields[0])}") from None
-        except OverflowError as exc:
+        except (ValueError, OverflowError) as exc:
             raise MalformedLine(line_no, f"bad capacity {shown(fields[0])}: {exc}") from None
         if capacity < 1:
-            raise MalformedLine(line_no, f"capacity must be >= 1, got {capacity}")
+            raise MalformedLine(line_no, f"capacity must be >= 1, got {shown(capacity)}")
         script = fields[1]
         if any(ch != "!" and not ("A" <= ch <= "Z") for ch in script):
             raise MalformedLine(line_no, "script has characters outside [A-Z!]")

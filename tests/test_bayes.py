@@ -248,8 +248,12 @@ def test_net_rejects_cycle():
 
 
 def test_net_rejects_missing_cpt_and_duplicates():
-    with pytest.raises(InvalidNet):
+    with pytest.raises(InvalidNet, match=r"^variables without a cpt: \['B'\]$"):
         BayesNet([Variable("A", 2), Variable("B", 2)], [CPT("A", [], [[0.5, 0.5]])])
+    # of many missing, the first in sorted order and the count: not a line of every name
+    with pytest.raises(InvalidNet) as err:
+        BayesNet([Variable(f"V{i}", 2) for i in range(2000, 0, -1)], [])
+    assert str(err.value) == "variables without a cpt: ['V1', ...] (2000 missing)"
     with pytest.raises(InvalidNet):
         BayesNet([Variable("A", 2), Variable("A", 2)],
                  [CPT("A", [], [[0.5, 0.5]])])
@@ -755,7 +759,7 @@ def test_learn_rejects_bad_pseudocount(pseudocount):
 def test_learn_rejects_pseudocount_past_the_float_range():
     with pytest.raises(BayesError) as err:
         learn_cpts([Variable("A", 2)], {}, [{"A": 0}], 10**400)
-    assert str(err.value) == f"pseudocount must be finite and >= 0, got {10**400!r}"
+    assert str(err.value) == "pseudocount must be finite and >= 0, got <int of 1329 bits>"
 
 
 @pytest.mark.parametrize("cell", [10**400, -10**400], ids=["10**400", "-10**400"])

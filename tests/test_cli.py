@@ -269,6 +269,8 @@ def test_arc_adaptation_without_an_arc_policy_is_a_usage_error(tmp_path, capsys,
     # the configs of 'log' and 'sqrt' are checked once the trace's 20 keys resolve them
     ("compare", ["--policies", "lru", "--capacities", "4,sqrt"], "duplicate label 'lru@4'"),
     ("compare", ["--policies", "bogus", "--capacities", "log"], "unknown policy 'bogus'"),
+    # an int flag's bad token, in argparse's words, as the float flag's above
+    ("run", ["--policy", "lru", "--capacity", "x"], "argument --capacity: invalid int value: 'x'"),
 ])
 def test_handler_usage_error_names_its_subcommand(tmp_path, capsys, command, flags, message):
     # as argparse's own errors do: the subcommand's usage, then its prefix
@@ -289,7 +291,7 @@ def test_handler_usage_error_names_its_subcommand(tmp_path, capsys, command, fla
     (["compare", "--policies", ",", "--capacities", "2"], 2,
      "cachelab compare: error: --policies is empty"),
     (["compare", "--policies", "lru", "--capacities", "2,x"], 2,
-     "cachelab compare: error: bad capacity 'x'"),
+     "cachelab compare: error: bad capacity 'x': not a decimal integer"),
     (["compare", "--policies", "lru", "--capacities", "2", "--prefetch", "pgm", "--top-k", "0"],
      2, "cachelab compare: error: top_k must be >= 1, got 0"),
     (["bayes", "--query", "Rain", "--evidence", "Sprinkler=T,Rain"], 2,
@@ -506,6 +508,23 @@ def test_lru_sim_names_its_stdin_line_from_main(monkeypatch, capsys, data, messa
 
 
 LONG = "1" + "0" * 5000  # 5,001 digits: past the 4,300 int() reads from text
+HUGE = "1" + "0" * 4000  # 4,001 digits: an int that reads, but too long to echo
+RUN = ["run", "--trace", "t.txt", "--policy", "lru", "--capacity", "4", "--prefetch", "pgm"]
+GEN = ["gen-trace", "--model", "markov", "--states", "5", "--length", "10",
+       "--determinism", "0.5", "--seed", "1", "--out", "o.txt"]
+NUMERIC_FLAGS = [  # (argv the flag completes, flag, the type argparse names)
+    *[(RUN, flag, "int") for flag in ["--capacity", "--address-space", "--pre-evict-timer",
+                                      "--order", "--top-k", "--min-support"]],
+    (RUN, "--p-min", "float"), (RUN, "--alpha", "float"),
+    *[(GEN, flag, "int") for flag in ["--states", "--length", "--seed"]],
+    (GEN, "--determinism", "float"),
+]
+# a float flag reads the 5,001 digits as inf, which the config that holds it refuses
+INF_REFUSED = {"--p-min": "p_min must be in [0, 1], got inf",
+               "--alpha": "alpha must be finite and >= 0, got inf",
+               "--determinism": "determinism must be in [0, 1], got inf"}
+FLAG_TOKENS = {"digits": (LONG, "'1000000000000000'... (5001 chars)"),
+               "letters": ("A" * 5001, "'AAAAAAAAAAAAAAAA'... (5001 chars)")}
 
 
 @pytest.mark.parametrize("argv, data, message", [
@@ -524,8 +543,27 @@ LONG = "1" + "0" * 5000  # 5,001 digits: past the 4,300 int() reads from text
     (["bayes", "--net", "t.txt", "--query", "A"],
      '{"variables": [{"name": "A", "cardinality": %s}]}' % LONG,
      "t.txt: number 1000000000000000... (5001 chars): more than 4300 digits"),
+    *[([*argv, flag, token], "1\n", "cachelab %s: error: %s" % (
+        argv[0], INF_REFUSED.get(flag) if (kind, form) == ("float", "digits")
+        else f"argument {flag}: invalid {kind} value: {text}"))
+      for argv, flag, kind in NUMERIC_FLAGS for form, (token, text) in FLAG_TOKENS.items()],
+    (["compare", "--trace", "t.txt", "--policies", "A" * 5000, "--capacities", "2"], "1\n",
+     "cachelab compare: error: unknown policy 'AAAAAAAAAAAAAAAA'... (5000 chars)"),
+    (["compare", "--trace", "t.txt", "--policies", "lru",  # a 4,000-digit capacity
+      "--capacities", f"{HUGE[:-1]},{HUGE[:-1]}"], "1\n",
+     "cachelab compare: error: duplicate label 'lru@100000000000'... (4004 chars)"),
+    (["lru-sim"], f"-{HUGE} AB!\n0\n",
+     "stdin:1: capacity must be >= 1, got -<int of 13288 bits>"),
+    (["bayes", "--net", SPRINKLER, "--query", "Rain", "--evidence", f"Sprinkler={HUGE}"], "",
+     "'Sprinkler': value <int of 13288 bits> outside 0..1"),
+    (["bayes", "--net", "t.txt", "--query", "A"],
+     '{"variables": [{"name": "%s", "cardinality": 1}]}' % ("A" * 5000),
+     "t.txt: variables[0]: variable 'AAAAAAAAAAAAAAAA'... (5000 chars): "
+     "cardinality must be >= 2"),
 ], ids=["plain-key", "smpc-address", "lru-sim-capacity", "compare-capacity", "bayes-value",
-        "net-int"])
+        "net-int", *[f"{flag[2:]}-{form}" for _, flag, _ in NUMERIC_FLAGS for form in FLAG_TOKENS],
+        "policies", "duplicate-label", "lru-sim-negative-capacity", "bayes-value-range",
+        "net-variable-name"])
 def test_long_token_is_refused_in_one_short_line(tmp_path, monkeypatch, capsys, argv, data,
                                                  message):
     # the token is shortened where it is echoed, and the line names why it is refused
@@ -534,13 +572,27 @@ def test_long_token_is_refused_in_one_short_line(tmp_path, monkeypatch, capsys, 
     monkeypatch.setattr("sys.stdin", io.StringIO(data))
     try:
         code = main(argv)
-    except SystemExit as exc:  # compare's capacity token is a usage error
+    except SystemExit as exc:  # a usage error, which names the subcommand
         code = exc.code
     out, err = capsys.readouterr()
     lines = err.splitlines()
-    assert (code, out, lines[-1]) == (2 if argv[0] == "compare" else 1, "", message)
+    assert (code, out, lines[-1]) == (2 if message.startswith("cachelab ") else 1, "", message)
     assert len(lines) == 1 or code == 2
     assert max(map(len, lines)) < 200
+
+
+def test_zero_padded_flag_reads_as_its_value(tmp_path, capsys):
+    # as a --capacities token does: leading zeros do not count toward int()'s digit limit
+    padded = "0" * 5000
+    trace = write_trace(tmp_path, [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5])
+    run = ["run", "--trace", trace, "--policy", "lru", "--out", "json", "--capacity"]
+    report = run_cli([*run, "8"], capsys)
+    assert report[0] == 0 and run_cli([*run, padded + "8"], capsys) == report
+    gen = ["gen-trace", "--model", "markov", "--length", "100", "--determinism", "0.8",
+           "--seed", "1", "--states"]
+    for states, name in [("50", "plain.txt"), (padded + "50", "padded.txt")]:
+        assert run_cli([*gen, states, "--out", str(tmp_path / name)], capsys) == (0, "", "")
+    assert (tmp_path / "padded.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
 
 
 NAME = "A" * 5001
@@ -657,7 +709,7 @@ def test_bayes_skips_empty_evidence_items(capsys):
 def test_bayes_bad_evidence_value_fails_in_one_line(capsys):
     code, out, err = run_cli(
         ["bayes", "--net", SPRINKLER, "--query", "Rain", "--evidence", "WetGrass=x"], capsys)
-    assert (code, out, err) == (1, "", "'WetGrass': bad value 'x'\n")
+    assert (code, out, err) == (1, "", "'WetGrass': bad value 'x': not a decimal integer\n")
 
 
 def test_bayes_query_in_evidence_usage_error(capsys):
@@ -921,8 +973,8 @@ def test_cli_deterministic_given_argv(tmp_path, capsys):
 
 # The CLI fuzz: argv and input bytes for every subcommand, drawn from small ranges
 # and, about one time in sixteen per item, from tokens that a flag or a parser must
-# refuse. Paths are placeholders that name the drawn input, the output file, a
-# missing file or a directory.
+# refuse, 5,001-character ones and zero-padded values among them. Paths are
+# placeholders that name the drawn input, the output file, a missing file or a directory.
 def mostly(valid, refused):
     # not an end of the range, which Hypothesis draws more often
     return st.integers(0, 15).flatmap(lambda roll: refused if roll == 7 else valid)
@@ -930,7 +982,8 @@ def mostly(valid, refused):
 
 def small_ints(low, high):
     return mostly(st.integers(low, high).map(str),
-                  st.sampled_from(["-1", "0", "", "x", "1.5", "0x2", " 3"]))
+                  st.sampled_from(["-1", "0", "", "x", "1.5", "0x2", " 3", "9" * 5001])
+                  | st.integers(low, high).map("{:05001d}".format))
 
 
 def choice(valid, refused=("x",)):
@@ -942,7 +995,9 @@ def comma_list(tokens):
 
 
 PATHS = choice(["{input}"], ["{missing}", "{dir}"])
-FLOATS = choice(["0", "0.1", "0.5", "1"], ["2", "-1", "nan", "inf", "1e309", "x", ""])
+FLOATS = choice(["0", "0.1", "0.5", "1"],
+                ["2", "-1", "nan", "inf", "1e309", "x", "", "9" * 5001, "x" * 5001,
+                 "0" * 5000 + "0.5"])
 POLICY_FLAGS = {
     "--format": choice(["plain", "smpc"]),
     "--arc-adaptation": choice(["unit", "ratio"]),
@@ -961,7 +1016,7 @@ FLAGS = {  # command -> (required flags, optional flags), each flag with its val
     "run": ({"--trace": PATHS, "--policy": choice(POLICIES),
              "--capacity": small_ints(1, 9)}, POLICY_FLAGS),
     "compare": ({"--trace": PATHS,
-                 "--policies": comma_list(choice(POLICIES, ["x", "", " lru"])),
+                 "--policies": comma_list(choice(POLICIES, ["x", "", " lru", "x" * 5001])),
                  "--capacities": comma_list(small_ints(1, 9) | st.just("log") | st.just("sqrt"))},
                 POLICY_FLAGS),
     "gen-trace": ({"--model": choice(["markov"]),
@@ -1038,6 +1093,7 @@ def test_cli_fuzz_exit_codes_and_diagnostics(call):
                 code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code)
+    assert max(map(len, err.splitlines()), default=0) < 300, (argv, err)
     if code == 1:
         assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
     assert "Traceback" not in out + err

@@ -333,7 +333,7 @@ def test_alpha_past_the_float_range_is_refused_in_its_words(make):
     # an int that compares below inf but that no float can hold
     with pytest.raises(InvalidParam) as err:
         make(10**400)
-    assert str(err.value) == f"alpha must be finite and >= 0, got {10**400!r}"
+    assert str(err.value) == "alpha must be finite and >= 0, got <int of 1329 bits>"
 
 
 def test_decide_prefetch_threshold_filter():
