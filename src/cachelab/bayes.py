@@ -209,7 +209,7 @@ class BayesNet:
             if not isinstance(value, (int, np.integer)):  # numpy would index 0.5 as 0
                 raise BayesError(f"{shown(name)}: value {shown(value)} is not an int")
             if not 0 <= value < card:
-                raise BayesError(f"{shown(name)}: value {shown(value, str)} outside 0..{card - 1}")
+                raise BayesError(f"{shown(name)}: value {shown(int(value))} outside 0..{card - 1}")
 
 
 def joint_probability(net: BayesNet, assignment: dict) -> float:
@@ -217,7 +217,7 @@ def joint_probability(net: BayesNet, assignment: dict) -> float:
     net._check_values(assignment)
     missing = set(net.variables) - set(assignment)
     if missing:
-        raise IncompleteAssignment(f"unassigned variables: {sorted(missing)}")
+        raise IncompleteAssignment(f"unassigned variables: {shown(sorted(missing))}")
     prob = 1.0
     for name, cpt in net.cpts.items():
         row = 0
@@ -312,7 +312,7 @@ def infer_variable_elimination(net: BayesNet, query_var: str, evidence: dict,
     eliminable = [n for n in net.variables if n != query_var and n not in evidence]
     if order is not None and sorted(order) != sorted(eliminable):
         raise InvalidOrder(
-            f"order must cover exactly {sorted(eliminable)}, got {sorted(order)}")
+            f"order must cover exactly {shown(sorted(eliminable))}, got {shown(sorted(order))}")
     # greedy without an order: the variable whose factors join into the smallest
     # scope, ties by name; the factors name only the query and the variables still
     # to go, and a step changes the joined scopes of only the names it joined
@@ -433,7 +433,7 @@ def _json_int(token: str) -> int:
     try:
         return read_decimal(token)
     except OverflowError as exc:
-        raise InvalidNet(f"number {shown(token, str)}: {exc}") from None
+        raise InvalidNet(f"number {shown(token)}: {exc}") from None
 
 
 def load_net(path) -> BayesNet:

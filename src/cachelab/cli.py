@@ -10,7 +10,7 @@ import sys
 from . import bayes
 from .policies import ARC, POLICIES, CacheConfig, CacheState, PreEvictConfig
 from .prefetch import PredictorConfig, PrefetchConfig
-from .simkit import DuplicateLabel, RunConfig, check_labels, compare, emit_report
+from .simkit import RunConfig, check_labels, compare, emit_report
 from .trace import (
     InvalidParam,
     MalformedLine,
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args.parser, args)
-    except (InvalidParam, DuplicateLabel) as exc:
+    except InvalidParam as exc:
         args.parser.error(str(exc))
     except MalformedLine as exc:
         return _fail(f"{getattr(args, 'trace', 'stdin')}:{exc.line_no}: {exc.message}")
@@ -257,9 +257,5 @@ def main(argv=None) -> int:
         return _fail(f"{args.command}: not enough memory")
 
 
-def run_main():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run_main()
+    sys.exit(main())

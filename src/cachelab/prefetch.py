@@ -65,23 +65,23 @@ class MarkovPredictor:
         self.order, self.alpha, self.min_support = checked
         self.counts = {}   # context tuple -> _Successors
         self.context = ()  # rolling window of the last `order` keys
-        self.row = None    # counts.get(context), kept so the next pass need not look it up
 
     def observe(self, key):
         """Count key after the current context, then slide the context over key.
         Returns the new context's row, the one predict_next reads, or None."""
         self.leaders((key,), 1.0)
-        return self.row
+        return self.counts.get(self.context)
 
     def leaders(self, keys, p_min, top_k=1):
         """Count every key in order and list, per key, what predict_next(None, top_k)
         ranks at or above p_min after it, or None if nothing: the leader itself for
-        top_k 1, else those keys as a tuple in rank order. It leaves counts, context
-        and row as one pass per key would, so each pass carries on where the last one
-        stopped. This loop holds the predictor's only copy of its counting rule."""
+        top_k 1, else those keys as a tuple in rank order. It leaves counts and context
+        as one pass per key would, so each pass carries on where the last one stopped.
+        This loop holds the predictor's only copy of its counting rule."""
         order, alpha, min_support = self.order, self.alpha, self.min_support
-        counts, ctx, row = self.counts, self.context, self.row
+        counts, ctx = self.counts, self.context
         get = counts.get
+        row = get(ctx)
         out = []
         append = out.append
         for key in keys:
@@ -117,7 +117,7 @@ class MarkovPredictor:
             else:  # probabilities descend, so those at or above p_min are a prefix
                 append(tuple([k for k, prob in _ranked(row, alpha, top_k) if prob >= p_min])
                        or None)
-        self.context, self.row = ctx, row
+        self.context = ctx
         return out
 
     def predict_next(self, context=None, top_k=1):
@@ -128,7 +128,7 @@ class MarkovPredictor:
         A context must hold `order` keys; None asks after the keys observed last."""
         if context is not None and len(context := tuple(context)) != self.order:
             raise InvalidParam(f"context must hold {self.order} keys, got {len(context)}")
-        row = self.row if context is None else self.counts.get(context)
+        row = self.counts.get(self.context if context is None else context)
         if row is None or row.total < self.min_support:
             return []
         return _ranked(row, self.alpha, top_k)

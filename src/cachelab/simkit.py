@@ -8,10 +8,10 @@ from dataclasses import dataclass, fields
 
 from .policies import CacheConfig, PreEvictConfig, PreEvictingCache, make_cache
 from .prefetch import PredictorConfig, PrefetchConfig, Prefetcher, coverage
-from .trace import Trace, shown
+from .trace import InvalidParam, Trace, shown
 
 
-class DuplicateLabel(ValueError):
+class DuplicateLabel(InvalidParam):
     pass
 
 
@@ -124,7 +124,7 @@ def parse_report_csv(text: str) -> list:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != REPORT_FIELDS:
-        raise ValueError(f"unexpected csv header {header!r}")
+        raise ValueError(f"unexpected csv header {shown(header)}")
     reports = []
     for row in reader:
         if len(row) != len(REPORT_FIELDS):

@@ -14,11 +14,7 @@ import numpy as np
 MAX_KEY = 2**64 - 1
 
 
-class TraceError(ValueError):
-    pass
-
-
-class MalformedLine(TraceError):
+class MalformedLine(ValueError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
@@ -43,15 +39,17 @@ def require_ints(**params):
     return ints
 
 
-def shown(value, text=repr):
-    """text(value) for a refusal to name, but a str of more than 40 characters as
-    the text of its first 16, '...' and its length, and an int of more than 40
-    digits as its sign and bit length."""
-    if isinstance(value, str) and len(value) > 40:
-        return f"{text(value[:16])}... ({len(value)} chars)"
+def shown(value):
+    """repr(value) for a refusal to name, but a str of more than 40 characters as the
+    repr of its first 16, '...' and its length, an int of more than 40 digits as its
+    sign and bit length, and any other value whose repr runs past 40 characters as
+    that repr's first 16 characters, '...' and its length."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:16]!r}... ({len(value)} chars)"
     if isinstance(value, int) and not -10**40 < value < 10**40:
         return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
-    return text(value)
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:16]}... ({len(text)} chars)"
 
 
 def as_float(value):

@@ -28,14 +28,13 @@ def book(cache):
 
 def predictor_state(pred):
     """Everything counting leaves in a predictor: each row's counts in first-seen order,
-    read through its dict view, with its total and ranking head, and the context. The
-    row the predictor keeps is the context's; each row's width is its view's length."""
+    read through its dict view, with its total and ranking head, and the context. Each
+    row's width is its view's length."""
     rows = {}
     for ctx, row in pred.counts.items():
         successors = row.successors()
         assert row.width == len(successors)
         rows[ctx] = (list(successors.items()), row.total, row.leader, row.top)
-    assert pred.row is pred.counts.get(pred.context)
     return rows, pred.context
 
 

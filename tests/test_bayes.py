@@ -461,6 +461,29 @@ def test_ve_invalid_order():
         infer_variable_elimination(net, "Y", {}, order=["W", "X", "Z", "Y"])
 
 
+def test_listed_names_are_echoed_short():
+    # a short list prints whole; a 2,000-name list as its repr's first 16 characters
+    with pytest.raises(IncompleteAssignment,
+                       match=r"^unassigned variables: \['Sprinkler', 'WetGrass'\]$"):
+        joint_probability(sprinkler(), {"Rain": 0})
+    with pytest.raises(InvalidOrder, match=r"^order must cover exactly \['W', 'X', 'Z'\], "
+                                           r"got \['W', 'X'\]$"):
+        infer_variable_elimination(chain_net(), "Y", {}, order=["W", "X"])
+    names = [f"V{i:04}" for i in range(2000)]
+    net = BayesNet([Variable(n, 2) for n in names], [CPT(n, [], [[0.5, 0.5]]) for n in names])
+    refusals = []
+    for call, error in [(lambda: joint_probability(net, {}), IncompleteAssignment),
+                        (lambda: infer_variable_elimination(net, "V0000", {}, order=names),
+                         InvalidOrder)]:
+        with pytest.raises(error) as refused:
+            call()
+        refusals.append(str(refused.value))
+    assert refusals == [
+        "unassigned variables: ['V0000', 'V0001... (18000 chars)",
+        "order must cover exactly ['V0001', 'V0002... (17991 chars), "
+        "got ['V0000', 'V0001... (18000 chars)"]
+
+
 def test_ve_zero_evidence():
     net = BayesNet(
         [Variable("A", 2), Variable("B", 2)],

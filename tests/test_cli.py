@@ -542,7 +542,7 @@ FLAG_TOKENS = {"digits": (LONG, "'1000000000000000'... (5001 chars)"),
      "'Sprinkler': bad value '1000000000000000'... (5001 chars): more than 4300 digits"),
     (["bayes", "--net", "t.txt", "--query", "A"],
      '{"variables": [{"name": "A", "cardinality": %s}]}' % LONG,
-     "t.txt: number 1000000000000000... (5001 chars): more than 4300 digits"),
+     "t.txt: number '1000000000000000'... (5001 chars): more than 4300 digits"),
     *[([*argv, flag, token], "1\n", "cachelab %s: error: %s" % (
         argv[0], INF_REFUSED.get(flag) if (kind, form) == ("float", "digits")
         else f"argument {flag}: invalid {kind} value: {text}"))
@@ -560,10 +560,24 @@ FLAG_TOKENS = {"digits": (LONG, "'1000000000000000'... (5001 chars)"),
      '{"variables": [{"name": "%s", "cardinality": 1}]}' % ("A" * 5000),
      "t.txt: variables[0]: variable 'AAAAAAAAAAAAAAAA'... (5000 chars): "
      "cardinality must be >= 2"),
+    # a JSON list where a field wants a string or a number: its repr runs 10,890 chars
+    (["bayes", "--net", "t.txt", "--query", "A"],
+     json.dumps({"variables": [{"name": list(range(2000)), "cardinality": 2}]}),
+     "t.txt: variables[0]: name must be a string, got [0, 1, 2, 3, 4, ... (10890 chars)"),
+    (["bayes", "--net", "t.txt", "--query", "A"],
+     json.dumps({"variables": [{"name": "A", "cardinality": 2}],
+                 "cpts": [{"child": "A", "parents": list(range(2000)), "rows": [[0.5, 0.5]]}]}),
+     "t.txt: cpts[0]: cpt 'A': parents must be a list of strings, "
+     "got [0, 1, 2, 3, 4, ... (10890 chars)"),
+    (["bayes", "--net", "t.txt", "--query", "A"],
+     json.dumps({"variables": [{"name": "A", "cardinality": 2}],
+                 "cpts": [{"child": "A", "parents": [], "rows": [[list(range(2000)), 0.5]]}]}),
+     "t.txt: cpts[0]: cpt 'A': probabilities must be numbers, "
+     "got [0, 1, 2, 3, 4, ... (10890 chars)"),
 ], ids=["plain-key", "smpc-address", "lru-sim-capacity", "compare-capacity", "bayes-value",
         "net-int", *[f"{flag[2:]}-{form}" for _, flag, _ in NUMERIC_FLAGS for form in FLAG_TOKENS],
         "policies", "duplicate-label", "lru-sim-negative-capacity", "bayes-value-range",
-        "net-variable-name"])
+        "net-variable-name", "net-list-name", "net-list-parents", "net-list-cell"])
 def test_long_token_is_refused_in_one_short_line(tmp_path, monkeypatch, capsys, argv, data,
                                                  message):
     # the token is shortened where it is echoed, and the line names why it is refused
@@ -1101,13 +1115,18 @@ def test_cli_fuzz_exit_codes_and_diagnostics(call):
 
 
 def test_cli_runs_as_a_process(tmp_path, capsys):
-    # the entry module, its exit codes and its stderr, outside pytest's process
+    # the entry module, its exit codes and its stderr, outside pytest's process; pip's
+    # script for cachelab.cli:main runs sys.exit(main()) and must print the same
     trace = write_trace(tmp_path, [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5])
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    entries = [["-m", "cachelab.cli"],
+               ["-c", "import sys; from cachelab.cli import main; sys.exit(main())"]]
 
     def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "cachelab.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        runs = [subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True,
+                               text=True, timeout=60) for entry in entries]
+        assert len({(run.returncode, run.stdout, run.stderr) for run in runs}) == 1
+        return runs[0]
 
     argv = ["run", "--trace", trace, "--policy", "lru", "--capacity", "3", "--out", "json"]
     done = cli(*argv)
@@ -1121,3 +1140,4 @@ def test_cli_runs_as_a_process(tmp_path, capsys):
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == f"{missing}: No such file or directory\n"
     assert "Traceback" not in done.stderr
+

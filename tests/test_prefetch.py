@@ -185,6 +185,8 @@ def test_leaders_equal_stepped_top1_predictions(order, alpha, min_support, p_min
     bounds = sorted(min(cut, len(keys)) for cut in cuts)
     chunks = [keys[i:j] for i, j in zip([0, *bounds], [*bounds, len(keys)])]
     assert [entry for chunk in chunks for entry in passed.leaders(chunk, p_min, top_k)] == expected
+    if len(passed.context) == order:  # None asks after the context the passes left
+        assert passed.predict_next(None, top_k) == passed.predict_next(passed.context, top_k)
     stepped = MarkovPredictor(order, alpha, min_support)
     feed(stepped, keys)
     assert predictor_state(passed) == predictor_state(stepped)

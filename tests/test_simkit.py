@@ -27,7 +27,7 @@ from cachelab.simkit import (
     parse_report_csv,
     run_sim,
 )
-from cachelab.trace import Trace, gen_markov_trace, parse_plain
+from cachelab.trace import InvalidParam, Trace, gen_markov_trace, parse_plain
 
 import hashes
 from reference import book, predictor_state, ref_arc_run, ref_policy_run, ref_run_sim
@@ -228,8 +228,9 @@ def test_compare_single_config_equals_run_sim():
 
 
 def test_compare_duplicate_label():
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(DuplicateLabel) as refused:
         compare(as_trace([1]), [lru(2, label="same"), lru(3, label="same")])
+    assert isinstance(refused.value, InvalidParam)  # the one usage error main catches
 
 
 def test_compare_permutation_permutes_reports():
@@ -263,6 +264,11 @@ def test_emit_csv_round_trip_byte_identical():
 def test_parse_report_csv_rejects_an_unknown_header():
     with pytest.raises(ValueError, match=r"^unexpected csv header \['a', 'b'\]$"):
         parse_report_csv("a,b\n")
+    header = [f"c{i}" for i in range(2000)]
+    with pytest.raises(ValueError) as refused:
+        parse_report_csv(",".join(header) + "\n")
+    assert str(refused.value) == ("unexpected csv header ['c0', 'c1', 'c2... "
+                                  f"({len(repr(header))} chars)")
 
 
 @pytest.mark.parametrize("cells", [14, 16, 1])

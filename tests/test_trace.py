@@ -12,7 +12,6 @@ from cachelab.trace import (
     LruCase,
     MalformedLine,
     Trace,
-    TraceError,
     TraceEvent,
     emit_plain,
     gen_markov_trace,
@@ -154,7 +153,7 @@ def test_parse_plain_matches_naive_oracle(data):
 def test_other_parsers_raise_only_trace_errors(parse, data):
     try:
         parse(data)
-    except TraceError:  # MalformedLine is a TraceError
+    except MalformedLine:
         pass
 
 
