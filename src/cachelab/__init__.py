@@ -8,6 +8,7 @@ from .trace import (
     InvalidParam,
     emit_plain,
     gen_markov_trace,
+    key_blocks,
     parse_lru_problem,
     parse_plain,
     parse_smpc,
@@ -37,6 +38,7 @@ from .simkit import (
     RunConfig,
     SimReport,
     compare,
+    compare_blocks,
     emit_report,
     parse_report_csv,
     run_sim,

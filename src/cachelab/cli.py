@@ -10,17 +10,16 @@ import sys
 from . import bayes
 from .policies import ARC, POLICIES, CacheConfig, CacheState, PreEvictConfig
 from .prefetch import PredictorConfig, PrefetchConfig
-from .simkit import RunConfig, check_labels, compare, emit_report
+from .simkit import RunConfig, check_labels, compare_blocks, emit_report
 from .trace import (
     InvalidParam,
     MalformedLine,
     emit_plain,
     gen_markov_trace,
+    key_blocks,
     key_letter,
     letter_key,
     parse_lru_problem,
-    parse_plain,
-    parse_smpc,
     read_decimal,
     shown,
 )
@@ -109,9 +108,9 @@ def _items(text):
 
 
 def _load_trace(args):
+    """The trace's key blocks, from one binary open of the file, read as they are taken."""
     with open(args.trace, "rb") as fh:
-        data = fh.read()
-    return (parse_smpc if args.format == "smpc" else parse_plain)(data)
+        yield from key_blocks(fh, args.format)
 
 
 def _given(parser, args, enabled, needs, names):
@@ -149,7 +148,10 @@ def cmd_run(parser, args):
 
 def cmd_compare(parser, args):
     """Every usage error that needs no trace is found before the trace is read: only
-    the configs of 'log' and 'sqrt' capacities, which resolve against it, wait."""
+    the configs of 'log' and 'sqrt' capacities, which resolve against it, wait. The
+    trace streams through the runs a block at a time, but 'log' and 'sqrt' need its
+    length first, so then its key blocks are kept from the one read. The report is
+    written only after the last block, so a bad line anywhere leaves stdout empty."""
     policies = _items(args.policies)
     if not policies:
         parser.error("--policies is empty")
@@ -173,15 +175,17 @@ def cmd_compare(parser, args):
                 for policy in policies for k in ks]
 
     check_labels(run_configs([k for k in capacities if k not in ("log", "sqrt")]))
-    trace = _load_trace(args)
-    n = len(trace)
-    for i, token in enumerate(capacities):
-        if token in ("log", "sqrt"):
-            if n < 1:
-                return _fail(f"cannot resolve {token!r} against an empty trace")
-            scale = math.log10(n) if token == "log" else math.sqrt(n)
-            capacities[i] = max(1, int(scale + 0.5))
-    reports = compare(trace, run_configs(capacities))
+    blocks = _load_trace(args)
+    if "log" in capacities or "sqrt" in capacities:
+        blocks = list(blocks)
+        n = sum(map(len, blocks))
+        for i, token in enumerate(capacities):
+            if token in ("log", "sqrt"):
+                if n < 1:
+                    return _fail(f"cannot resolve {token!r} against an empty trace")
+                scale = math.log10(n) if token == "log" else math.sqrt(n)
+                capacities[i] = max(1, int(scale + 0.5))
+    reports = compare_blocks(blocks, run_configs(capacities))
     sys.stdout.write(emit_report(reports, args.out))
     return 0
 

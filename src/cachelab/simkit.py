@@ -47,39 +47,56 @@ REPORT_FIELDS = [f.name for f in fields(SimReport)]
 FLOAT_FIELDS = ("prefetch_coverage", "hit_ratio")
 
 
+class _Run:
+    """One configuration's replay, kept across the key blocks it is given: the
+    pre-eviction wrapper over the policy replays each block, with the prefetcher's step
+    inside the replay when prefetch is on, and both keep their state from block to block.
+    A prefetch only inserts a key that an earlier access brought in, so a key's first
+    access always misses: compulsory misses are the distinct keys on every path. Each
+    demand miss and each prefetch inserts one key, so evictions of every cause are
+    misses + issued - residents. Deterministic for identical inputs."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.cache = make_cache(config.cache)
+        self.front = PreEvictingCache(self.cache, config.pre or PreEvictConfig())
+        self.fetch = config.prefetch and Prefetcher(config.prefetch,
+                                                    config.predictor or PredictorConfig())
+        self.hits = 0
+
+    def replay(self, keys):
+        self.hits += self.front.replay(keys, fetch=self.fetch)
+
+    def report(self, accesses, distinct) -> SimReport:
+        """The report after accesses keys, distinct of them different, were replayed."""
+        fetch, hits = self.fetch, self.hits
+        issued, useful, harmful = ((fetch.issued, fetch.useful, fetch.harmful) if fetch
+                                   else (0, 0, 0))
+        misses = accesses - hits
+        return SimReport(
+            label=self.config.label,
+            accesses=accesses,
+            demand_hits=hits,
+            demand_misses=misses,
+            compulsory_misses=distinct,
+            evictions=misses + issued - len(self.cache),
+            timer_evictions=self.front.timer_evictions,
+            halfway_evictions=self.front.halfway_evictions,
+            prefetch_issued=issued,
+            prefetch_useful=useful,
+            prefetch_useless=issued - useful - harmful,
+            prefetch_harmful=harmful,
+            prefetch_coverage=coverage(useful, misses),
+            hit_ratio=hits / accesses if accesses else 0.0,
+            distinct_keys=distinct,
+        )
+
+
 def run_sim(trace: Trace, config: RunConfig) -> SimReport:
-    """One pass over the trace under one configuration: the pre-eviction wrapper over
-    the policy replays the key column, with the prefetcher's step inside the replay
-    when prefetch is on. A prefetch only inserts a key that an earlier access brought
-    in, so a key's first access always misses: compulsory misses are the distinct keys
-    on every path. Each demand miss and each prefetch inserts one key, so evictions of
-    every cause are misses + issued - residents. Deterministic for identical inputs.
-    """
-    cache = make_cache(config.cache)
-    front = PreEvictingCache(cache, config.pre or PreEvictConfig())
-    keys = trace.keys
-    fetch = config.prefetch and Prefetcher(config.prefetch, config.predictor or PredictorConfig())
-    hits = front.replay(keys, fetch=fetch)
-    issued, useful, harmful = (fetch.issued, fetch.useful, fetch.harmful) if fetch else (0, 0, 0)
-    accesses = len(keys)
-    misses = accesses - hits
-    return SimReport(
-        label=config.label,
-        accesses=accesses,
-        demand_hits=hits,
-        demand_misses=misses,
-        compulsory_misses=trace.distinct,
-        evictions=misses + issued - len(cache),
-        timer_evictions=front.timer_evictions,
-        halfway_evictions=front.halfway_evictions,
-        prefetch_issued=issued,
-        prefetch_useful=useful,
-        prefetch_useless=issued - useful - harmful,
-        prefetch_harmful=harmful,
-        prefetch_coverage=coverage(useful, misses),
-        hit_ratio=hits / accesses if accesses else 0.0,
-        distinct_keys=trace.distinct,
-    )
+    """One pass over the trace's key column under one configuration."""
+    run = _Run(config)
+    run.replay(trace.keys)
+    return run.report(len(trace.keys), trace.distinct)
 
 
 def check_labels(configs):
@@ -95,6 +112,22 @@ def compare(trace: Trace, configs) -> list:
     """Independent run_sim per config over the same trace, reports in config order."""
     check_labels(configs)
     return [run_sim(trace, config) for config in configs]
+
+
+def compare_blocks(blocks, configs) -> list:
+    """compare over a trace given as its key blocks, checked as trace.key_blocks yields
+    them: each block is replayed through every config before the next is taken, and
+    only the running set of distinct keys is kept beside the runs, so no block needs
+    to stay in memory once it is replayed. The reports equal compare's on the whole."""
+    check_labels(configs)
+    runs = [_Run(config) for config in configs]
+    accesses, distinct = 0, set()
+    for keys in blocks:
+        accesses += len(keys)
+        distinct.update(keys)
+        for run in runs:
+            run.replay(keys)
+    return [run.report(accesses, len(distinct)) for run in runs]
 
 
 def _cell(name, value):

@@ -1,5 +1,7 @@
 """Access-trace parsing, emission, and seeded synthetic workload generation."""
 
+import codecs
+import io
 import math
 import numbers
 import operator
@@ -7,11 +9,12 @@ import re
 import sys
 from dataclasses import dataclass, field
 from itertools import count
-from typing import NamedTuple, Union
+from typing import BinaryIO, NamedTuple, Union
 
 import numpy as np
 
 MAX_KEY = 2**64 - 1
+BLOCK = 1 << 16  # the characters of trace text a reader takes at a time
 
 
 class MalformedLine(ValueError):
@@ -143,18 +146,59 @@ def _parse_key(token: str) -> int:
     return value
 
 
-def parse_plain(text: Union[str, bytes]) -> Trace:
-    """One key per line, decimal or 0x-hex; '#' comments and blank lines allowed."""
-    text = _as_text(text)
-    # the bulk path: int(t) takes exactly the tokens int(t, 10) takes, and strips the
-    # whitespace around them itself, so a file of bare decimal lines is one map
+def _text_blocks(source):
+    """source's text in blocks of at most BLOCK characters: a str sliced, bytes or a
+    binary file read BLOCK bytes at a time through an incremental UTF-8 decoder, whose
+    UnicodeDecodeError holds the bytes up to an undecodable one."""
+    if isinstance(source, str):
+        yield from (source[i:i + BLOCK] for i in range(0, len(source), BLOCK))
+        return
+    read = (io.BytesIO(source) if isinstance(source, bytes) else source).read
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    while block := read(BLOCK):
+        yield decode(block)
+    yield decode(b"", True)
+
+
+def _line_pieces(source):
+    """source's text in pieces of whole lines: each piece but the last ends just after
+    the last "\n" of its block, which always ends a str.splitlines line ("\r\n"
+    included), and the rest is carried into the next piece. Blocks without a "\n"
+    are carried as a list, joined once, so that text without one costs linear time.
+    Before an undecodable byte's UnicodeDecodeError comes a piece that ends with the
+    line before the byte's."""
+    tail = []
     try:
-        return Trace(list(map(int, text.splitlines())))
-    except ValueError:  # a blank, comment, hex or bad line, or a key out of range
-        pass
+        for block in _text_blocks(source):
+            cut = block.rfind("\n") + 1
+            if cut:
+                yield "".join([*tail, block[:cut]])
+                tail = [block[cut:]]
+            else:
+                tail.append(block)
+    except UnicodeDecodeError as exc:
+        head = "".join(tail) + exc.object[:exc.start].decode("utf-8")
+        yield head[:len(head) + 1 - len((head + "x").splitlines()[-1])]
+        raise
+    yield "".join(tail)
+
+
+def _plain_keys(piece, line_no):
+    """The keys of a piece of whole lines that follow line line_no, and its line count."""
+    lines = piece.splitlines()
+    # the bulk path: int(t) takes exactly the tokens int(t, 10) takes, and strips the
+    # whitespace around them itself, so a piece of bare decimal lines is one map; only a
+    # "-" makes int() negative
+    if "-" not in piece:
+        try:
+            keys = list(map(int, lines))
+            if not keys or max(keys) <= MAX_KEY:
+                return keys, len(lines)
+        except ValueError:  # a blank, comment, hex or bad line
+            pass
     # the rest go line by line, which skips blanks and comments and names the first bad line
     keys = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=line_no + 1):
         token = line.strip()
         if not token or token.startswith("#"):
             continue
@@ -162,16 +206,18 @@ def parse_plain(text: Union[str, bytes]) -> Trace:
             keys.append(_parse_key(token))
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad key {shown(token)}: {exc}") from None
-    return Trace(keys)
+    return keys, len(lines)
 
 
-def parse_smpc(text: Union[str, bytes]) -> Trace:
-    """Two-column 'op address' lines with op in {0,2,3}; all accesses hit the cache."""
+def _smpc_keys(piece, line_no):
+    """The addresses of a piece of 'op address' lines that follow line line_no, and its
+    line count."""
     keys = []
-    for line_no, line in enumerate(_as_text(text).splitlines(), start=1):
-        if not line.strip():
-            continue
+    lines = piece.splitlines()
+    for line_no, line in enumerate(lines, start=line_no + 1):
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 2:
             raise MalformedLine(line_no, f"expected 'op address', got {shown(line.strip())}")
         if fields[0] not in _SMPC_OPS:
@@ -180,7 +226,46 @@ def parse_smpc(text: Union[str, bytes]) -> Trace:
             keys.append(_parse_key(fields[1]))
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad address {shown(fields[1])}: {exc}") from None
+    return keys, len(lines)
+
+
+def key_blocks(source: Union[str, bytes, BinaryIO], format: str = "plain"):
+    """The keys of a plain or smpc trace, one list for each piece of text that
+    _line_pieces cuts, as the text is read BLOCK characters at a time from a str,
+    bytes or a binary file; each key is checked as a Trace checks it. Lines are
+    numbered across the pieces, and the first bad line in the file is the
+    MalformedLine, whether a bad key or an undecodable byte makes it so; on one line
+    the byte wins."""
+    if format not in _KEYS_OF:
+        raise InvalidParam(f"unknown trace format {shown(format)}")
+    keys_of, line_no = _KEYS_OF[format], 0  # line_no: the lines before the piece
+    try:
+        for piece in _line_pieces(source):
+            keys, lines = keys_of(piece, line_no)
+            line_no += lines
+            yield keys
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(line_no + 1, f"not UTF-8: byte {exc.object[exc.start]:#04x}") from None
+
+
+_KEYS_OF = {"plain": _plain_keys, "smpc": _smpc_keys}
+
+
+def _gathered(blocks) -> Trace:
+    keys = []
+    for block in blocks:
+        keys += block
     return Trace(keys)
+
+
+def parse_plain(text: Union[str, bytes]) -> Trace:
+    """One key per line, decimal or 0x-hex; '#' comments and blank lines allowed."""
+    return _gathered(key_blocks(text))
+
+
+def parse_smpc(text: Union[str, bytes]) -> Trace:
+    """Two-column 'op address' lines with op in {0,2,3}; all accesses hit the cache."""
+    return _gathered(key_blocks(text, "smpc"))
 
 
 def emit_plain(trace: Trace) -> str:

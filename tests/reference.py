@@ -550,6 +550,12 @@ def ref_learn_error(variables, data, pseudocount):
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+def ref_echo(token):
+    """A token as a diagnostic quotes it: its repr, or past 40 characters the repr of
+    its first 16, "..." and its length."""
+    return repr(token) if len(token) <= 40 else f"{token[:16]!r}... ({len(token)} chars)"
+
+
 def ref_parse_plain(data):
     """Read a plain trace line by line: one key per line, decimal or hex after
     "0x"/"0X", each in 0..2**64-1; blank lines and lines starting with "#" skip.
@@ -558,22 +564,27 @@ def ref_parse_plain(data):
     UTF-8; an undecodable byte is on the line after the last line break before
     it, counting breaks as str.splitlines does. A key is its value however many
     digits spell it, so int() reads with its digit limit lifted.
-    Returns ("ok", keys), or ("bad", line number) for the first bad line.
+    Returns ("ok", keys), or ("bad", line number, message) for the first bad line
+    in the file, a bad key or the first undecodable byte; on one line the byte wins.
     """
+    byte_line = None
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             prefix = data[:exc.start].decode("utf-8")
-            line_no = 1
+            byte_line = 1
             for i, ch in enumerate(prefix):
                 if ch in LINE_BREAKS and not (ch == "\n" and prefix[i - 1:i] == "\r"):
-                    line_no += 1
-            return "bad", line_no
+                    byte_line += 1
+            byte_error = ("bad", byte_line, f"not UTF-8: byte 0x{data[exc.start]:02x}")
+            data = prefix
     keys = []
     line_no = 0
     for line in data.splitlines():
         line_no += 1
+        if line_no == byte_line:
+            break
         token = line.strip()
         if token == "" or token[0] == "#":
             continue
@@ -583,10 +594,12 @@ def ref_parse_plain(data):
         try:
             key = int(token, base)
         except ValueError:
-            return "bad", line_no
+            return "bad", line_no, f"bad key {ref_echo(token)}: not a decimal or 0x-hex integer"
         finally:
             sys.set_int_max_str_digits(limit)
         if key < 0 or key >= 2**64:
-            return "bad", line_no
+            return "bad", line_no, f"bad key {ref_echo(token)}: key outside unsigned 64-bit range"
         keys.append(key)
+    if byte_line is not None:
+        return byte_error
     return "ok", keys

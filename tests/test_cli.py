@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cachelab.trace
+from cachelab import (CacheConfig, PredictorConfig, PreEvictConfig, PrefetchConfig, RunConfig,
+                      compare, emit_plain, emit_report, gen_markov_trace, parse_plain)
 from cachelab.bayes import InvalidNet
 from cachelab.cli import build_parser, main
 from cachelab.policies import POLICIES
@@ -785,8 +789,8 @@ def out_of_memory(*args):
 
 
 @pytest.mark.parametrize("command, stage", [
-    ("run", "cachelab.cli._load_trace"), ("run", "cachelab.cli.compare"),
-    ("compare", "cachelab.cli._load_trace"), ("compare", "cachelab.cli.compare"),
+    ("run", "cachelab.cli._load_trace"), ("run", "cachelab.cli.compare_blocks"),
+    ("compare", "cachelab.cli._load_trace"), ("compare", "cachelab.cli.compare_blocks"),
     ("gen-trace", "cachelab.cli.gen_markov_trace"),
     ("lru-sim", "sys.stdin"),
     ("bayes", "cachelab.bayes.load_net"),  # as json's decoder
@@ -1141,3 +1145,83 @@ def test_cli_runs_as_a_process(tmp_path, capsys):
     assert done.stderr == f"{missing}: No such file or directory\n"
     assert "Traceback" not in done.stderr
 
+
+
+def several_blocks(tmp_path, length=40_000):
+    """A trace file of several BLOCKs of text, and its trace."""
+    trace = gen_markov_trace(9, 2000, length, 0.8)
+    path = tmp_path / "big.txt"
+    path.write_text(emit_plain(trace))
+    assert path.stat().st_size > 2 * cachelab.trace.BLOCK
+    return path, trace
+
+
+@pytest.mark.parametrize("out", ["json", "csv", "table"])
+def test_streamed_report_equals_whole_trace_report(tmp_path, capsys, out):
+    # a file of several blocks, streamed, prints what compare prints for the whole
+    # trace, and so do its CRLF and CR copies and a copy under a "#" line
+    path, trace = several_blocks(tmp_path)
+    text = path.read_text()
+    (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode())
+    (tmp_path / "cr.txt").write_bytes(text.replace("\n", "\r").encode())  # one piece
+    (tmp_path / "header.txt").write_text("# a trace\n" + text)
+    pre = PreEvictConfig(timer_enabled=True, timer_init=40)
+    fetch = dict(prefetch=PrefetchConfig(), predictor=PredictorConfig())
+    configs = [RunConfig(cache=CacheConfig(k, policy), pre=pre, label=f"{policy}@{k}", **fetch)
+               for policy in ("lru", "fifo") for k in (8, 5)]
+    expected = emit_report(compare(trace, configs), out)
+    runs = [("big.txt", "8,5"), ("big.txt", "8,log")]  # log10(40000) resolves to 5
+    if out == "json":
+        runs += [("crlf.txt", "8,5"), ("cr.txt", "8,5"), ("header.txt", "8,5")]
+    for name, capacities in runs:
+        argv = ["compare", "--trace", str(tmp_path / name), "--policies", "lru,fifo",
+                "--capacities", capacities, "--pre-evict-timer", "40", "--prefetch", "pgm",
+                "--out", out]
+        assert run_cli(argv, capsys) == (0, expected, ""), (name, capacities)
+
+
+@pytest.mark.parametrize("capacities", ["4", "log"])
+def test_a_bad_line_after_the_first_block_prints_no_report(tmp_path, capsys, capacities):
+    path, trace = several_blocks(tmp_path)
+    with path.open("a") as fh:
+        fh.write("zap\n")
+    code, out, err = run_cli(["compare", "--trace", str(path), "--policies", "lru",
+                              "--capacities", capacities], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"{path}:{len(trace) + 1}: bad key 'zap': not a decimal or 0x-hex integer\n"
+
+
+def test_log_and_sqrt_resolve_on_a_pipe(tmp_path):
+    # /dev/stdin is read once, so a capacity that needs the key count keeps the blocks
+    path, _ = several_blocks(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+
+    def report(trace, stdin=None):
+        argv = [sys.executable, "-m", "cachelab.cli", "compare", "--trace", trace,
+                "--policies", "lru,fifo", "--capacities", "log,sqrt,7", "--out", "csv"]
+        done = subprocess.run(argv, env=env, stdin=stdin, capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        return done.stdout
+
+    with path.open("rb") as fh:
+        piped = report("/dev/stdin", fh)
+    assert piped == report(str(path))
+    assert piped.splitlines()[1].startswith(b"lru@5,40000,")
+
+
+def test_a_streamed_run_holds_a_block_not_the_trace(tmp_path, capsys):
+    # tracemalloc's peak over run of a 300k-line file stays far below the peak of
+    # reading that file whole and parsing it into a trace
+    path, _ = several_blocks(tmp_path, 300_000)
+    argv = ["run", "--trace", str(path), "--policy", "lru", "--capacity", "32", "--out", "json"]
+    tracemalloc.start()
+    try:
+        parse_plain(path.read_bytes())
+        whole = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        streamed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)[0]["accesses"] == 300_000
+    assert streamed < whole / 3, (streamed, whole)

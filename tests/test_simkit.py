@@ -23,6 +23,7 @@ from cachelab.simkit import (
     RunConfig,
     SimReport,
     compare,
+    compare_blocks,
     emit_report,
     parse_report_csv,
     run_sim,
@@ -649,6 +650,34 @@ def test_first_access_misses_on_random_configs():
                 early.append(key)
             seen.add(key)
     assert early == []
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), cuts=st.integers(0, 6))
+def test_block_runs_equal_run_sim_on_random_configs(seed, cuts):
+    # three random configs replayed in lockstep over random cuts of one trace report
+    # what one run_sim per config reports over the whole trace
+    rng = random.Random(seed)
+    cases = [hashes.random_case(rng, extras=True) for _ in range(3)]
+    trace = cases[0][0]
+    configs = [dataclasses.replace(config, label=str(i)) for i, (_, config) in enumerate(cases)]
+    keys = trace.keys
+    bounds = [0, *sorted(rng.sample(range(1, len(keys)), min(cuts, len(keys) - 1))), len(keys)]
+    blocks = (keys[a:b] for a, b in zip(bounds, bounds[1:]))
+    assert compare_blocks(blocks, configs) == [run_sim(trace, config) for config in configs]
+
+
+def test_block_runs_of_no_blocks_report_an_empty_trace():
+    configs = [RunConfig(cache=CacheConfig(2, "lru"), label="a", **pgm())]
+    assert compare_blocks([], configs) == compare(as_trace([]), configs)
+
+
+def test_block_runs_refuse_a_duplicate_label_before_the_first_block():
+    def blocks():
+        raise AssertionError("a block was taken")
+        yield
+    with pytest.raises(DuplicateLabel):
+        compare_blocks(blocks(), [lru(2, label="same"), lru(3, label="same")])
 
 
 @pytest.mark.parametrize("argv", [["nope"], ["--check", "uplift", "nope"], ["--bad"]])

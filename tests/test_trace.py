@@ -1,11 +1,13 @@
 import gc
+import io
 import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import cachelab.trace
 from cachelab.trace import (
     MAX_KEY,
     InvalidParam,
@@ -15,6 +17,7 @@ from cachelab.trace import (
     TraceEvent,
     emit_plain,
     gen_markov_trace,
+    key_blocks,
     key_letter,
     letter_key,
     parse_lru_problem,
@@ -64,10 +67,12 @@ def test_parse_plain_accepts_bytes():
 
 @pytest.mark.parametrize("parse", [parse_plain, parse_smpc, parse_lru_problem])
 def test_parsers_reject_non_utf8_bytes_with_line(parse):
-    # lines end where str.splitlines ends them, at \r and \x0b too
+    # lines end where str.splitlines ends them, at \r and \x0b too; the first line is
+    # one the parser reads, since a bad line ahead of the byte would be named instead
+    first = b"0 1" if parse is parse_smpc else b"1"
     for data in (b"1\n\xff\n", b"1\r\xff", b"1\x0b\xff", b"1\r\n\xff"):
         with pytest.raises(MalformedLine) as err:
-            parse(data)
+            parse(first + data[1:])
         assert err.value.line_no == 2, data
         assert "0xff" in str(err.value)
 
@@ -138,11 +143,80 @@ def test_parse_plain_matches_naive_oracle(data):
     try:
         trace = parse_plain(data)
     except MalformedLine as exc:
-        assert expected == ("bad", exc.line_no)
+        assert expected == ("bad", exc.line_no, exc.message)
     else:
         assert expected == ("ok", trace.keys)
         assert trace.events == [TraceEvent(i, k) for i, k in enumerate(trace.keys)]
         assert trace.distinct == len(set(trace.keys))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=TRACE_TEXT | TRACE_BYTES, block=st.integers(1, 64))
+@example(data="1\r\n2\r\n", block=2)                # "\r" and "\n" in two blocks
+@example(data="5\n\u0663\n".encode(), block=3)       # a 2-byte digit over two blocks
+@example(data="1\n\uff17\n".encode(), block=3)       # a 3-byte digit over two blocks
+@example(data=b"1\n\xe2\x82", block=3)               # cut short over two blocks
+@example(data=b"x\n1\n\xff\n", block=2)             # a bad key before a bad byte
+@example(data="1\r2\r3\r", block=2)                 # no "\n": the blocks are one piece
+def test_streamed_keys_match_naive_oracle(data, block):
+    # the blocked reader, over a str or a binary file read a few characters or bytes at
+    # a time, gives the keys or the first diagnostic that the whole text gives
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cachelab.trace, "BLOCK", block)
+        source = io.BytesIO(data) if isinstance(data, bytes) else data
+        try:
+            streamed = ("ok", [key for keys in key_blocks(source) for key in keys])
+        except MalformedLine as exc:
+            streamed = ("bad", exc.line_no, exc.message)
+    assert streamed == ref_parse_plain(data)
+
+
+# The first bad line in the file is the one named, whether a bad key or an undecodable
+# byte makes it bad; when both are on one line, the byte is named.
+@pytest.mark.parametrize("parse, data, line, message", [
+    (parse_plain, b"x\n1\n\xff\n", 1, "bad key 'x': not a decimal or 0x-hex integer"),
+    (parse_plain, b"1\n\xff\nx\n", 2, "not UTF-8: byte 0xff"),
+    (parse_plain, b"1\nx\xff\n", 2, "not UTF-8: byte 0xff"),
+    (parse_smpc, b"9 1\n0 1\n\xff\n", 1, "unknown op code '9'"),
+    (parse_smpc, b"0 1\n\xff\n9 1\n", 2, "not UTF-8: byte 0xff"),
+    (parse_smpc, b"0 1\n9 \xff\n", 2, "not UTF-8: byte 0xff"),
+], ids=["plain-key-first", "plain-byte-first", "plain-same-line", "smpc-line-first",
+        "smpc-byte-first", "smpc-same-line"])
+@pytest.mark.parametrize("block", [1 << 16, 1, 4])
+def test_first_bad_line_is_named(monkeypatch, parse, data, line, message, block):
+    monkeypatch.setattr(cachelab.trace, "BLOCK", block)
+    with pytest.raises(MalformedLine) as err:
+        parse(data)
+    assert (err.value.line_no, err.value.message) == (line, message)
+
+
+def test_a_comment_sends_only_its_block_line_by_line(monkeypatch):
+    # one "#" line ahead of 200k bare decimal lines: only the block that holds it takes
+    # the line loop, and the others stay on the bulk int() map
+    calls = []
+    parse_key = cachelab.trace._parse_key
+    monkeypatch.setattr(cachelab.trace, "_parse_key",
+                        lambda token: calls.append(token) or parse_key(token))
+    keys = gen_markov_trace(3, 2000, 200_000, 0.8).keys
+    text = "# a trace\n" + emit_plain(Trace(keys))
+    assert parse_plain(text).keys == keys
+    assert 0 < len(calls) <= text[:cachelab.trace.BLOCK].count("\n")
+    assert len(text) > 10 * cachelab.trace.BLOCK
+
+
+def test_key_blocks_hold_at_most_one_block_of_lines():
+    # a piece is one block plus the line carried into it, and each line is a digit
+    # and its "\n", so no list holds more than half a block's keys
+    text = emit_plain(gen_markov_trace(4, 2000, 50_000, 0.8))
+    blocks = list(key_blocks(io.BytesIO(text.encode())))
+    assert len(blocks) > 2
+    assert all(len(keys) <= cachelab.trace.BLOCK // 2 for keys in blocks)
+    assert [key for keys in blocks for key in keys] == parse_plain(text).keys
+
+
+def test_key_blocks_refuse_an_unknown_format():
+    with pytest.raises(InvalidParam, match="unknown trace format 'csv'"):
+        list(key_blocks("1\n", "csv"))
 
 
 @pytest.mark.parametrize("parse", [parse_smpc, parse_lru_problem])
