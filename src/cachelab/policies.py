@@ -3,7 +3,7 @@ and the pre-eviction wrapper whose timer and halfway rules their replays run."""
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 
 from .trace import InvalidParam, require_ints, shown
 
@@ -249,19 +249,20 @@ class ArcState:
         return chain(self.t1, self.t2)
 
     def access(self, key, seq=None) -> tuple:
-        """As CacheState.access, as a replay of the one key: replay holds ARC's only copy
-        of its rules. A miss evicts at most one key, the LRU of t1 or of t2, so the
-        evicted keys are the heads no longer resident after it."""
+        """As CacheState.access, as a replay of the one key: replay holds ARC's rules. A
+        miss evicts at most one key, the LRU of t1 or of t2, so the evicted keys are the
+        heads no longer resident after it."""
         heads = [next(iter(t)) for t in (self.t1, self.t2) if t]
         if self.replay((key,)):
             return True, ()
         return False, tuple(head for head in heads if head not in self)
 
     def replay(self, keys, pre=None, fetch=None) -> int:
-        """As CacheState.replay, with the four list sizes and p in locals. p is written
-        back before each prefetch step, which inserts through a stepped access (a
-        nested one-key replay), read again after it, and written back at the end. A
-        pre-evicted key leaves t1 or t2 and enters no ghost list."""
+        """As CacheState.replay, with the four list sizes and p in locals, and p written
+        back at the end. The prefetch step inserts each chosen key by a second copy of
+        the demand miss rule, on the same locals, which notes the key it evicts: the
+        LRU of t1 falling out of the directory, or the LRU of t1 or t2 moved to its
+        ghost list. A pre-evicted key leaves t1 or t2 and enters no ghost list."""
         t1, t2, b1, b2 = self.t1, self.t2, self.b1, self.b2
         move_to_end = t2.move_to_end
         pop1, pop2, popb1, popb2 = t1.popitem, t2.popitem, b1.popitem, b2.popitem
@@ -370,10 +371,50 @@ class ArcState:
                     n2 += 1
             if ahead is None:
                 continue  # as in CacheState.replay
-            chosen = [k for k in ((ahead,) if top1 else ahead) if k not in self]
-            self.p = p
-            for fetched in chosen:
-                victim, = self.access(fetched)[1] or (None,)  # it evicts at most one key
+            if top1:
+                if ahead in t2 or ahead in t1:
+                    continue
+                chosen = (ahead,)
+            else:  # not a comprehension: one over t1 and t2 would make every read of them slower
+                chosen = [*filterfalse(t1.__contains__, filterfalse(t2.__contains__, ahead))]
+            for fetched in chosen:  # the miss rule above, noting the one key it may evict
+                victim, dest = None, t2
+                if fetched in b1:
+                    p += 1 if unit else (m2 // m1 or 1)
+                    p = p if p < cap else cap
+                    del b1[fetched]
+                    m1 -= 1
+                elif fetched in b2:
+                    p -= 1 if unit else (m1 // m2 or 1)
+                    p = p if p > 0 else 0
+                    del b2[fetched]
+                    m2 -= 1
+                else:
+                    dest = t1
+                    if n1 + m1 == cap:
+                        if m1:
+                            popb1(False)
+                            m1 -= 1
+                        else:
+                            victim = pop1(False)[0]
+                            n1 -= 1
+                    elif n1 + n2 + m1 + m2 >= 2 * cap:
+                        popb2(False)
+                        m2 -= 1
+                if n1 + n2 >= cap:
+                    if n1 and n1 >= p:
+                        victim = pop1(False)[0]
+                        b1[victim] = None
+                        n1, m1 = n1 - 1, m1 + 1
+                    else:
+                        victim = pop2(False)[0]
+                        b2[victim] = None
+                        n2, m2 = n2 - 1, m2 + 1
+                dest[fetched] = None
+                if dest is t1:
+                    n1 += 1
+                else:
+                    n2 += 1
                 if timer_init:
                     deadlines[fetched] = tick + timer_init
                     requeue(fetched)
@@ -384,7 +425,6 @@ class ArcState:
                     by_victim[pending[fetched]].discard(fetched)
                 pending[fetched] = victim
                 by_victim[victim].add(fetched)
-            p, n1, n2, m1, m2 = self.p, len(t1), len(t2), len(b1), len(b2)
         self.p = p
         if pre is not None:
             pre._end_replay(tick, due, expired, cleared)

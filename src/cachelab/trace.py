@@ -106,17 +106,6 @@ class LruCase(NamedTuple):
 _SMPC_OPS = ("0", "2", "3")
 
 
-def _as_text(data: Union[str, bytes]) -> str:
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # the bad byte's line, with lines split by str.splitlines as the parsers split
-            line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-            raise MalformedLine(line_no, f"not UTF-8: byte {data[exc.start]:#04x}") from None
-    return data
-
-
 def read_decimal(token: str) -> int:
     """int(token, 10), but leading zeros do not count toward int()'s limit of
     sys.get_int_max_str_digits() digits: ValueError("not a decimal integer") for what
@@ -275,33 +264,39 @@ def emit_plain(trace: Trace) -> str:
 
 
 def parse_lru_problem(text: Union[str, bytes]) -> list:
-    """Cases of 'N SCRIPT' per line, terminated by a line holding exactly '0'."""
-    cases = []
-    lines = _as_text(text).splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped == "0":
-            return cases
-        fields = stripped.split()
-        if len(fields) != 2:
-            raise MalformedLine(line_no, f"expected 'N SCRIPT', got {shown(stripped)}")
-        try:
-            capacity = read_decimal(fields[0])
-        except (ValueError, OverflowError) as exc:
-            raise MalformedLine(line_no, f"bad capacity {shown(fields[0])}: {exc}") from None
-        if capacity < 1:
-            raise MalformedLine(line_no, f"capacity must be >= 1, got {shown(capacity)}")
-        script = fields[1]
-        if any(ch != "!" and not ("A" <= ch <= "Z") for ch in script):
-            raise MalformedLine(line_no, "script has characters outside [A-Z!]")
-        if not ("A" <= script[0] <= "Z"):
-            raise MalformedLine(line_no, "script must start with a letter")
-        if "!" not in script:
-            raise MalformedLine(line_no, "script has no '!'")
-        cases.append(LruCase(capacity, script))
-    raise MalformedLine(len(lines) + 1, "missing '0' terminator line")
+    """Cases of 'N SCRIPT' per line, terminated by a line holding exactly '0'. Lines
+    are read in order through _line_pieces, as key_blocks reads them, so the first bad
+    line is named, a bad case or an undecodable byte, and what follows the terminator
+    is never decoded."""
+    cases, line_no = [], 0
+    lines = (line for piece in _line_pieces(text) for line in piece.splitlines())
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped == "0":
+                return cases
+            fields = stripped.split()
+            if len(fields) != 2:
+                raise MalformedLine(line_no, f"expected 'N SCRIPT', got {shown(stripped)}")
+            try:
+                capacity = read_decimal(fields[0])
+            except (ValueError, OverflowError) as exc:
+                raise MalformedLine(line_no, f"bad capacity {shown(fields[0])}: {exc}") from None
+            if capacity < 1:
+                raise MalformedLine(line_no, f"capacity must be >= 1, got {shown(capacity)}")
+            script = fields[1]
+            if any(ch != "!" and not ("A" <= ch <= "Z") for ch in script):
+                raise MalformedLine(line_no, "script has characters outside [A-Z!]")
+            if not ("A" <= script[0] <= "Z"):
+                raise MalformedLine(line_no, "script must start with a letter")
+            if "!" not in script:
+                raise MalformedLine(line_no, "script has no '!'")
+            cases.append(LruCase(capacity, script))
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(line_no + 1, f"not UTF-8: byte {exc.object[exc.start]:#04x}") from None
+    raise MalformedLine(line_no + 1, "missing '0' terminator line")
 
 
 def letter_key(letter: str) -> int:

@@ -195,7 +195,10 @@ def ref_preevict_run(steps, capacity, policy, adaptation="unit",
 
 def ref_preevict_stepper(capacity, policy, adaptation="unit", address_space=None,
                          timer_init=None):
-    """ref_preevict_run as a generator: send it each step, get back its record."""
+    """ref_preevict_run as a generator: send it each step, get back its record. A
+    ("book", None) step changes nothing and gets back the book as `book` reads a
+    package cache: for arc copies of t1, t2, b1 and b2 with p, otherwise the
+    residents oldest first, by insertion for fifo and lifo, by last use for lru and mru."""
     resident = []    # classical policies: resident keys
     stamp = {}       # key -> time of insertion (fifo, lifo) or last use (lru, mru)
     t1, t2, b1, b2 = [], [], [], []
@@ -279,6 +282,10 @@ def ref_preevict_stepper(capacity, policy, adaptation="unit", address_space=None
     while True:
         op, key = yield record
         evicted = []
+        if op == "book":
+            record = ((list(t1), list(t2), list(b1), list(b2), p) if policy == "arc"
+                      else sorted(resident, key=stamp.get))
+            continue
         if op == "insert":
             if key not in residents():
                 evicted = insert(key)
@@ -375,7 +382,7 @@ def ref_predict(history, order, alpha, min_support, top_k):
     return [(key, (count + alpha) / denom) for key, count in ranked[:top_k]]
 
 
-def ref_run_sim(keys, config, hit_log=None):
+def ref_run_sim(keys, config, hit_log=None, book_log=None):
     """The SimReport fields of one run, as a dict, from the naive parts above.
 
     config is read by attribute: cache (capacity, policy, arc_adaptation), pre
@@ -386,7 +393,9 @@ def ref_run_sim(keys, config, hit_log=None):
     order, each predicted key at or above p_min that was not resident after the
     access. The ledger oracle judges the prefetches from the hits, misses,
     evictions and issues in the order they happened. A compulsory miss is a
-    miss on a key's first access. hit_log, a list, gets each access's hit or miss.
+    miss on a key's first access. hit_log, a list, gets each access's hit or miss,
+    and book_log, a list, the final book as `book` reads it: for arc the oracle's
+    (t1, t2, b1, b2, p).
     """
     cache, pre, prefetch = config.cache, config.pre, config.prefetch
     halfway = pre is not None and pre.halfway_enabled
@@ -418,6 +427,8 @@ def ref_run_sim(keys, config, hit_log=None):
             evictions += len(victims)
             ledger.append(("issue", fetched, victims[0] if victims else None))
             ledger += [("evicted", victim, None) for victim in victims]
+    if book_log is not None:
+        book_log.append(stepper.send(("book", None)))
     issued, useful, useless, harmful, misses = ref_prefetch_ledger(ledger)[1]
     accesses = len(keys)
     return {

@@ -131,8 +131,9 @@ def test_non_utf8_trace_names_file_and_line(tmp_path, capsys, argv):
 
 
 def test_lru_sim_non_utf8_input(tmp_path, monkeypatch, capsys):
+    # its first line is a case, since a bad line ahead of the byte would be named instead
     path = tmp_path / "bad.txt"
-    path.write_bytes(NOT_UTF8)
+    path.write_bytes(b"2 AB!" + NOT_UTF8[1:])
     with open(path, encoding="utf-8") as stdin:
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run_cli(["lru-sim"], capsys)
@@ -509,6 +510,15 @@ def test_lru_sim_names_its_stdin_line_from_main(monkeypatch, capsys, data, messa
         args.handler(args.parser, args)
     monkeypatch.setattr("sys.stdin", io.StringIO(data))
     assert run_cli(["lru-sim"], capsys) == (1, "", f"{message}\n")
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"2 !A\n\xff\n0\n", (1, "", "stdin:1: script must start with a letter\n")),
+    (b"2 AB!\n0\n\xff\n", (0, "Simulation 1\nAB\n", "")),
+], ids=["bad-line-before-bad-byte", "bad-byte-after-terminator"])
+def test_lru_sim_reads_its_stdin_in_order(monkeypatch, capsys, data, expected):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run_cli(["lru-sim"], capsys) == expected
 
 
 LONG = "1" + "0" * 5000  # 5,001 digits: past the 4,300 int() reads from text

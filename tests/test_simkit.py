@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 import cachelab.policies
 import cachelab.prefetch
 from cachelab import PreEvictConfig
-from cachelab.policies import POLICIES, CacheConfig, PreEvictingCache, make_cache
+from cachelab.policies import (
+    POLICIES,
+    ArcState,
+    CacheConfig,
+    CacheState,
+    PreEvictingCache,
+    make_cache,
+)
 from cachelab.prefetch import (
     ON_EVERY_ACCESS,
     ON_MISS,
@@ -502,9 +509,51 @@ def test_buffered_ledger_equals_unbuffered_replay_whole_and_chunked(case):
     # every policy, rule, top-k and trigger: the buffer changes where the newest
     # prefetch waits, never a count, a book or what the ledger holds
     keys, config, chunks = case
-    assert dataclasses.asdict(run_sim(as_trace(keys), config)) == ref_run_sim(keys, config)
+    books = []
+    assert dataclasses.asdict(run_sim(as_trace(keys), config)) == ref_run_sim(keys, config,
+                                                                               book_log=books)
     unbuffered = replayed(config, [keys], unbuffered=True)
     assert replayed(config, [keys]) == replayed(config, chunks) == unbuffered
+    assert unbuffered[-1] == books[0]
+
+
+@st.composite
+def arc_prefetch_cases(draw):
+    """An ARC run with the prefetcher on, over top_k 1-3, both triggers, unit and
+    ratio adaptation, and no rule, the timer or halfway; and a cut into the trace."""
+    num_keys = draw(st.integers(2, 16))
+    keys = draw(st.lists(st.integers(0, num_keys - 1), max_size=80)
+                | st.builds(lambda *args: gen_markov_trace(*args).keys,
+                            st.integers(0, 99), st.just(num_keys), st.integers(1, 80),
+                            st.sampled_from((0.5, 0.9, 1.0))))
+    cache = CacheConfig(draw(st.integers(1, 6)), "arc", draw(st.sampled_from(("unit", "ratio"))))
+    pre = draw(st.sampled_from((None, "timer", "halfway")))
+    if pre == "timer":
+        pre = PreEvictConfig(timer_enabled=True,
+                             timer_init=draw(st.integers(1, 3 * cache.capacity + 5)))
+    elif pre == "halfway":
+        pre = PreEvictConfig(halfway_enabled=True,
+                             address_space_size=draw(st.integers(2, 2 * num_keys + 2)))
+    prefetch = PrefetchConfig(draw(st.integers(1, 3)), draw(st.sampled_from((0.0, 0.25, 0.5))),
+                              draw(st.sampled_from((ON_MISS, ON_EVERY_ACCESS))))
+    predictor = draw(st.none() | st.builds(
+        PredictorConfig, st.integers(1, 2), st.sampled_from((0.0, 0.5, 1.0)), st.integers(0, 4)))
+    return keys, RunConfig(cache=cache, pre=pre, prefetch=prefetch, predictor=predictor,
+                           label="run"), draw(st.integers(0, len(keys)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(arc_prefetch_cases())
+def test_arc_prefetch_book_matches_naive_oracle_whole_and_cut(case):
+    # the prefetch step keeps its own copy of ARC's miss rule; a report alone could
+    # hide a wrong p or a wrong ghost order, so the four lists and p are compared too
+    keys, config, cut = case
+    for head in (keys[:cut], keys):
+        books = []
+        assert dataclasses.asdict(run_sim(as_trace(head), config)) == ref_run_sim(
+            head, config, book_log=books)
+        assert replayed(config, [head])[-1] == books[0]
+    assert replayed(config, [keys[:cut], keys[cut:]])[-1] == books[0]
 
 
 def edge(capacity, top_k=1, trigger=ON_EVERY_ACCESS, pre=None):
@@ -589,18 +638,29 @@ def test_run_sim_matches_naive_oracle_on_named_shapes(policy, rule, top_k, trigg
     assert rule is None or totals[f"{rule}_evictions"], totals
 
 
+def count_calls(monkeypatch):
+    """A list that gets the name of each call to the predictor's counting and ranking
+    methods, decide_prefetch and the three caches' stepped access."""
+    calls = []
+    for owner, name in [(MarkovPredictor, "observe"), (MarkovPredictor, "predict_next"),
+                        (MarkovPredictor, "leaders"), (cachelab.prefetch, "decide_prefetch"),
+                        (ArcState, "access"), (CacheState, "access"),
+                        (PreEvictingCache, "access")]:
+        method = getattr(owner, name)
+        label = f"{owner.__name__}.{name}" if name == "access" else name
+        monkeypatch.setattr(owner, name, lambda *args, label=label, method=method:
+                            calls.append(label) or method(*args))
+    return calls
+
+
 @pytest.mark.parametrize("top_k", [1, 2, 3])
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("trigger", [ON_MISS, ON_EVERY_ACCESS])
 def test_replay_makes_one_leaders_pass_and_no_stepped_call(monkeypatch, top_k, order, trigger):
     # what the predictor ranks depends on the keys alone, so every prefetch run reads
-    # one pass; an on-miss hit's entry is listed and skipped, never ranked again
-    calls = []
-    for owner, name in [(MarkovPredictor, "observe"), (MarkovPredictor, "predict_next"),
-                        (MarkovPredictor, "leaders"), (cachelab.prefetch, "decide_prefetch")]:
-        method = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, name=name, method=method:
-                            calls.append(name) or method(*args))
+    # one pass; an on-miss hit's entry is listed and skipped, never ranked again. No
+    # replay steps a cache: each inserts its prefetches in its own loop
+    calls = count_calls(monkeypatch)
     assert not hasattr(cachelab.policies, "decide_prefetch")
     keys = gen_markov_trace(order * 10 + top_k, 30, 400, 0.6).keys
     for min_support in range(6):
@@ -618,12 +678,7 @@ def test_replay_makes_one_leaders_pass_and_no_stepped_call(monkeypatch, top_k, o
 @pytest.mark.parametrize("trigger", [ON_MISS, ON_EVERY_ACCESS])
 def test_top1_replay_makes_one_leaders_pass_and_no_stepped_call(monkeypatch, policy, trigger):
     # each policy's top-1 replay under a timer and a second-order predictor
-    calls = []
-    for owner, name in [(MarkovPredictor, "observe"), (MarkovPredictor, "predict_next"),
-                        (MarkovPredictor, "leaders"), (cachelab.prefetch, "decide_prefetch")]:
-        method = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, name=name, method=method:
-                            calls.append(name) or method(*args))
+    calls = count_calls(monkeypatch)
     keys = gen_markov_trace(6, 30, 400, 0.7).keys
     pre = PreEvictConfig(timer_enabled=True, timer_init=9)
     config = RunConfig(cache=CacheConfig(6, policy), pre=pre, label="run",

@@ -69,7 +69,7 @@ def test_parse_plain_accepts_bytes():
 def test_parsers_reject_non_utf8_bytes_with_line(parse):
     # lines end where str.splitlines ends them, at \r and \x0b too; the first line is
     # one the parser reads, since a bad line ahead of the byte would be named instead
-    first = b"0 1" if parse is parse_smpc else b"1"
+    first = {parse_smpc: b"0 1", parse_lru_problem: b"2 AB!"}.get(parse, b"1")
     for data in (b"1\n\xff\n", b"1\r\xff", b"1\x0b\xff", b"1\r\n\xff"):
         with pytest.raises(MalformedLine) as err:
             parse(first + data[1:])
@@ -319,6 +319,35 @@ def test_parse_lru_problem_ignores_trailing_content():
 def test_parse_lru_problem_malformed(text):
     with pytest.raises(MalformedLine):
         parse_lru_problem(text)
+
+
+# lines are read in order: the first bad line is named, a bad script or an
+# undecodable byte, and nothing after the terminator is decoded
+@pytest.mark.parametrize("data, line, message", [
+    (b"2 !A\n\xff\n0\n", 1, "script must start with a letter"),
+    (b"2 AB!\n\xff\n0\n", 2, "not UTF-8: byte 0xff"),
+    (b"2 AB!\n2 A\xff!\n0\n", 2, "not UTF-8: byte 0xff"),
+])
+def test_parse_lru_problem_names_the_first_bad_line(data, line, message):
+    with pytest.raises(MalformedLine) as err:
+        parse_lru_problem(data)
+    assert (err.value.line_no, err.value.message) == (line, message)
+
+
+@pytest.mark.parametrize("data", [b"2 AB!\n0\n\xff\n", b"2 AB!\r\n0\r\n\xff\xfe"])
+def test_parse_lru_problem_stops_at_its_terminator(data):
+    assert parse_lru_problem(data) == [LruCase(2, "AB!")]
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_parse_lru_problem_reads_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(cachelab.trace, "BLOCK", block)
+    data = "5 GHI!JKGL!H!\r\n3 OPOQR!QROQP!PQPQ!\n0\n".encode()
+    assert parse_lru_problem(data) == parse_lru_problem(data.decode()) == [
+        LruCase(5, "GHI!JKGL!H!"), LruCase(3, "OPOQR!QROQP!PQPQ!")]
+    with pytest.raises(MalformedLine) as err:
+        parse_lru_problem(b"2 AB!\n\n2 \xc3\xa9B!\n0\n")
+    assert err.value.line_no == 3
 
 
 @pytest.mark.parametrize("text, line", [("2 AB!\n", 2), ("2 AB!\n\n", 3), ("", 1)])
