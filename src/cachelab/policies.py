@@ -3,7 +3,8 @@ and the pre-eviction wrapper whose timer and halfway rules their replays run."""
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain, count, filterfalse, repeat
+from operator import itemgetter
 
 from .trace import InvalidParam, require_ints, shown
 
@@ -16,6 +17,8 @@ POLICIES = (FIFO, LIFO, LRU, MRU, ARC)
 
 UNIT = "unit"
 RATIO = "ratio"
+
+_UNTOUCHED = object()  # what the timer's lagged read hands out before any key
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,8 @@ class CacheState:
         would; returns the hits. `pre`, a PreEvictingCache over this cache, has its
         timer and halfway rules run inline before each access, and `fetch`, a
         Prefetcher, its step after it, from entries one leaders pass lists up front.
-        A key that leaves the cache keeps its timer entry until it comes due or the
+        The timer reads the key column timer_init keys behind as its demand touch log.
+        A key that leaves the cache keeps its touches until they come due or the
         replay ends, and its ledger entry until next read. A run with neither takes
         the plain loop, any other run the extras loop. There the last prefetch waits in
         fetch.newest, not the ledger dicts: the next access finds a hit on it useful, a
@@ -110,8 +114,9 @@ class CacheState:
             return hits
         timer_init, halfway = (0, None) if pre is None else (pre._timer_init, pre._halfway)
         if pre is not None:
-            low, deadlines, tick, due = pre.low, pre.deadlines, pre.ticks, pre._due
+            low, deadlines, tick = pre.low, pre.deadlines, pre.ticks
             pop_due, requeue = deadlines.popitem, deadlines.move_to_end
+            keys, last, lag, due = pre._start_replay(keys)
         if fetch is not None:
             pending, by_victim, on_miss = fetch.pending, fetch.by_victim, fetch.on_miss
             top1 = fetch.config.top_k == 1
@@ -132,7 +137,13 @@ class CacheState:
                     live = waiting and len(entries.keys() & waiting)  # those resident now
                 if timer_init:
                     tick += 1
-                    while tick >= due:  # pop the due prefix; keys already gone just leave
+                    old = lag()  # read timer_init ticks ago: due unless touched since
+                    if last[old] == tick:
+                        del last[old]
+                        if old in entries:
+                            del entries[old]
+                            room, expired = room + 1, expired + 1
+                    while tick >= due:  # the queue's due prefix; stale or gone keys just leave
                         if not deadlines:
                             due = tick + timer_init
                             break
@@ -140,11 +151,10 @@ class CacheState:
                         if due > tick:
                             deadlines[old] = due
                             requeue(old, False)
-                        elif old in entries:
+                        elif old in entries and last.get(old, due) == due:
                             del entries[old]
                             room, expired = room + 1, expired + 1
-                    deadlines[key] = tick + timer_init
-                    requeue(key)
+                    last[key] = tick + timer_init
                 if halfway is not None:
                     if key < halfway:
                         low.add(key)
@@ -206,8 +216,8 @@ class CacheState:
                 else:
                     victim = popitem(False)[0]
                 entries[fetched] = None
-                if timer_init:
-                    deadlines[fetched] = tick + timer_init
+                if timer_init:  # the key column does not log it, so it is queued
+                    deadlines[fetched] = last[fetched] = tick + timer_init
                     requeue(fetched)
                 if halfway is not None and fetched < halfway:
                     low.add(fetched)
@@ -219,7 +229,7 @@ class CacheState:
                     by_victim[newest_victim].add(newest)
                 newest, newest_victim = fetched, victim
         if pre is not None:
-            pre._end_replay(tick, due, expired, cleared)
+            pre._end_replay(keys, last, tick, expired, cleared)
         if fetch is not None:
             fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
             fetch.newest = None if newest is None else (newest, newest_victim)
@@ -271,8 +281,9 @@ class ArcState:
         hits = expired = cleared = 0
         timer_init, halfway = (0, None) if pre is None else (pre._timer_init, pre._halfway)
         if pre is not None:
-            low, deadlines, tick, due = pre.low, pre.deadlines, pre.ticks, pre._due
+            low, deadlines, tick = pre.low, pre.deadlines, pre.ticks
             pop_due, requeue = deadlines.popitem, deadlines.move_to_end
+            keys, last, lag, due = pre._start_replay(keys)
         if fetch is not None:
             pending, by_victim, on_miss = fetch.pending, fetch.by_victim, fetch.on_miss
             top1 = fetch.config.top_k == 1
@@ -287,7 +298,16 @@ class ArcState:
                     live = waiting and len(t1.keys() & waiting) + len(t2.keys() & waiting)
                 if timer_init:
                     tick += 1
-                    while tick >= due:  # as in CacheState.replay
+                    old = lag()  # as in CacheState.replay
+                    if last[old] == tick:
+                        del last[old]
+                        if old in t1:
+                            del t1[old]
+                            n1, expired = n1 - 1, expired + 1
+                        elif old in t2:
+                            del t2[old]
+                            n2, expired = n2 - 1, expired + 1
+                    while tick >= due:
                         if not deadlines:
                             due = tick + timer_init
                             break
@@ -295,14 +315,15 @@ class ArcState:
                         if due > tick:
                             deadlines[old] = due
                             requeue(old, False)
+                        elif last.get(old, due) != due:
+                            continue  # touched since it was queued
                         elif old in t1:
                             del t1[old]
                             n1, expired = n1 - 1, expired + 1
                         elif old in t2:
                             del t2[old]
                             n2, expired = n2 - 1, expired + 1
-                    deadlines[key] = tick + timer_init
-                    requeue(key)
+                    last[key] = tick + timer_init
                 if halfway is not None:
                     if key < halfway:
                         low.add(key)
@@ -415,8 +436,8 @@ class ArcState:
                     n1 += 1
                 else:
                     n2 += 1
-                if timer_init:
-                    deadlines[fetched] = tick + timer_init
+                if timer_init:  # the key column does not log it, so it is queued
+                    deadlines[fetched] = last[fetched] = tick + timer_init
                     requeue(fetched)
                 if halfway is not None and fetched < halfway:
                     low.add(fetched)
@@ -427,7 +448,7 @@ class ArcState:
                 by_victim[victim].add(fetched)
         self.p = p
         if pre is not None:
-            pre._end_replay(tick, due, expired, cleared)
+            pre._end_replay(keys, last, tick, expired, cleared)
         if fetch is not None:
             fetch.issued, fetch.useful, fetch.harmful = issued, useful, harmful
         return hits
@@ -460,13 +481,18 @@ class PreEvictingCache:
     address-range clearing; with both axes disabled, an identity wrapper.
 
     Timers tick once per demand access; an access or a prefetch sets its key's timer
-    to timer_init. One period for all timers means keys expire in touch order, so
-    `deadlines` is a queue and each access pops its due prefix. With the timer on it
-    holds exactly the residents at every method boundary. The residents below
-    halfway are among `low`, the keys below halfway inserted since the last
-    clearing. Both rules run only inside the base policy's replay loop, where nothing
-    is reported and the book is lazy until the replay ends; a stepped `access` is a
-    one-key replay. The base cache must start empty and take every insertion through it."""
+    to timer_init. One period for all timers and one demand touch per tick mean the
+    only demand touch that can come due at a tick is the one made timer_init ticks
+    before, so a replay reads its own key column that far behind as its demand touch
+    log, and a key leaves if that touch was its last. `deadlines`, the book, maps keys
+    to deadlines in touch order; within a replay it is a queue of the touches the
+    column does not log, the book carried in and the prefetches, and each access
+    pops its due prefix. With the timer on the book holds exactly the residents at
+    every method boundary. The residents below halfway are among `low`, the keys below
+    halfway inserted since the last clearing. Both rules run only inside the base
+    policy's replay loop, where nothing is reported and the book is lazy until the
+    replay ends, which rebuilds it; a stepped `access` is a one-key replay. The base
+    cache must start empty and take every insertion through it."""
 
     def __init__(self, base, config: PreEvictConfig):
         if len(base):  # its residents would have no timer and no place in `low`
@@ -478,7 +504,6 @@ class PreEvictingCache:
         self.low = set()
         self._timer_init = config.timer_init if config.timer_enabled else 0
         self._halfway = config.address_space_size // 2 if config.halfway_enabled else None
-        self._due = self._timer_init  # never above the earliest deadline in the book
 
     def access(self, key, seq=None) -> tuple:
         """A replay of the one key as an exact (hit, evicted) tuple; seq is ignored. The
@@ -499,12 +524,43 @@ class PreEvictingCache:
         on = self._timer_init or self._halfway is not None
         return self.base.replay(keys, self if on else None, fetch)
 
-    def _end_replay(self, tick, due, expired, cleared):
-        """Take back the state a base replay kept in locals, and drop the keys that
-        left the cache from the timer book, which is lazy only within a replay."""
-        self.ticks, self._due = tick, due
+    def _start_replay(self, keys):
+        """(keys, last, lag, due) for a base replay of keys with the timer on: keys as a
+        list or tuple, which the replay reads twice; last, the deadline of each key's
+        last touch in the replay, which a demand touch leaves when it comes due; lag,
+        which hands out at each tick the key read timer_init ticks before, or for the
+        first timer_init ticks a key never touched; and due, the book's first
+        deadline. With the timer off, last is None."""
+        if not self._timer_init:
+            return keys, None, None, 0
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)
+        init = self._timer_init
+        lag = chain(repeat(_UNTOUCHED, init), keys).__next__
+        return keys, {_UNTOUCHED: 0}, lag, next(iter(self.deadlines.values()), self.ticks + init)
+
+    def _end_replay(self, keys, last, tick, expired, cleared):
+        """Take back the state a base replay kept in locals, and rebuild the timer
+        book, lazy only within a replay, from the residents' last touches in touch
+        order: those in the queue, carried in or prefetched, and those in the last
+        timer_init keys of the column, the only demand touches not yet due."""
+        self.ticks = tick
         self.timer_evictions += expired
         self.halfway_evictions += cleared
-        base, deadlines = self.base, self.deadlines
-        for key in [key for key in deadlines if key not in base]:
+        if last is None:
+            return
+        held, deadlines = set(self.base), self.deadlines
+        for key in deadlines.keys() - held:
             del deadlines[key]
+        for key in last.keys() & deadlines.keys():
+            if last[key] != deadlines[key]:  # touched again since it was queued
+                del deadlines[key]
+        start = max(len(keys) - self._timer_init, 0)  # earlier demand touches came due
+        dues = count(tick - len(keys) + start + 1 + self._timer_init)
+        column = [(key, due) for key, due in zip(keys[start:], dues)
+                  if last[key] == due and key in held]
+        if column and deadlines and next(reversed(deadlines.values())) >= column[0][1]:
+            # a prefetch among the column's touches: merge, a tick's demand touch first
+            column = sorted([*column, *deadlines.items()], key=itemgetter(1))
+            deadlines.clear()
+        deadlines.update(column)

@@ -88,6 +88,15 @@ class Trace:
             raise InvalidParam(f"trace keys must be ints in [0, 2**64 - 1], got {shown(bad)}")
         object.__setattr__(self, "distinct", len(distinct))
 
+    @classmethod
+    def _of_checked(cls, keys):
+        """A Trace of keys that a reader has checked as __post_init__ would: only
+        distinct is counted."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "keys", keys)
+        object.__setattr__(trace, "distinct", len(set(keys)))
+        return trace
+
     @property
     def events(self) -> list:
         """TraceEvents numbered from 0, built on each read."""
@@ -241,10 +250,11 @@ _KEYS_OF = {"plain": _plain_keys, "smpc": _smpc_keys}
 
 
 def _gathered(blocks) -> Trace:
+    """The Trace of key_blocks' blocks, whose keys it has already checked."""
     keys = []
     for block in blocks:
         keys += block
-    return Trace(keys)
+    return Trace._of_checked(keys)
 
 
 def parse_plain(text: Union[str, bytes]) -> Trace:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachelab import PreEvictConfig, PreEvictingCache
+from cachelab import PreEvictConfig, PreEvictingCache, simkit
 from cachelab.policies import POLICIES, CacheConfig, make_cache
-from cachelab.prefetch import PredictorConfig, PrefetchConfig, Prefetcher
-from cachelab.trace import InvalidParam
+from cachelab.prefetch import ON_EVERY_ACCESS, ON_MISS, PredictorConfig, PrefetchConfig, Prefetcher
+from cachelab.simkit import RunConfig
+from cachelab.trace import InvalidParam, gen_markov_trace
 
-from reference import book, ref_preevict_run, resident
+from reference import book, ref_preevict_run, ref_run_sim, resident
 
 HALFWAY_1000 = PreEvictConfig(halfway_enabled=True, address_space_size=1000)
 
@@ -489,8 +491,12 @@ def chunked_replay_cases(draw):
 
 
 def assert_due_bounds_book(wrapped):
+    # a replay takes its first due tick from the book's head, so the book's deadlines
+    # must run in touch order, each after the last tick and at most timer_init past it
     if wrapped.deadlines:
-        assert wrapped._due <= min(wrapped.deadlines.values())
+        due = list(wrapped.deadlines.values())
+        assert wrapped.ticks < due[0] and due == sorted(due)
+        assert due[-1] <= wrapped.ticks + wrapped._timer_init
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -529,3 +535,156 @@ def test_wrapper_replay_makes_no_call_into_its_base(policy, halfway, timer):
     assert wrapper_state(replayed) == wrapper_state(stepped)
     assert (replayed.halfway_evictions > 0) == halfway
     assert (replayed.timer_evictions > 0) == timer
+
+
+@st.composite
+def timer_seam_cases(draw):
+    """Every policy and ARC adaptation, the timer and the halfway rule each on or off,
+    with no prefetcher or a top-1 or top-k one on either trigger; a trace cut into
+    chunks, and a timer_init of 1, 2, just below, at or just above a chunk's length,
+    or past the trace's."""
+    num_keys = draw(st.integers(2, 16))
+    keys = draw(st.lists(st.integers(0, num_keys - 1), max_size=80)
+                | st.builds(lambda *args: gen_markov_trace(*args).keys,
+                            st.integers(0, 99), st.just(num_keys), st.integers(1, 80),
+                            st.sampled_from((0.5, 0.9))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=3)))
+    chunks = [keys[i:j] for i, j in zip([0, *cuts], [*cuts, len(keys)])]
+    inits = {1, 2, len(keys) + 1, len(keys) + 50}
+    inits |= {len(chunk) + d for chunk in chunks for d in (-1, 0, 1) if len(chunk) + d > 0}
+    pre = PreEvictConfig(halfway_enabled=draw(st.booleans()),
+                         address_space_size=draw(st.integers(2, 2 * num_keys + 2)),
+                         timer_enabled=draw(st.booleans()),
+                         timer_init=draw(st.sampled_from(sorted(inits))))
+    cache = CacheConfig(draw(st.integers(1, 6)), draw(st.sampled_from(POLICIES)),
+                        draw(st.sampled_from(("unit", "ratio"))))
+    prefetch = draw(st.none() | st.builds(PrefetchConfig, st.sampled_from((1, 3)),
+                                          st.sampled_from((0.0, 0.25)),
+                                          st.sampled_from((ON_MISS, ON_EVERY_ACCESS))))
+    predictor = PredictorConfig(draw(st.integers(1, 2)), 0.0, draw(st.integers(1, 2)))
+    return keys, chunks, RunConfig(cache=cache, pre=pre, prefetch=prefetch,
+                                   predictor=predictor, label="run")
+
+
+def run_in(config, parts, keys):
+    """The report and the wrapper after replaying each part in turn under config."""
+    run = simkit._Run(config)
+    for part in parts:
+        run.replay(part)
+    return dataclasses.asdict(run.report(len(keys), len(set(keys)))), run.front
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(timer_seam_cases())
+def test_whole_cut_and_stepped_replays_equal_the_oracle(case):
+    # the timer reads each replay's key column T keys behind and queues only what the
+    # column does not log (the carried book and prefetches); wherever the replays are
+    # cut, the report, the book and the wrapper's state are the oracle's and the same
+    keys, chunks, config = case
+    books = []
+    expected = ref_run_sim(keys, config, book_log=books)
+    states = []
+    for parts in ([keys], chunks, [[key] for key in keys]):
+        report, wrapped = run_in(config, parts, keys)
+        assert report == expected
+        assert book(wrapped.base) == books[0]
+        assert_due_bounds_book(wrapped)
+        states.append(wrapper_state(wrapped))
+    assert states[0] == states[1] == states[2]
+
+
+def ranked_successor(top_k=1):
+    """Prefetch, on a miss, the successors seen after the missed key."""
+    return Prefetcher(PrefetchConfig(top_k, 0.0, ON_MISS), PredictorConfig(1, 0.0, 1))
+
+
+def residents_after_each(wrapped, keys, fetch=None):
+    """The sorted residents after each key's one-key replay."""
+    out = []
+    for key in keys:
+        wrapped.replay([key], fetch)
+        out.append(sorted(resident(wrapped.base)))
+    return out
+
+
+@pytest.mark.parametrize("policy", ("fifo", "lru", "arc"))
+def test_a_prefetched_key_touched_before_its_deadline_leaves_at_the_touchs(policy):
+    # T=6, capacity 3: the miss on 1 at tick 5 prefetches 2 (deadline 11), and the hit
+    # on 2 at tick 6 touches it again (deadline 12). The queued deadline 11 is stale: 2
+    # stays through tick 11 and leaves at tick 12, read from the key column. Stepped,
+    # the end of each replay drops the stale entry; in one replay through tick 11 the
+    # queue itself must pass over it.
+    keys = [1, 2, 3, 4, 1, 2, 1, 1, 1, 1, 1, 1]
+    config = PreEvictConfig(timer_enabled=True, timer_init=6)
+    wrapped = PreEvictingCache(make_cache(CacheConfig(3, policy)), config)
+    fetch = ranked_successor()
+    held = residents_after_each(wrapped, keys, fetch)
+    assert fetch.issued == 1 and fetch.useful == 1
+    assert held[10] == [1, 2] and held[11] == [1]
+    whole = PreEvictingCache(make_cache(CacheConfig(3, policy)), config)
+    fetch = ranked_successor()
+    whole.replay(keys[:11], fetch)
+    assert sorted(resident(whole.base)) == [1, 2] and whole.timer_evictions == 1
+    whole.replay(keys[11:], fetch)
+    assert wrapper_state(whole) == wrapper_state(wrapped)
+    assert whole.timer_evictions == 2  # 4 at tick 10, 2 at tick 12
+    assert list(whole.deadlines.items()) == [(1, 18)]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_victim_missed_again_before_its_old_deadline_keeps_the_new_one(policy):
+    # T=4, capacity 2: 1 (touched at tick 1) is the victim of 3 under fifo and lru and
+    # misses again at tick 4, so the lagged read of 1 at tick 5 is stale; 1 leaves at
+    # tick 8 if it is still resident then
+    keys = [1, 2, 3, 1, 3, 3, 3, 3]
+    config = PreEvictConfig(timer_enabled=True, timer_init=4)
+    steps = [("access", key) for key in keys]
+    records = ref_preevict_run(steps, 2, policy, timer_init=4)
+    whole = PreEvictingCache(make_cache(CacheConfig(2, policy)), config)
+    whole.replay(keys)
+    assert whole.timer_evictions == records[-1][3]
+    assert resident(whole.base) == records[-1][2]
+    if policy in ("fifo", "lru"):
+        assert [1 in held for _, _, held, _, _ in records] == [
+            True, True, False, True, True, True, True, False]
+    stepped = PreEvictingCache(make_cache(CacheConfig(2, policy)), config)
+    assert [stepped.access(key) for key in keys] == [record[:2] for record in records]
+    assert wrapper_state(stepped) == wrapper_state(whole)
+
+
+def test_a_cleared_key_inserted_again_keeps_its_new_deadline():
+    # T=4, halfway 5: the miss on 7 at tick 2 clears 1, which misses back in at tick 3
+    # (deadline 7). Its first touch's deadline, 5, is stale: 1 stays until tick 7.
+    keys = [1, 7, 1, 7, 7, 7, 7]
+    config = PreEvictConfig(halfway_enabled=True, address_space_size=10,
+                            timer_enabled=True, timer_init=4)
+    stepped = PreEvictingCache(make_cache(CacheConfig(4, "lru")), config)
+    assert [stepped.access(key) for key in keys] == [
+        (False, ()), (False, (1,)), (False, ()), (True, ()), (True, ()), (True, ()),
+        (True, (1,))]
+    whole = PreEvictingCache(make_cache(CacheConfig(4, "lru")), config)
+    assert whole.replay(keys) == 4
+    assert wrapper_state(whole) == wrapper_state(stepped)
+    assert (whole.timer_evictions, whole.halfway_evictions) == (1, 1)
+    assert list(whole.deadlines.items()) == [(7, 11)]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_carried_touch_expires_on_the_first_tick_of_the_next_replay(policy):
+    # T=2: 1 (tick 1) comes due at tick 3, the first tick of the second replay, where
+    # only the carried book holds its touch. 2 (tick 2) is touched again at tick 3, so
+    # its carried deadline 4 is stale, and it leaves at tick 5, the first tick of the
+    # third replay, from a book that the second replay's key column made.
+    config = PreEvictConfig(timer_enabled=True, timer_init=2)
+    wrapped = PreEvictingCache(make_cache(CacheConfig(4, policy)), config)
+    assert wrapped.replay([1, 2]) == 0
+    assert list(wrapped.deadlines.items()) == [(1, 3), (2, 4)]
+    assert wrapped.replay([2, 3]) == 1
+    assert wrapped.timer_evictions == 1
+    assert list(wrapped.deadlines.items()) == [(2, 5), (3, 6)]
+    assert wrapped.replay([4]) == 0
+    assert resident(wrapped.base) == {3, 4} and wrapped.timer_evictions == 2
+    assert wrapped.access(5) == (False, (3,))
+    steps = [("access", key) for key in (1, 2, 2, 3, 4, 5)]
+    assert [record[1] for record in ref_preevict_run(steps, 4, policy, timer_init=2)] == [
+        (), (), (1,), (), (2,), (3,)]

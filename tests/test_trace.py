@@ -512,6 +512,24 @@ def test_trace_counts_its_distinct_keys():
         trace.distinct = 0
 
 
+def test_parsers_count_distinct_without_checking_the_keys_again(monkeypatch):
+    # key_blocks checks every key as it reads it, so the parsers' Trace only counts
+    # distinct; a Trace built in code still checks every key
+    keys = [(7919 * i) % 5003 for i in range(20_000)]  # more than one 64 KiB block
+    built = Trace(keys)
+
+    def refuse(self):
+        raise AssertionError("the keys were checked a second time")
+
+    monkeypatch.setattr(Trace, "__post_init__", refuse)
+    plain = parse_plain(emit_plain(built))
+    smpc = parse_smpc("".join(f"2 {key}\n" for key in keys))
+    assert plain == smpc == built and plain.distinct == smpc.distinct == 5003
+    monkeypatch.undo()
+    with pytest.raises(InvalidParam, match="got -1$"):
+        Trace([*keys, -1])
+
+
 HUGE = 10**5000  # past the 4,300 digits str() and repr() print by default
 _NET = BayesNet([Variable("A", 2)], [CPT("A", [], [[0.5, 0.5]])])
 
