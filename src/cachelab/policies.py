@@ -207,7 +207,7 @@ class CacheState:
                     continue
                 chosen = (ahead,)
             else:
-                chosen = [k for k in ahead if k not in entries]
+                chosen = [*filterfalse(entries.__contains__, ahead)]
             for fetched in chosen:
                 if room:
                     room, victim = room - 1, None
@@ -487,12 +487,12 @@ class PreEvictingCache:
     log, and a key leaves if that touch was its last. `deadlines`, the book, maps keys
     to deadlines in touch order; within a replay it is a queue of the touches the
     column does not log, the book carried in and the prefetches, and each access
-    pops its due prefix. With the timer on the book holds exactly the residents at
-    every method boundary. The residents below halfway are among `low`, the keys below
-    halfway inserted since the last clearing. Both rules run only inside the base
-    policy's replay loop, where nothing is reported and the book is lazy until the
-    replay ends, which rebuilds it; a stepped `access` is a one-key replay. The base
-    cache must start empty and take every insertion through it."""
+    pops its due prefix. The replay's end rebuilds it, lazy until then, as the
+    residents' last touches sorted stably by deadline, so with the timer on it holds
+    exactly the residents at every method boundary. The residents below halfway are
+    among `low`, the keys below halfway inserted since the last clearing. Both rules
+    run only in the base's replay loop, where nothing is reported; a stepped `access`
+    is a one-key replay. The base must start empty and take every insertion through it."""
 
     def __init__(self, base, config: PreEvictConfig):
         if len(base):  # its residents would have no timer and no place in `low`
@@ -536,31 +536,23 @@ class PreEvictingCache:
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         init = self._timer_init
-        lag = chain(repeat(_UNTOUCHED, init), keys).__next__
+        lag = chain(repeat(_UNTOUCHED, min(init, len(keys))), keys).__next__
         return keys, {_UNTOUCHED: 0}, lag, next(iter(self.deadlines.values()), self.ticks + init)
 
     def _end_replay(self, keys, last, tick, expired, cleared):
         """Take back the state a base replay kept in locals, and rebuild the timer
-        book, lazy only within a replay, from the residents' last touches in touch
-        order: those in the queue, carried in or prefetched, and those in the last
-        timer_init keys of the column, the only demand touches not yet due."""
+        book, lazy only within a replay: each resident's last touch, from the last
+        timer_init keys of the column (the only demand touches not yet due) and then
+        the queue (the book carried in and the prefetches, in touch order), sorted
+        stably by deadline, so a tick's demand touch precedes its prefetches."""
         self.ticks = tick
         self.timer_evictions += expired
         self.halfway_evictions += cleared
         if last is None:
             return
-        held, deadlines = set(self.base), self.deadlines
-        for key in deadlines.keys() - held:
-            del deadlines[key]
-        for key in last.keys() & deadlines.keys():
-            if last[key] != deadlines[key]:  # touched again since it was queued
-                del deadlines[key]
-        start = max(len(keys) - self._timer_init, 0)  # earlier demand touches came due
-        dues = count(tick - len(keys) + start + 1 + self._timer_init)
-        column = [(key, due) for key, due in zip(keys[start:], dues)
-                  if last[key] == due and key in held]
-        if column and deadlines and next(reversed(deadlines.values())) >= column[0][1]:
-            # a prefetch among the column's touches: merge, a tick's demand touch first
-            column = sorted([*column, *deadlines.items()], key=itemgetter(1))
-            deadlines.clear()
-        deadlines.update(column)
+        held, init = set(self.base), self._timer_init
+        start = max(len(keys) - init, 0)  # earlier demand touches came due
+        column = zip(keys[start:], count(tick - len(keys) + start + 1 + init))
+        book = [(key, due) for key, due in chain(column, self.deadlines.items())
+                if key in held and last.get(key, due) == due]
+        self.deadlines = OrderedDict(sorted(book, key=itemgetter(1)))

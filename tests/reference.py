@@ -198,12 +198,19 @@ def ref_preevict_stepper(capacity, policy, adaptation="unit", address_space=None
     """ref_preevict_run as a generator: send it each step, get back its record. A
     ("book", None) step changes nothing and gets back the book as `book` reads a
     package cache: for arc copies of t1, t2, b1 and b2 with p, otherwise the
-    residents oldest first, by insertion for fifo and lifo, by last use for lru and mru."""
+    residents oldest first, by insertion for fifo and lifo, by last use for lru and mru.
+    A ("deadlines", None) step changes nothing and gets back the timer book as a list
+    of (key, deadline), one per resident, its deadline the accesses so far plus its
+    timer, ordered by deadline and then by touch: an access before the inserts after
+    it, and inserts in issue order. With the timers off it is empty."""
     resident = []    # classical policies: resident keys
     stamp = {}       # key -> time of insertion (fifo, lifo) or last use (lru, mru)
     t1, t2, b1, b2 = [], [], [], []
     p = 0
     timers = {}
+    touched = {}     # key -> number of the last access or insertion that set its timer
+    touches = itertools.count()
+    ticks = 0        # accesses so far
     timer_evictions = halfway_evictions = 0
     clock = 0
 
@@ -286,13 +293,19 @@ def ref_preevict_stepper(capacity, policy, adaptation="unit", address_space=None
             record = ((list(t1), list(t2), list(b1), list(b2), p) if policy == "arc"
                       else sorted(resident, key=stamp.get))
             continue
+        if op == "deadlines":
+            record = [] if timer_init is None else sorted(
+                ((k, ticks + timers[k]) for k in residents()),
+                key=lambda pair: (pair[1], touched[pair[0]]))
+            continue
         if op == "insert":
             if key not in residents():
                 evicted = insert(key)
-                timers[key] = timer_init
+                timers[key], touched[key] = timer_init, next(touches)
             record = (None, tuple(evicted), set(residents()),
                       timer_evictions, halfway_evictions)
             continue
+        ticks += 1
         if timer_init is not None:
             expired = []
             for k in residents():
@@ -314,7 +327,7 @@ def ref_preevict_stepper(capacity, policy, adaptation="unit", address_space=None
             hit(key)
         else:
             evicted += insert(key)
-        timers[key] = timer_init
+        timers[key], touched[key] = timer_init, next(touches)
         record = (is_hit, tuple(evicted), set(residents()),
                   timer_evictions, halfway_evictions)
 
@@ -394,8 +407,8 @@ def ref_run_sim(keys, config, hit_log=None, book_log=None):
     access. The ledger oracle judges the prefetches from the hits, misses,
     evictions and issues in the order they happened. A compulsory miss is a
     miss on a key's first access. hit_log, a list, gets each access's hit or miss,
-    and book_log, a list, the final book as `book` reads it: for arc the oracle's
-    (t1, t2, b1, b2, p).
+    and book_log, a list, the final book as `book` reads it (for arc the oracle's
+    (t1, t2, b1, b2, p)) and then the final timer book as (key, deadline) pairs.
     """
     cache, pre, prefetch = config.cache, config.pre, config.prefetch
     halfway = pre is not None and pre.halfway_enabled
@@ -428,7 +441,7 @@ def ref_run_sim(keys, config, hit_log=None, book_log=None):
             ledger.append(("issue", fetched, victims[0] if victims else None))
             ledger += [("evicted", victim, None) for victim in victims]
     if book_log is not None:
-        book_log.append(stepper.send(("book", None)))
+        book_log += [stepper.send(("book", None)), stepper.send(("deadlines", None))]
     issued, useful, useless, harmful, misses = ref_prefetch_ledger(ledger)[1]
     accesses = len(keys)
     return {

@@ -193,6 +193,17 @@ def test_run_with_pre_evict_flags(tmp_path, capsys):
     assert json.loads(out)[0]["halfway_evictions"] == 2
 
 
+@pytest.mark.parametrize("timer", [str(2**63), str(10**30)])
+@pytest.mark.parametrize("extra", [["--policy", "lru"], ["--policy", "arc", "--prefetch", "pgm"]])
+def test_a_timer_longer_than_the_trace_prints_the_untimed_report(tmp_path, capsys, timer,
+                                                                 extra):
+    trace = write_trace(tmp_path, [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5] * 3)
+    argv = ["run", "--trace", trace, "--capacity", "3", *extra, "--out", "json"]
+    plain = run_cli(argv, capsys)
+    assert plain[0] == 0
+    assert run_cli([*argv, "--pre-evict-timer", timer], capsys) == plain
+
+
 def test_run_halfway_requires_address_space(tmp_path):
     trace = write_trace(tmp_path, [1])
     with pytest.raises(SystemExit) as err:
@@ -1031,7 +1042,7 @@ POLICY_FLAGS = {
     "--arc-adaptation": choice(["unit", "ratio"]),
     "--pre-evict": choice(["halfway"]),
     "--address-space": small_ints(2, 40),
-    "--pre-evict-timer": small_ints(1, 12),
+    "--pre-evict-timer": small_ints(1, 12) | st.sampled_from([str(2**63), str(10**30)]),
     "--prefetch": choice(["pgm"]),
     "--order": small_ints(1, 2),
     "--top-k": small_ints(1, 4),

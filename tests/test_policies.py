@@ -430,6 +430,13 @@ def test_classical_book_equals_reference_after_replays_and_steps(policy, capacit
         assert list(cache.entries) == ref_policy_run(accessed, capacity, policy)[5]
 
 
+def test_replays_hold_no_closure_cells():
+    # on Python 3.10 and 3.11 a comprehension over a replay local makes it a cell, and
+    # every read of it in the loop a LOAD_DEREF
+    assert CacheState.replay.__code__.co_cellvars == ()
+    assert ArcState.replay.__code__.co_cellvars == ()
+
+
 # Ghost hits whose step would carry p past a bound; the test checks that each one
 # does. Under unit adaptation p + |b1| <= capacity (arc_invariants), so a b1 ghost
 # hit finds p < capacity and only the lower bound can bind.

@@ -579,7 +579,8 @@ def run_in(config, parts, keys):
 def test_whole_cut_and_stepped_replays_equal_the_oracle(case):
     # the timer reads each replay's key column T keys behind and queues only what the
     # column does not log (the carried book and prefetches); wherever the replays are
-    # cut, the report, the book and the wrapper's state are the oracle's and the same
+    # cut, the report, the book, the timer book and the wrapper's state are the
+    # oracle's and the same
     keys, chunks, config = case
     books = []
     expected = ref_run_sim(keys, config, book_log=books)
@@ -588,9 +589,31 @@ def test_whole_cut_and_stepped_replays_equal_the_oracle(case):
         report, wrapped = run_in(config, parts, keys)
         assert report == expected
         assert book(wrapped.base) == books[0]
+        assert list(wrapped.deadlines.items()) == books[1]
         assert_due_bounds_book(wrapped)
         states.append(wrapper_state(wrapped))
     assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("timer_init", [2**63, 10**30])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("top_k", [None, 1, 3])
+def test_a_timer_longer_than_the_trace_expires_nothing(timer_init, policy, top_k):
+    # the lagged read pads the column with at most one sentinel per key, so no T is
+    # too long: whole, cut and stepped, the run is the untimed one and nothing expires
+    keys = gen_markov_trace(4, 12, 200, 0.5).keys
+    fetch = {} if top_k is None else dict(prefetch=PrefetchConfig(top_k, 0.0, ON_EVERY_ACCESS),
+                                          predictor=PredictorConfig(1, 0.0, 1))
+    plain = RunConfig(cache=CacheConfig(4, policy), label="run", **fetch)
+    timed = dataclasses.replace(plain, pre=PreEvictConfig(timer_enabled=True,
+                                                          timer_init=timer_init))
+    expected, _ = run_in(plain, [keys], keys)
+    for parts in ([keys], [keys[:70], keys[70:]], [[key] for key in keys]):
+        report, wrapped = run_in(timed, parts, keys)
+        assert report == expected and wrapped.timer_evictions == 0
+        assert set(wrapped.deadlines) == resident(wrapped.base)
+    stepped = PreEvictingCache(make_cache(CacheConfig(2, policy)), timed.pre)
+    assert [stepped.access(key) for key in (1, 2, 1)] == [(False, ()), (False, ()), (True, ())]
 
 
 def ranked_successor(top_k=1):
